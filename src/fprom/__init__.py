@@ -65,7 +65,7 @@ from .pipeline import (
     split,
 )
 from .sampling import TransformSpec, pushforward_density, rejection_sample
-from .solver import SolutionTrace, SolverConfig, solve, step_rhs, suggest_dt
+from .solver import SolutionTrace, SolverConfig, solve, suggest_dt
 
 __all__ = [
     "__version__",
@@ -122,7 +122,6 @@ __all__ = [
     "simulate",
     "solve",
     "split",
-    "step_rhs",
     "stratonovich_to_ito_drift",
     "suggest_dt",
     "tikhonov_smooth",

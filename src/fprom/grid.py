@@ -1,9 +1,11 @@
-"""Uniform 1-D grids and finite-difference derivative matrices.
+"""Uniform 1-D grids and finite-difference derivative operators.
 
-Derivative matrices of arbitrary degree and (even) accuracy order are
+Derivative operators of arbitrary degree and (even) accuracy order are
 assembled from stencil weights computed by the classical recursive
 algorithm for arbitrary node sets. Interior rows get centered stencils;
 boundary rows fall back to one-sided windows of the same formal order.
+``derivative_bands`` builds the operator in LAPACK band storage in
+O(n) memory; ``derivative_matrix`` is the dense n x n reference.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ import numpy as np
 
 from .errors import InfeasibleConfigError
 
-__all__ = ["Grid", "DerivativeMatrix", "build_grid", "derivative_matrix", "fd_weights"]
+__all__ = [
+    "Grid",
+    "DerivativeMatrix",
+    "build_grid",
+    "derivative_bands",
+    "derivative_matrix",
+    "fd_weights",
+]
 
 
 @dataclass(frozen=True)
@@ -130,8 +139,23 @@ def _interior_half_width(degree: int, order: int) -> int:
     return (degree + 1) // 2 + order // 2 - 1
 
 
+def _stencil_shape(grid: Grid, degree: int, accuracy_order: int) -> tuple[int, int]:
+    """Validated (boundary window width, interior half width)."""
+    if degree < 1:
+        raise InfeasibleConfigError("degree must be >= 1")
+    if accuracy_order < 2 or accuracy_order % 2 != 0:
+        raise InfeasibleConfigError("accuracy_order must be even and >= 2")
+    width = degree + accuracy_order
+    n = grid.n_points
+    if n <= width:
+        raise InfeasibleConfigError(
+            f"stencil wider than grid: need n_points > {width}, have {n}"
+        )
+    return width, _interior_half_width(degree, accuracy_order)
+
+
 def derivative_matrix(grid: Grid, degree: int, accuracy_order: int = 2) -> DerivativeMatrix:
-    """Assemble the differentiation matrix of the given degree and order.
+    """Assemble the dense differentiation matrix of the given degree and order.
 
     Parameters
     ----------
@@ -148,18 +172,9 @@ def derivative_matrix(grid: Grid, degree: int, accuracy_order: int = 2) -> Deriv
         If the one-sided boundary window (degree + accuracy_order nodes)
         does not fit on the grid.
     """
-    if degree < 1:
-        raise InfeasibleConfigError("degree must be >= 1")
-    if accuracy_order < 2 or accuracy_order % 2 != 0:
-        raise InfeasibleConfigError("accuracy_order must be even and >= 2")
-    width = degree + accuracy_order
+    width, half = _stencil_shape(grid, degree, accuracy_order)
     n = grid.n_points
-    if n <= width:
-        raise InfeasibleConfigError(
-            f"stencil wider than grid: need n_points > {width}, have {n}"
-        )
     x = grid.nodes
-    half = _interior_half_width(degree, accuracy_order)
     mat = np.zeros((n, n))
     for i in range(n):
         if half <= i <= n - 1 - half:
@@ -170,3 +185,36 @@ def derivative_matrix(grid: Grid, degree: int, accuracy_order: int = 2) -> Deriv
             lo, hi = n - width, n
         mat[i, lo:hi] = fd_weights(x[i], x[lo:hi], degree)[:, degree]
     return DerivativeMatrix(grid=grid, degree=degree, accuracy_order=accuracy_order, values=mat)
+
+
+def derivative_bands(
+    grid: Grid, degree: int, accuracy_order: int = 2
+) -> tuple[np.ndarray, int, int]:
+    """The operator of ``derivative_matrix`` in LAPACK band storage.
+
+    Returns
+    -------
+    (ab, l, u)
+        ``ab`` has shape (l + u + 1, n_points) and holds matrix entry
+        (i, j) at ``ab[u + i - j, j]``; slots outside the matrix are
+        zero. l = u = degree + accuracy_order - 1, the reach of the
+        one-sided wall windows.
+
+    Interior rows share one centered stencil, since the grid is
+    uniform; only the rows near each wall call ``fd_weights`` one by
+    one. Nothing n x n is built. Raises like ``derivative_matrix``.
+    """
+    width, half = _stencil_shape(grid, degree, accuracy_order)
+    n = grid.n_points
+    x = grid.nodes
+    bw = width - 1
+    ab = np.zeros((2 * bw + 1, n))
+    interior = np.arange(half, n - half)
+    stencil = fd_weights(0.0, grid.spacing * np.arange(-half, half + 1), degree)
+    for offset, w in zip(range(-half, half + 1), stencil[:, degree]):
+        ab[bw - offset, interior + offset] = w
+    for i in (*range(half), *range(n - half, n)):
+        lo = 0 if i < half else n - width
+        cols = np.arange(lo, lo + width)
+        ab[bw + i - cols, cols] = fd_weights(x[i], x[lo : lo + width], degree)[:, degree]
+    return ab, bw, bw

@@ -2,9 +2,14 @@
 
 The semi-discrete form is df/dt = A(t) f with
 A(t) = -D1(t) * E1 + D2(t) * E2, E1 and E2 the first- and
-second-derivative matrices. Two integrators: classical explicit RK4
-(with a hard diffusion stability check) and Crank-Nicolson with a
-direct sparse solve.
+second-derivative operators with their wall rows closed per the
+boundary condition. E1 and E2 are held in LAPACK band storage, so
+memory and work per step are O(n): tridiagonal for accuracy order 2,
+banded otherwise. Two integrators: classical explicit RK4 (with a hard
+diffusion stability check) applying A by a banded matrix-vector
+product, and Crank-Nicolson with a LAPACK banded solve
+(``scipy.linalg.solve_banded``) of its left-hand band each step; no
+sparse LU is factored.
 
 After every step the state is clipped at zero and renormalized; the
 pre-renormalization mass of each step is logged so mass conservation
@@ -17,15 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from .coefficients import CoefficientModel
 from .density import DensityField
 from .errors import InfeasibleConfigError
-from .grid import DerivativeMatrix, Grid, derivative_matrix
+from .grid import Grid, derivative_bands
 
-__all__ = ["SolverConfig", "SolutionTrace", "step_rhs", "solve", "suggest_dt"]
+__all__ = ["SolverConfig", "SolutionTrace", "solve", "suggest_dt"]
 
 INTEGRATORS = ("explicit_rk4", "crank_nicolson")
 BOUNDARIES = ("zero_flux", "zero_dirichlet")
@@ -76,47 +80,56 @@ class SolutionTrace:
         object.__setattr__(self, "mass_log", np.asarray(self.mass_log, dtype=float))
 
 
-def step_rhs(
-    f: DensityField,
-    model: CoefficientModel,
-    t: float,
-    e1: DerivativeMatrix,
-    e2: DerivativeMatrix,
-) -> np.ndarray:
-    """Right-hand side -E1 (D1 f) + E2 (D2 f) at time t, nodewise.
-
-    With time-only coefficients this equals -D1*(E1 f) + D2*(E2 f);
-    the matrix form is applied literally.
-    """
-    if f.grid != e1.grid or f.grid != e2.grid:
-        raise ValueError("density and derivative matrices live on different grids")
-    d1, d2 = model.eval(t)
-    return -e1.values @ (d1 * f.values) + e2.values @ (d2 * f.values)
-
-
-def _boundary_closed_operators(
+def _closed_bands(
     grid: Grid, accuracy_order: int, boundary: str
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Sparse E1, E2 with boundary rows replaced per the condition.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """E1, E2 bands with the wall rows replaced per the condition.
 
     zero_flux uses an even-reflection ghost closure: the wall rows of E1
     vanish and the wall rows of E2 become (-2, +2)/h^2, zeroing the
     diffusive flux. zero_dirichlet zeroes both wall rows so edge values
     stay frozen. Interior rows are untouched.
+
+    Returns (b1, b2, w): both bands hold entry (i, j) at [w + i - j, j]
+    with l = u = w, the smallest width covering every nonzero entry
+    once the walls are closed (1 for accuracy order 2).
     """
-    e1 = derivative_matrix(grid, 1, accuracy_order).values.copy()
-    e2 = derivative_matrix(grid, 2, accuracy_order).values.copy()
-    h = grid.spacing
-    e1[0, :] = 0.0
-    e1[-1, :] = 0.0
-    e2[0, :] = 0.0
-    e2[-1, :] = 0.0
+    e1, w1, _ = derivative_bands(grid, 1, accuracy_order)
+    b2, w2, _ = derivative_bands(grid, 2, accuracy_order)
+    # widen E1's band to E2's so both share one storage layout
+    b1 = np.zeros_like(b2)
+    b1[w2 - w1 : w2 + w1 + 1] = e1
+    n = grid.n_points
+    # entry (i, j) of a wall row i sits at [w2 + i - j, j]
+    for i in (0, n - 1):
+        cols = np.arange(max(0, i - w2), min(n, i + w2 + 1))
+        b1[w2 + i - cols, cols] = 0.0
+        b2[w2 + i - cols, cols] = 0.0
     if boundary == "zero_flux":
-        e2[0, 0] = -2.0 / h**2
-        e2[0, 1] = 2.0 / h**2
-        e2[-1, -1] = -2.0 / h**2
-        e2[-1, -2] = 2.0 / h**2
-    return sp.csr_matrix(e1), sp.csr_matrix(e2)
+        h = grid.spacing
+        b2[w2, 0] = -2.0 / h**2
+        b2[w2 - 1, 1] = 2.0 / h**2
+        b2[w2, n - 1] = -2.0 / h**2
+        b2[w2 + 1, n - 2] = 2.0 / h**2
+    used = np.flatnonzero(np.any(b1 != 0.0, axis=1) | np.any(b2 != 0.0, axis=1))
+    w = int(np.max(np.abs(used - w2)))
+    return b1[w2 - w : w2 + w + 1], b2[w2 - w : w2 + w + 1], w
+
+
+def _band_matvec(ab: np.ndarray, w: int, g: np.ndarray) -> np.ndarray:
+    """Product of the band matrix (l = u = w) with the vector g."""
+    y = ab[w] * g
+    for k in range(1, w + 1):
+        y[:-k] += ab[w - k, k:] * g[k:]
+        y[k:] += ab[w + k, :-k] * g[:-k]
+    return y
+
+
+def _identity_plus(a: np.ndarray, w: int, c: float) -> np.ndarray:
+    """Band of I + c * A, for A in band storage with l = u = w."""
+    m = c * a
+    m[w] += 1.0
+    return m
 
 
 def _record_steps(t0: float, record_times: tuple[float, ...], dt: float) -> list[int]:
@@ -188,7 +201,7 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
                     f"{STABILITY_SAFETY}*h^2/max|D2| = {dt_bound:.6e}"
                 )
 
-    s1, s2 = _boundary_closed_operators(grid, config.accuracy_order, config.boundary)
+    b1, b2, w = _closed_bands(grid, config.accuracy_order, config.boundary)
     x = grid.nodes
     dt = config.dt
 
@@ -200,16 +213,12 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
 
     def apply_a(t: float, g: np.ndarray) -> np.ndarray:
         d1, d2 = model.eval(t)
-        return -d1 * (s1 @ g) + d2 * (s2 @ g)
+        return -d1 * _band_matvec(b1, w, g) + d2 * _band_matvec(b2, w, g)
 
     cn_cached = None
-    identity = sp.identity(grid.n_points, format="csr")
     if config.integrator == "crank_nicolson" and model.is_constant():
-        a_mat = -model.drift(0.0) * s1 + model.diffusion(0.0) * s2
-        cn_cached = (
-            spla.splu((identity - 0.5 * dt * a_mat).tocsc()),
-            (identity + 0.5 * dt * a_mat).tocsr(),
-        )
+        a = -model.drift(0.0) * b1 + model.diffusion(0.0) * b2
+        cn_cached = (_identity_plus(a, w, -0.5 * dt), _identity_plus(a, w, 0.5 * dt))
 
     snapshots: list[DensityField] = []
     mass_log: list[float] = []
@@ -220,6 +229,14 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
     def record(step: int, state: np.ndarray) -> None:
         for tau in record_lookup.get(step, ()):
             snapshots.append(DensityField(grid=grid, values=state.copy(), time_stamp=tau))
+
+    def diverged(what: str, step: int) -> SolutionTrace:
+        return SolutionTrace(
+            snapshots=tuple(snapshots),
+            mass_log=np.asarray(mass_log),
+            diverged=True,
+            diagnostic=f"{what} at step {step} (t={t0 + step * dt})",
+        )
 
     record(0, f)
     n_total = max(rec_steps)
@@ -233,33 +250,25 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
             f_new = f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
             if cn_cached is not None:
-                lu, m_plus = cn_cached
+                m_minus, m_plus = cn_cached
             else:
                 d1n, d2n = model.eval(t + dt)
                 d1c, d2c = model.eval(t)
-                a_next = -d1n * s1 + d2n * s2
-                a_curr = -d1c * s1 + d2c * s2
-                lu = spla.splu((identity - 0.5 * dt * a_next).tocsc())
-                m_plus = (identity + 0.5 * dt * a_curr).tocsr()
-            f_new = lu.solve(m_plus @ f)
+                m_minus = _identity_plus(-d1n * b1 + d2n * b2, w, -0.5 * dt)
+                m_plus = _identity_plus(-d1c * b1 + d2c * b2, w, 0.5 * dt)
+            rhs = _band_matvec(m_plus, w, f)
+            try:
+                f_new = solve_banded((w, w), m_minus, rhs, overwrite_b=True)
+            except ValueError:  # solve_banded refuses non-finite input
+                return diverged("non-finite Crank-Nicolson system", k)
 
         if not np.all(np.isfinite(f_new)):
-            return SolutionTrace(
-                snapshots=tuple(snapshots),
-                mass_log=np.asarray(mass_log),
-                diverged=True,
-                diagnostic=f"non-finite state at step {k} (t={t0 + k * dt})",
-            )
+            return diverged("non-finite state", k)
         f_new = np.clip(f_new, 0.0, None)
         mass = float(np.trapezoid(f_new, x))
         mass_log.append(mass)
         if mass <= MASS_COLLAPSE:
-            return SolutionTrace(
-                snapshots=tuple(snapshots),
-                mass_log=np.asarray(mass_log),
-                diverged=True,
-                diagnostic=f"density mass collapsed at step {k} (t={t0 + k * dt})",
-            )
+            return diverged("density mass collapsed", k)
         f = f_new / mass
         record(k, f)
 

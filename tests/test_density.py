@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fprom import (
     DensityField,
     Grid,
+    MomentSet,
     auto_bandwidth,
     gaussian_density,
     kde_estimate,
@@ -138,6 +140,14 @@ class TestMoments:
         with pytest.raises(ValueError, match="mass"):
             moments(f)
 
+    def test_negative_variance_rejected(self):
+        with pytest.raises(ValueError, match="variance"):
+            MomentSet(mean=0.0, variance=-1e-3, central_moments=(1.0, 0.0, -1e-3))
+
+    def test_too_few_central_moments_rejected(self):
+        with pytest.raises(ValueError, match="central moments"):
+            MomentSet(mean=0.0, variance=1.0, central_moments=(1.0, 0.0))
+
 
 class TestKl:
     def test_closed_form_gaussian_pairs(self):
@@ -248,6 +258,21 @@ class TestTikhonov:
         noisy = kde_estimate(samples, grid, bandwidth=0.05)
         smoothed = tikhonov_smooth(noisy, lam=1e-4)
         assert kl_divergence(truth, smoothed) < kl_divergence(truth, noisy)
+
+    @pytest.mark.parametrize("grid", [Grid(-8.0, 8.0, 513), Grid(-6.0, 6.0, 301)])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("lam", [1e-4, 1e-6])
+    def test_banded_solve_matches_dense_cholesky(self, grid, degree, lam):
+        # rough everywhere, walls included, so every band entry matters
+        noisy = DensityField.normalized(
+            grid, 1.0 + _philox(8).random(grid.n_points), 0.0
+        )
+        e = derivative_matrix(grid, degree, 2).values
+        system = np.eye(grid.n_points) + lam * (e.T @ e)
+        dense = scipy.linalg.cho_solve(scipy.linalg.cho_factor(system), noisy.values)
+        want = DensityField.normalized(grid, dense, noisy.time_stamp)
+        got = tikhonov_smooth(noisy, lam=lam, deriv_degree=degree)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12
 
     def test_preserves_mass_and_time(self, unit_gaussian):
         smoothed = tikhonov_smooth(unit_gaussian, lam=1e-4)

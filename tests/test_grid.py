@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fprom import Grid, build_grid, derivative_matrix, fd_weights
 from fprom.errors import InfeasibleConfigError
+from fprom.grid import derivative_bands
 
 
 def test_grid_nodes_uniform():
@@ -87,6 +88,36 @@ def test_derivative_matrix_rejects_tiny_grid():
     grid = build_grid(0.0, 1.0, 8)
     with pytest.raises(InfeasibleConfigError):
         derivative_matrix(grid, 2, 8)
+    with pytest.raises(InfeasibleConfigError):
+        derivative_bands(grid, 2, 8)
+
+
+@pytest.mark.parametrize("grid", [build_grid(-3.0, 3.0, 65), build_grid(-1.3, 2.7, 50)])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_derivative_bands_match_dense_diagonals(grid, degree, order):
+    ab, lower, upper = derivative_bands(grid, degree, order)
+    dense = derivative_matrix(grid, degree, order).values
+    n = grid.n_points
+    assert lower == upper == degree + order - 1
+    assert ab.shape == (lower + upper + 1, n)
+    # interior rows share one stencil, so they may differ from the
+    # row-by-row dense weights by rounding in the node coordinates
+    tol = 1e-12 * np.max(np.abs(dense))
+    for offset in range(-lower, upper + 1):
+        diag = np.diagonal(dense, offset)
+        if offset >= 0:
+            stored = ab[upper - offset, offset:]
+        else:
+            stored = ab[upper - offset, : n + offset]
+        assert np.max(np.abs(stored - diag)) <= tol
+    # the band holds the whole operator: nothing lies outside it
+    outside = np.triu(dense, upper + 1) + np.tril(dense, -lower - 1)
+    assert not np.any(outside)
+    # slots above the first and below the last row stay empty
+    for k in range(1, upper + 1):
+        assert not np.any(ab[upper - k, :k])
+        assert not np.any(ab[upper + k, n - k :])
 
 
 def test_derivative_matrix_values_read_only():

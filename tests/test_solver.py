@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,6 @@ from fprom import (
     l1_distance,
     moments,
     solve,
-    step_rhs,
     suggest_dt,
 )
 from fprom.errors import InfeasibleConfigError
@@ -58,33 +60,6 @@ class TestSolverConfig:
                 dt=0.1,
                 record_times=(1.0,),
                 accuracy_order=3,
-            )
-
-
-class TestStepRhs:
-    def test_matches_analytic_gaussian_derivatives(self):
-        grid = Grid(-8.0, 8.0, 513)
-        f = gaussian_density(grid, 0.0, 1.0, 0.0)
-        model = CoefficientModel(drift_poly=(0.3,), diff_poly=(0.7,))
-        e1 = derivative_matrix(grid, 1, 2)
-        e2 = derivative_matrix(grid, 2, 2)
-        rhs = step_rhs(f, model, 0.0, e1, e2)
-        x = grid.nodes
-        phi = f.values
-        analytic = -0.3 * (-x * phi) + 0.7 * ((x**2 - 1.0) * phi)
-        interior = slice(4, -4)
-        assert np.max(np.abs(rhs[interior] - analytic[interior])) < 1e-3
-
-    def test_grid_mismatch_rejected(self):
-        f = gaussian_density(Grid(-8.0, 8.0, 257), 0.0, 1.0, 0.0)
-        other = Grid(-8.0, 8.0, 129)
-        with pytest.raises(ValueError, match="grids"):
-            step_rhs(
-                f,
-                wiener_model(),
-                0.0,
-                derivative_matrix(other, 1, 2),
-                derivative_matrix(other, 2, 2),
             )
 
 
@@ -285,3 +260,121 @@ class TestDivergenceHandling:
         assert trace.diverged
         assert "non-finite" in trace.diagnostic or "collapsed" in trace.diagnostic
         assert trace.snapshots == ()
+
+    def test_crank_nicolson_overflow_sets_flag_instead_of_raising(self):
+        # the banded solve refuses a non-finite system; solve must turn that
+        # into a diverged trace, since loss scores diverged traces
+        grid = Grid(-8.0, 8.0, 257)
+        f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
+        model = CoefficientModel(drift_poly=(1e308,), diff_poly=(0.0,))
+        config = SolverConfig(integrator="crank_nicolson", dt=1.0, record_times=(2.0,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = solve(f0, model, config)
+        assert trace.diverged
+        assert "non-finite" in trace.diagnostic
+        assert trace.snapshots == ()
+
+
+def dense_reference_solve(f0, model, config):
+    """Dense re-implementation of solve: derivative_matrix operators with
+    the wall rows overwritten, numpy.linalg.solve for Crank-Nicolson and
+    dense matrix products for RK4; same clip-and-renormalize step."""
+    grid = f0.grid
+    h = grid.spacing
+    x = grid.nodes
+    e1 = derivative_matrix(grid, 1, config.accuracy_order).values.copy()
+    e2 = derivative_matrix(grid, 2, config.accuracy_order).values.copy()
+    e1[[0, -1], :] = 0.0
+    e2[[0, -1], :] = 0.0
+    if config.boundary == "zero_flux":
+        e2[0, :2] = (-2.0 / h**2, 2.0 / h**2)
+        e2[-1, -2:] = (2.0 / h**2, -2.0 / h**2)
+    eye = np.eye(grid.n_points)
+
+    def a(t):
+        d1, d2 = model.eval(t)
+        return -d1 * e1 + d2 * e2
+
+    f = f0.values.copy()
+    if config.boundary == "zero_dirichlet":
+        f[[0, -1]] = 0.0
+        f /= np.trapezoid(f, x)
+    t0, dt = f0.time_stamp, config.dt
+    record = {round((tau - t0) / dt) for tau in config.record_times}
+    snapshots, masses = [], []
+    for k in range(1, max(record) + 1):
+        t = t0 + (k - 1) * dt
+        if config.integrator == "explicit_rk4":
+            k1 = a(t) @ f
+            k2 = a(t + 0.5 * dt) @ (f + 0.5 * dt * k1)
+            k3 = a(t + 0.5 * dt) @ (f + 0.5 * dt * k2)
+            k4 = a(t + dt) @ (f + dt * k3)
+            f = f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            f = np.linalg.solve(eye - 0.5 * dt * a(t + dt), (eye + 0.5 * dt * a(t)) @ f)
+        f = np.clip(f, 0.0, None)
+        masses.append(np.trapezoid(f, x))
+        f = f / masses[-1]
+        if k in record:
+            snapshots.append(f)
+    return snapshots, np.asarray(masses)
+
+
+class TestBandedOperatorMatchesDense:
+    @pytest.mark.parametrize(
+        "integrator, boundary, accuracy_order, time_varying",
+        list(
+            itertools.product(
+                ("explicit_rk4", "crank_nicolson"),
+                ("zero_flux", "zero_dirichlet"),
+                (2, 4),
+                (False, True),
+            )
+        ),
+    )
+    def test_solve_matches_dense_reference(
+        self, integrator, boundary, accuracy_order, time_varying
+    ):
+        # a spacing that is not a power of two, so node rounding differs row to row
+        grid = Grid(-5.0, 5.0, 61)
+        # wide enough that the wall rows act on non-negligible values
+        f0 = gaussian_density(grid, 0.3, 4.0, 0.0)
+        if time_varying:
+            model = CoefficientModel(drift_poly=(0.4, 0.5), diff_poly=(0.2, 0.1))
+        else:
+            model = CoefficientModel(drift_poly=(0.4,), diff_poly=(0.2,))
+        dt = 0.5 * grid.spacing**2
+        config = SolverConfig(
+            integrator=integrator,
+            dt=dt,
+            record_times=(10 * dt, 30 * dt),
+            boundary=boundary,
+            accuracy_order=accuracy_order,
+        )
+        trace = solve(f0, model, config)
+        snapshots, masses = dense_reference_solve(f0, model, config)
+        assert not trace.diverged
+        assert len(trace.snapshots) == len(snapshots) == 2
+        for got, want in zip(trace.snapshots, snapshots):
+            assert np.max(np.abs(got.values - want)) <= 1e-12
+        assert np.max(np.abs(trace.mass_log - masses)) <= 1e-12
+
+
+class TestMemory:
+    def test_cn_solve_memory_is_linear_in_grid_size(self):
+        # one dense 4097 x 4097 operator alone would take 134 MB
+        grid = Grid(-8.0, 8.0, 4097)
+        f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
+        model = CoefficientModel(drift_poly=(0.0, 1.0), diff_poly=(0.05,))
+        config = SolverConfig(
+            integrator="crank_nicolson", dt=1e-3, record_times=(0.005, 0.01)
+        )
+        tracemalloc.start()
+        try:
+            trace = solve(f0, model, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not trace.diverged
+        assert peak < 16 * 2**20
+
