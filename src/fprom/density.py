@@ -1,8 +1,8 @@
 """Probability densities on a grid.
 
-Construction from samples (Gaussian-kernel KDE), trapezoidal moments,
-KL divergence and L1 distance, Tikhonov smoothing, and the two-column
-CSV interchange format.
+Construction from samples (Gaussian-kernel KDE, binned and convolved
+by FFT), trapezoidal moments, KL divergence and L1 distance, Tikhonov
+smoothing, and the two-column CSV interchange format.
 """
 
 from __future__ import annotations
@@ -33,7 +33,10 @@ __all__ = [
 # floor added to the second argument of KL so log stays finite
 KL_FLOOR = 1e-12
 
-_KDE_CHUNK = 2048
+# binned KDE: lattice points per bandwidth, refinement cap, kernel reach
+_KDE_POINTS_PER_BW = 8
+_KDE_MAX_REFINE = 64
+_KDE_REACH = 9.0
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,27 @@ def kde_estimate(
 ) -> DensityField:
     """Gaussian-kernel density estimate on the grid, unit mass.
 
+    Binned FFT KDE (Silverman, Appl. Stat. AS 176, 1982; Wand, J.
+    Comput. Graph. Stat. 3, 1994). The grid spacing dx is refined by
+    r = min(64, ceil(8 dx / bw)), the lattice is padded by 9 bandwidths
+    on each side, the samples are linearly binned onto it, the counts
+    are convolved with the sampled Gaussian by FFT, and every r-th
+    point is kept. Work is O(N + r n log(r n)) for N samples on n
+    nodes, and memory is O(r n), independent of N.
+
+    For bw >= dx / 8 the lattice holds at least 8 points per bandwidth
+    and the result is within 1e-3 in L1 of the exact Gaussian sum at
+    the nodes (the tests check bw / dx from 0.25 to 8). Below
+    bw = dx / 8 the refinement stops at 64, each sample's weight is
+    shared between its two neighbouring lattice points, and the result
+    is no longer the exact nodal sum. Samples more than 9 bandwidths
+    beyond the grid are dropped: at that distance the kernel is below
+    e**-40 of its peak. The padding is also capped at 32 (n - 1)
+    lattice points per side, so that memory stays O(r n) for any
+    bandwidth. The cap binds only when bw exceeds about 3.5 grid
+    widths; the estimate on the grid is then nearly flat, and the
+    samples it drops move it by a few 1e-3 in L1.
+
     Parameters
     ----------
     samples : array_like
@@ -156,13 +180,25 @@ def kde_estimate(
             "grid does not cover samples +- 3 bandwidths; KDE mass will be truncated",
             stacklevel=2,
         )
-    x = grid.nodes
-    acc = np.zeros(grid.n_points)
-    # chunk over samples to bound the (n_points, chunk) work array
-    for lo in range(0, s.size, _KDE_CHUNK):
-        block = s[lo : lo + _KDE_CHUNK]
-        acc += np.exp(-0.5 * ((x[:, None] - block[None, :]) / bw) ** 2).sum(axis=1)
-    return DensityField.normalized(grid, acc, time_stamp)
+    n = grid.n_points
+    refine = int(min(_KDE_MAX_REFINE, max(1.0, np.ceil(_KDE_POINTS_PER_BW * grid.spacing / bw))))
+    h = grid.spacing / refine
+    pad = int(min(np.ceil(_KDE_REACH * bw / h), _KDE_MAX_REFINE * (n - 1) // 2))
+    # lattice point k sits at x_min + (k - pad) h; grid node i is point pad + r i
+    size = refine * (n - 1) + 1 + 2 * pad
+    u = (s - grid.x_min) / h + pad
+    u = u[(u >= 0.0) & (u <= size - 1)]
+    left = np.minimum(u.astype(np.intp), size - 2)
+    frac = u - left
+    counts = np.bincount(left, 1.0 - frac, size) + np.bincount(left + 1, frac, size)
+    # circular convolution: no wrap reaches the nodes, which sit >= pad from both ends
+    nfft = 1 << (size - 1).bit_length()
+    half = np.exp(-0.5 * (np.arange(pad + 1) * (h / bw)) ** 2)
+    kernel = np.zeros(nfft)
+    kernel[: pad + 1] = half
+    kernel[nfft - pad :] = half[:0:-1]
+    smooth = np.fft.irfft(np.fft.rfft(counts, nfft) * np.fft.rfft(kernel), nfft)
+    return DensityField.normalized(grid, smooth[pad : size - pad : refine], time_stamp)
 
 
 def moments(f: DensityField, max_order: int = 2) -> MomentSet:
@@ -254,8 +290,38 @@ def write_density_csv(f: DensityField, path) -> None:
             fh.write(f"{float(xi)!r},{float(fi)!r}\n")
 
 
-def read_density_csv(path, time_stamp: float = 0.0) -> DensityField:
-    """Read the `x,f` format back; the x column must be uniform."""
+def _load_csv_table(path, dtype: np.dtype) -> np.ndarray | None:
+    """Body of a plain numeric CSV as a structured array, or None.
+
+    Accepts only files whose header splits on commas into exactly the
+    field names of ``dtype``, whose body lines all hold that many
+    unquoted fields parsing as the field types, and whose float fields
+    are finite. Any other file, including one without data rows,
+    returns None, and the caller hands it to its row-by-row parser,
+    which accepts or rejects it with a message naming the line.
+    """
+    try:
+        with open(path) as fh:
+            if [c.strip() for c in fh.readline().split(",")] != list(dtype.names):
+                return None
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if table.size == 0:
+        return None
+    for name in dtype.names:
+        if dtype[name].kind == "f" and not np.all(np.isfinite(table[name])):
+            return None
+    return table
+
+
+_DENSITY_DTYPE = np.dtype([("x", float), ("f", float)])
+
+
+def _read_density_rows(path) -> tuple[list[float], list[float]]:
+    """Row-by-row parse for files the array parse does not take."""
     xs: list[float] = []
     fs: list[float] = []
     with open(path, newline="") as fh:
@@ -276,6 +342,16 @@ def read_density_csv(path, time_stamp: float = 0.0) -> DensityField:
                 raise InputDataError(f"{path}:{lineno}: non-finite value")
             xs.append(xv)
             fs.append(fv)
+    return xs, fs
+
+
+def read_density_csv(path, time_stamp: float = 0.0) -> DensityField:
+    """Read the `x,f` format back; the x column must be uniform."""
+    table = _load_csv_table(path, _DENSITY_DTYPE)
+    if table is None:
+        xs, fs = _read_density_rows(path)
+    else:
+        xs, fs = table["x"], table["f"]
     if len(xs) < 8:
         raise InputDataError(f"{path}: fewer than 8 rows")
     x = np.asarray(xs)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .density import DensityField, kde_estimate
+from .density import DensityField, _load_csv_table, kde_estimate
 from .errors import InfeasibleConfigError, InputDataError, SolverDivergenceError
 from .estimation import TrajectoryEnsemble
 from .grid import Grid
@@ -48,6 +48,8 @@ NOISE_KINDS = {
 X0_KINDS = ("point", "normal")
 
 _CHUNK = 8192
+
+_ENSEMBLE_DTYPE = np.dtype([("traj_id", np.int64), ("t", float), ("x", float)])
 
 
 @dataclass(frozen=True)
@@ -235,6 +237,27 @@ def _read_ensemble_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     All trajectories must share one time axis; rows may arrive in any
     order. Errors name the file and line.
     """
+    table = _load_csv_table(path, _ENSEMBLE_DTYPE)
+    if table is None:
+        return _read_ensemble_rows(path)
+    order = np.lexsort((table["t"], table["traj_id"]))
+    ids, t, x = table["traj_id"][order], table["t"][order], table["x"][order]
+    traj, counts = np.unique(ids, return_counts=True)
+    repeated = (ids[1:] == ids[:-1]) & (t[1:] == t[:-1])
+    if np.any(counts != counts[0]) or np.any(repeated):
+        # ragged or repeated times: the row parser orders ties and words the error
+        return _read_ensemble_rows(path)
+    t = t.reshape(traj.size, counts[0])
+    off_axis = np.flatnonzero(np.any(t != t[0], axis=1))
+    if off_axis.size:
+        raise InputDataError(
+            f"{path}: trajectory {int(traj[off_axis[0]])} does not share the common time axis"
+        )
+    return t[0].copy(), x.reshape(traj.size, counts[0])
+
+
+def _read_ensemble_rows(path) -> tuple[np.ndarray, np.ndarray]:
+    """Row-by-row parse for files the array parse does not take."""
     by_traj: dict[int, list[tuple[float, float]]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

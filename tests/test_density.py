@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -28,6 +31,16 @@ def _philox(seed):
 
 def gaussian_kl(m1, v1, m2, v2):
     return 0.5 * (np.log(v2 / v1) + (v1 + (m1 - m2) ** 2) / v2 - 1.0)
+
+
+def exact_kde(samples, grid, bw):
+    """Reference KDE: the direct Gaussian sum at every node, normalized."""
+    x = grid.nodes
+    acc = np.zeros(grid.n_points)
+    for lo in range(0, len(samples), 2048):
+        block = np.asarray(samples[lo : lo + 2048], dtype=float)
+        acc += np.exp(-0.5 * ((x[:, None] - block[None, :]) / bw) ** 2).sum(axis=1)
+    return DensityField.normalized(grid, acc, 0.0)
 
 
 class TestDensityField:
@@ -121,6 +134,70 @@ class TestKde:
         samples = _philox(5).standard_normal(1000)
         f = kde_estimate(samples, Grid(-8.0, 8.0, 257))
         assert f.mass == pytest.approx(1.0, abs=1e-12)
+
+
+class TestBinnedKdeAccuracy:
+    @pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+    def test_matches_exact_sum_across_bandwidth_to_spacing(self, ratio):
+        grid = Grid(-8.0, 8.0, 129)
+        samples = _philox(21).standard_normal(2000)
+        bw = ratio * grid.spacing
+        fast = kde_estimate(samples, grid, bandwidth=bw)
+        assert l1_distance(fast, exact_kde(samples, grid, bw)) <= 1e-3
+
+    def test_matches_exact_sum_at_workflow_scale(self):
+        grid = Grid(-6.0, 6.0, 513)
+        samples = 0.2 + 1.3 * _philox(22).standard_normal(5000)
+        fast = kde_estimate(samples, grid)
+        assert l1_distance(fast, exact_kde(samples, grid, auto_bandwidth(samples))) <= 5e-4
+
+    def test_samples_straddling_an_edge_warn_and_match(self):
+        grid = Grid(-1.0, 3.0, 257)
+        samples = 3.0 + 0.5 * _philox(23).standard_normal(3000)
+        with pytest.warns(UserWarning, match="KDE mass will be truncated"):
+            fast = kde_estimate(samples, grid, bandwidth=0.1)
+        assert l1_distance(fast, exact_kde(samples, grid, 0.1)) <= 1e-3
+
+    def test_refinement_cap_bounds_memory(self):
+        grid = Grid(-1.0, 1.0, 4097)
+        samples = grid.nodes[::7].copy()
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="3 bandwidths"):
+                f = kde_estimate(samples, grid, bandwidth=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.mass == pytest.approx(1.0, abs=1e-12)
+        assert peak < 32 * 2**20
+
+    def test_bandwidth_wider_than_grid_bounds_memory(self):
+        grid = Grid(-1.0, 1.0, 129)
+        samples = 50.0 * _philox(24).standard_normal(1000)
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="3 bandwidths"):
+                fast = kde_estimate(samples, grid, bandwidth=100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert l1_distance(fast, exact_kde(samples, grid, 100.0)) <= 5e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        half=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=40),
+        bw=st.floats(0.01, 1.5),
+    )
+    def test_unit_mass_nonnegative_and_mirror_symmetric(self, half, bw):
+        grid = Grid(-4.0, 4.0, 129)
+        samples = np.concatenate([half, np.negative(half)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            f = kde_estimate(samples, grid, bandwidth=bw)
+        assert f.mass == pytest.approx(1.0, abs=1e-12)
+        assert np.all(f.values >= 0.0)
+        assert np.allclose(f.values, f.values[::-1], rtol=0.0, atol=1e-12 * f.values.max())
 
 
 class TestMoments:
@@ -324,3 +401,70 @@ class TestDensityCsv:
         path.write_text("x,f\n" + body + "\n")
         with pytest.raises(InputDataError):
             read_density_csv(path)
+
+
+def _density_rows(n=8):
+    return [f"{0.25 * i!r},{1.0 + i!r}" for i in range(n)]
+
+
+_DENSITY_ACCEPTED = [
+    ("blank_line", "x,f\n" + "\n".join(_density_rows()[:4] + [""] + _density_rows()[4:]) + "\n"),
+    ("crlf", "x,f\r\n" + "\r\n".join(_density_rows()) + "\r\n"),
+    (
+        "spaces_around_fields",
+        " x , f \n" + "\n".join(" " + r.replace(",", " , ") + " " for r in _density_rows()) + "\n",
+    ),
+    (
+        "quoted_numbers",
+        '"x","f"\n' + "\n".join('"' + r.replace(",", '","') + '"' for r in _density_rows()) + "\n",
+    ),
+    ("no_final_newline", "x,f\n" + "\n".join(_density_rows())),
+]
+
+
+def _density_with(row_index, row):
+    rows = _density_rows(9)
+    rows[row_index] = row
+    return "x,f\n" + "\n".join(rows) + "\n"
+
+
+_DENSITY_REJECTED = [
+    ("comment_line", "x,f\n# note\n" + "\n".join(_density_rows()) + "\n", ":2: expected 2 fields"),
+    ("nan", _density_with(0, "0.0,nan"), ":2: non-finite value"),
+    ("inf_x", _density_with(2, "inf,1.0"), ":4: non-finite value"),
+    ("three_fields", _density_with(1, "0.25,2.0,3.0"), ":3: expected 2 fields"),
+    ("whitespace_line", _density_with(3, "  "), ":5: expected 2 fields"),
+    ("non_numeric", _density_with(4, "1.0,abc"), ":6: could not convert string to float: 'abc'"),
+    ("too_few_rows", "x,f\n" + "\n".join(_density_rows(7)) + "\n", ": fewer than 8 rows"),
+    ("negative_value", _density_with(5, "1.25,-1.0"), ": density values must be >= 0"),
+    (
+        "non_uniform",
+        _density_with(5, "1.3,2.0"),
+        ": x column is not a uniform increasing grid",
+    ),
+]
+
+
+class TestDensityCsvEdgeCases:
+    @pytest.mark.parametrize(
+        "text", [c[1] for c in _DENSITY_ACCEPTED], ids=[c[0] for c in _DENSITY_ACCEPTED]
+    )
+    def test_accepted(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode())
+        f = read_density_csv(path, time_stamp=0.5)
+        assert f.grid == Grid(0.0, 1.75, 8)
+        assert np.array_equal(f.values, 1.0 + np.arange(8.0))
+        assert f.time_stamp == 0.5
+
+    @pytest.mark.parametrize(
+        "text,suffix",
+        [c[1:] for c in _DENSITY_REJECTED],
+        ids=[c[0] for c in _DENSITY_REJECTED],
+    )
+    def test_rejected_with_exact_message(self, tmp_path, text, suffix):
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(InputDataError) as info:
+            read_density_csv(path)
+        assert str(info.value) == f"{path}{suffix}"

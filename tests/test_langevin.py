@@ -321,3 +321,110 @@ class TestEnsembleCsv:
         path.write_text("traj_id,t,x\n")
         with pytest.raises(InputDataError, match="no data rows"):
             read_ensemble_csv(path)
+
+
+_ENSEMBLE_ACCEPTED = [
+    ("blank_line", "traj_id,t,x\n0,0.0,1.0\n\n0,0.5,2.0\n", [0.0, 0.5], [[1.0, 2.0]]),
+    ("crlf", "traj_id,t,x\r\n0,0.0,1.0\r\n0,0.5,2.0\r\n", [0.0, 0.5], [[1.0, 2.0]]),
+    (
+        "spaces_around_fields",
+        " traj_id , t , x \n 0 , 0.0 , 1.0 \n0, 0.5 ,2.0\n",
+        [0.0, 0.5],
+        [[1.0, 2.0]],
+    ),
+    (
+        "quoted_numbers",
+        '"traj_id","t","x"\n"0","0.0","1.0"\n0,0.5,"2.0"\n',
+        [0.0, 0.5],
+        [[1.0, 2.0]],
+    ),
+    (
+        "negative_id",
+        "traj_id,t,x\n2,0.0,3.0\n-1,0.0,1.0\n2,0.5,4.0\n-1,0.5,2.0\n",
+        [0.0, 0.5],
+        [[1.0, 2.0], [3.0, 4.0]],
+    ),
+    (
+        "ids_beyond_2_53_stay_distinct",
+        "traj_id,t,x\n9007199254740993,0.0,1.0\n9007199254740992,0.0,2.0\n"
+        "9007199254740993,0.5,3.0\n9007199254740992,0.5,4.0\n",
+        [0.0, 0.5],
+        [[2.0, 4.0], [1.0, 3.0]],
+    ),
+]
+
+_ENSEMBLE_REJECTED = [
+    ("comment_line", "traj_id,t,x\n# note\n0,0.0,1.0\n", ":2: expected 3 fields"),
+    (
+        "fractional_id",
+        "traj_id,t,x\n0.5,0.0,1.0\n",
+        ":2: invalid literal for int() with base 10: '0.5'",
+    ),
+    (
+        "integral_float_id",
+        "traj_id,t,x\n3.0,0.0,1.0\n3.0,0.5,2.0\n",
+        ":2: invalid literal for int() with base 10: '3.0'",
+    ),
+    ("nan", "traj_id,t,x\n0,nan,1.0\n0,0.5,2.0\n", ":2: non-finite value"),
+    ("overflow_to_inf", "traj_id,t,x\n0,0.0,1.0\n0,0.5,1e400\n", ":3: non-finite value"),
+    ("four_fields", "traj_id,t,x\n0,0.0,1.0,2.0\n", ":2: expected 3 fields"),
+    ("whitespace_line", "traj_id,t,x\n0,0.0,1.0\n   \n0,0.5,2.0\n", ":3: expected 3 fields"),
+    (
+        "non_numeric",
+        "traj_id,t,x\n0,0.0,1.0\n0,0.5,abc\n",
+        ":3: could not convert string to float: 'abc'",
+    ),
+    (
+        "off_axis_trajectory_named",
+        "traj_id,t,x\n0,0.0,1.0\n0,0.5,1.0\n7,0.0,2.0\n7,0.7,2.0\n",
+        ": trajectory 7 does not share the common time axis",
+    ),
+    (
+        "ragged_trajectory_named",
+        "traj_id,t,x\n0,0.0,1.0\n0,0.5,1.0\n5,0.0,2.0\n",
+        ": trajectory 5 does not share the common time axis",
+    ),
+]
+
+
+class TestEnsembleCsvEdgeCases:
+    @pytest.mark.parametrize(
+        "text,times,samples",
+        [case[1:] for case in _ENSEMBLE_ACCEPTED],
+        ids=[case[0] for case in _ENSEMBLE_ACCEPTED],
+    )
+    def test_accepted(self, tmp_path, text, times, samples):
+        path = tmp_path / "ens.csv"
+        path.write_bytes(text.encode())
+        ens = read_ensemble_csv(path)
+        assert np.array_equal(ens.times, times)
+        assert np.array_equal(ens.samples, samples)
+
+    @pytest.mark.parametrize(
+        "text,suffix",
+        [case[1:] for case in _ENSEMBLE_REJECTED],
+        ids=[case[0] for case in _ENSEMBLE_REJECTED],
+    )
+    def test_rejected_with_exact_message(self, tmp_path, text, suffix):
+        path = tmp_path / "ens.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(InputDataError) as info:
+            read_ensemble_csv(path)
+        assert str(info.value) == f"{path}{suffix}"
+
+    def test_shuffled_round_trip_bitwise(self, tmp_path):
+        ens = simulate(
+            SdeSpec("ornstein_uhlenbeck", (1.0, 0.5), "constant", (0.7,)),
+            SimPlan(n_trajectories=5000, dt=0.05, horizon=1.0, x0_kind="normal",
+                    x0_params=(0.0, 1.0), seed=11),
+        )
+        path = tmp_path / "ens.csv"
+        write_ensemble_csv(ens, path)
+        lines = path.read_text().splitlines()
+        body = lines[1:]
+        order = np.random.default_rng(3).permutation(len(body))
+        path.write_text("\n".join([lines[0]] + [body[i] for i in order]) + "\n")
+        back = read_ensemble_csv(path)
+        assert back.samples.shape == (5000, 21)
+        assert np.array_equal(back.times, ens.times)
+        assert np.array_equal(back.samples, ens.samples)
