@@ -17,11 +17,7 @@ from .analytic import (
     pure_drift_density,
 )
 from .calibrate import CalibrationProblem, CalibrationResult, calibrate, loss
-from .coefficients import (
-    CoefficientModel,
-    eval_coefficients,
-    stratonovich_to_ito_drift,
-)
+from .coefficients import CoefficientModel, stratonovich_to_ito_drift
 from .density import (
     DensityField,
     MomentSet,
@@ -65,7 +61,7 @@ from .pipeline import (
     split,
 )
 from .sampling import TransformSpec, pushforward_density, rejection_sample
-from .solver import SolutionTrace, SolverConfig, solve, suggest_dt
+from .solver import SolutionTrace, SolverConfig, solve
 
 __all__ = [
     "__version__",
@@ -97,7 +93,6 @@ __all__ = [
     "derivative_matrix",
     "drift_diffusion_density",
     "ensemble_to_densities",
-    "eval_coefficients",
     "fd_weights",
     "gaussian_density",
     "ingest",
@@ -123,7 +118,6 @@ __all__ = [
     "solve",
     "split",
     "stratonovich_to_ito_drift",
-    "suggest_dt",
     "tikhonov_smooth",
     "write_density_csv",
     "write_ensemble_csv",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CoefficientModel", "eval_coefficients", "stratonovich_to_ito_drift"]
+__all__ = ["CoefficientModel", "stratonovich_to_ito_drift"]
 
 MAX_DEGREE = 3
 
@@ -80,11 +80,6 @@ class CoefficientModel:
         ts = np.linspace(t_start, t_end, samples)
         vals = np.polynomial.polynomial.polyval(ts, np.asarray(self.drift_poly))
         return float(np.max(np.abs(vals)))
-
-
-def eval_coefficients(model: CoefficientModel, t: float) -> tuple[float, float]:
-    """Free-function form of CoefficientModel.eval."""
-    return model.eval(t)
 
 
 def stratonovich_to_ito_drift(h_drift: float, g_gradient: float, diffusion: float) -> float:

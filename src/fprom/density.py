@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -45,7 +46,7 @@ class DensityField:
 
     Values are finite, nonnegative, and read-only. Producers in this
     package always normalize to unit trapezoidal mass; ``mass`` lets
-    consumers check.
+    consumers check, and is integrated once per field.
     """
 
     grid: Grid
@@ -67,7 +68,7 @@ class DensityField:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "time_stamp", float(self.time_stamp))
 
-    @property
+    @cached_property
     def mass(self) -> float:
         return float(np.trapezoid(self.values, self.grid.nodes))
 

@@ -7,9 +7,10 @@ boundary condition. E1 and E2 are held in LAPACK band storage, so
 memory and work per step are O(n): tridiagonal for accuracy order 2,
 banded otherwise. Two integrators: classical explicit RK4 (with a hard
 diffusion stability check) applying A by a banded matrix-vector
-product, and Crank-Nicolson with a LAPACK banded solve
-(``scipy.linalg.solve_banded``) of its left-hand band each step; no
-sparse LU is factored.
+product, and Crank-Nicolson solving its left-hand band each step with
+LAPACK ``?gtsv`` (tridiagonal) or ``?gbsv`` (wider bands), fetched once
+per solve and called directly; no sparse LU is factored. The closed
+bands are cached per (grid, accuracy order, boundary) and read-only.
 
 After every step the state is clipped at zero and renormalized; the
 pre-renormalization mass of each step is logged so mass conservation
@@ -20,16 +21,17 @@ divergence flag and returns the partial trace instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .coefficients import CoefficientModel
 from .density import DensityField
 from .errors import InfeasibleConfigError
 from .grid import Grid, derivative_bands
 
-__all__ = ["SolverConfig", "SolutionTrace", "solve", "suggest_dt"]
+__all__ = ["SolverConfig", "SolutionTrace", "solve"]
 
 INTEGRATORS = ("explicit_rk4", "crank_nicolson")
 BOUNDARIES = ("zero_flux", "zero_dirichlet")
@@ -80,6 +82,7 @@ class SolutionTrace:
         object.__setattr__(self, "mass_log", np.asarray(self.mass_log, dtype=float))
 
 
+@lru_cache(maxsize=32)
 def _closed_bands(
     grid: Grid, accuracy_order: int, boundary: str
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -92,7 +95,8 @@ def _closed_bands(
 
     Returns (b1, b2, w): both bands hold entry (i, j) at [w + i - j, j]
     with l = u = w, the smallest width covering every nonzero entry
-    once the walls are closed (1 for accuracy order 2).
+    once the walls are closed (1 for accuracy order 2). Results are
+    cached and shared between solves, so both bands are read-only.
     """
     e1, w1, _ = derivative_bands(grid, 1, accuracy_order)
     b2, w2, _ = derivative_bands(grid, 2, accuracy_order)
@@ -113,7 +117,11 @@ def _closed_bands(
         b2[w2 + 1, n - 2] = 2.0 / h**2
     used = np.flatnonzero(np.any(b1 != 0.0, axis=1) | np.any(b2 != 0.0, axis=1))
     w = int(np.max(np.abs(used - w2)))
-    return b1[w2 - w : w2 + w + 1], b2[w2 - w : w2 + w + 1], w
+    b1 = b1[w2 - w : w2 + w + 1]
+    b2 = b2[w2 - w : w2 + w + 1]
+    b1.flags.writeable = False
+    b2.flags.writeable = False
+    return b1, b2, w
 
 
 def _band_matvec(ab: np.ndarray, w: int, g: np.ndarray) -> np.ndarray:
@@ -132,6 +140,34 @@ def _identity_plus(a: np.ndarray, w: int, c: float) -> np.ndarray:
     return m
 
 
+def _band_solver(w: int):
+    """Solver of the band system (l = u = w) for one right-hand side.
+
+    Calls LAPACK exactly as ``scipy.linalg.solve_banded`` does, ?gtsv
+    for w = 1 and ?gbsv on the (3w + 1, n) zero-padded layout otherwise,
+    without its per-call validation; the caller checks finiteness. The
+    band is left untouched and b is overwritten. Returns (x, info),
+    with info > 0 for an exactly singular matrix.
+    """
+    if w == 1:
+        (gtsv,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
+
+        def solve_band(ab: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+            _, _, _, x, info = gtsv(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_b=True)
+            return x, info
+
+    else:
+        (gbsv,) = get_lapack_funcs(("gbsv",), dtype=np.float64)
+
+        def solve_band(ab: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+            lu = np.zeros((3 * w + 1, ab.shape[1]))
+            lu[w:] = ab
+            _, _, x, info = gbsv(w, w, lu, b, overwrite_ab=True, overwrite_b=True)
+            return x, info
+
+    return solve_band
+
+
 def _record_steps(t0: float, record_times: tuple[float, ...], dt: float) -> list[int]:
     steps = []
     for tau in record_times:
@@ -146,28 +182,6 @@ def _record_steps(t0: float, record_times: tuple[float, ...], dt: float) -> list
             )
         steps.append(k)
     return steps
-
-
-def suggest_dt(
-    grid: Grid, model: CoefficientModel, t_start: float, t_end: float
-) -> float:
-    """A dt honoring the explicit diffusion bound and an advection cap.
-
-    Convenience for callers assembling configs; solve() itself only
-    enforces the diffusion bound (and only for explicit_rk4).
-    """
-    h = grid.spacing
-    lo, hi = model.diffusion_range(t_start, t_end)
-    caps = []
-    dmax = max(abs(lo), abs(hi))
-    if dmax > 0.0:
-        caps.append(STABILITY_SAFETY * h * h / dmax)
-    amax = model.max_abs_drift(t_start, t_end)
-    if amax > 0.0:
-        caps.append(0.5 * h / amax)
-    if not caps:
-        return t_end - t_start
-    return min(caps)
 
 
 def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> SolutionTrace:
@@ -203,6 +217,7 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
 
     b1, b2, w = _closed_bands(grid, config.accuracy_order, config.boundary)
     x = grid.nodes
+    dx = np.diff(x)
     dt = config.dt
 
     f = np.asarray(f0.values, dtype=float).copy()
@@ -215,6 +230,7 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
         d1, d2 = model.eval(t)
         return -d1 * _band_matvec(b1, w, g) + d2 * _band_matvec(b2, w, g)
 
+    solve_band = _band_solver(w)
     cn_cached = None
     if config.integrator == "crank_nicolson" and model.is_constant():
         a = -model.drift(0.0) * b1 + model.diffusion(0.0) * b2
@@ -257,19 +273,22 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
                 m_minus = _identity_plus(-d1n * b1 + d2n * b2, w, -0.5 * dt)
                 m_plus = _identity_plus(-d1c * b1 + d2c * b2, w, 0.5 * dt)
             rhs = _band_matvec(m_plus, w, f)
-            try:
-                f_new = solve_banded((w, w), m_minus, rhs, overwrite_b=True)
-            except ValueError:  # solve_banded refuses non-finite input
+            if not (np.isfinite(m_minus).all() and np.isfinite(rhs).all()):
                 return diverged("non-finite Crank-Nicolson system", k)
+            f_new, info = solve_band(m_minus, rhs)
+            if info > 0:
+                return diverged("singular Crank-Nicolson system", k)
 
-        if not np.all(np.isfinite(f_new)):
+        if not np.isfinite(f_new).all():
             return diverged("non-finite state", k)
-        f_new = np.clip(f_new, 0.0, None)
-        mass = float(np.trapezoid(f_new, x))
+        np.clip(f_new, 0.0, None, out=f_new)
+        # np.trapezoid's arithmetic, with the spacings taken once per solve
+        mass = float((dx * (f_new[1:] + f_new[:-1]) / 2.0).sum())
         mass_log.append(mass)
         if mass <= MASS_COLLAPSE:
             return diverged("density mass collapsed", k)
-        f = f_new / mass
+        f_new /= mass
+        f = f_new
         record(k, f)
 
     return SolutionTrace(snapshots=tuple(snapshots), mass_log=np.asarray(mass_log))

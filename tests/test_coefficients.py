@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fprom import CoefficientModel, eval_coefficients, stratonovich_to_ito_drift
+from fprom import CoefficientModel, stratonovich_to_ito_drift
 
 
 def test_polynomial_evaluation():
@@ -9,7 +9,7 @@ def test_polynomial_evaluation():
     # 1 + 2t + 3t^2 at t = 2
     assert model.drift(2.0) == pytest.approx(17.0)
     assert model.diffusion(2.0) == pytest.approx(0.5)
-    assert eval_coefficients(model, 2.0) == pytest.approx((17.0, 0.5))
+    assert model.eval(2.0) == pytest.approx((17.0, 0.5))
 
 
 def test_is_constant():

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from fprom import (
     CoefficientModel,
@@ -14,11 +15,10 @@ from fprom import (
     l1_distance,
     moments,
     solve,
-    suggest_dt,
 )
 from fprom.errors import InfeasibleConfigError
 from fprom.grid import derivative_matrix
-from fprom.solver import STABILITY_SAFETY
+from fprom.solver import STABILITY_SAFETY, _band_matvec, _closed_bands
 
 
 def wiener_model(diffusion=0.5, drift=0.0):
@@ -61,20 +61,6 @@ class TestSolverConfig:
                 record_times=(1.0,),
                 accuracy_order=3,
             )
-
-
-class TestSuggestDt:
-    def test_min_of_diffusion_and_advection_caps(self):
-        grid = Grid(-4.0, 4.0, 129)
-        h = grid.spacing
-        model = CoefficientModel(drift_poly=(1.0,), diff_poly=(0.5,))
-        expected = min(STABILITY_SAFETY * h * h / 0.5, 0.5 * h / 1.0)
-        assert suggest_dt(grid, model, 0.0, 1.0) == pytest.approx(expected)
-
-    def test_zero_model_returns_horizon(self):
-        grid = Grid(-4.0, 4.0, 129)
-        model = CoefficientModel(drift_poly=(0.0,), diff_poly=(0.0,))
-        assert suggest_dt(grid, model, 1.0, 3.0) == pytest.approx(2.0)
 
 
 class TestSolveValidation:
@@ -271,7 +257,26 @@ class TestDivergenceHandling:
         with np.errstate(over="ignore", invalid="ignore"):
             trace = solve(f0, model, config)
         assert trace.diverged
-        assert "non-finite" in trace.diagnostic
+        assert trace.diagnostic == "non-finite Crank-Nicolson system at step 1 (t=1.0)"
+        assert trace.snapshots == ()
+
+    def test_singular_crank_nicolson_system_is_named_singular(self):
+        # negative diffusion with h = 1 and dt = 1 zeroes the diagonal of
+        # I - dt/2 A on the 7 interior rows; an odd zero-diagonal
+        # tridiagonal block is exactly singular, with every entry finite
+        grid = Grid(0.0, 8.0, 9)
+        f0 = gaussian_density(grid, 4.0, 1.0, 0.0)
+        model = CoefficientModel(drift_poly=(0.0,), diff_poly=(-1.0,))
+        config = SolverConfig(
+            integrator="crank_nicolson",
+            dt=1.0,
+            record_times=(1.0,),
+            boundary="zero_dirichlet",
+            allow_negative_diffusion=True,
+        )
+        trace = solve(f0, model, config)
+        assert trace.diverged
+        assert trace.diagnostic == "singular Crank-Nicolson system at step 1 (t=1.0)"
         assert trace.snapshots == ()
 
 
@@ -378,3 +383,117 @@ class TestMemory:
         assert not trace.diverged
         assert peak < 16 * 2**20
 
+
+def banded_reference_solve(f0, model, config):
+    """The Crank-Nicolson and RK4 step as written against
+    scipy.linalg.solve_banded and np.trapezoid, on freshly assembled
+    (uncached) bands; same clip-and-renormalize step as solve."""
+    b1, b2, w = _closed_bands.__wrapped__(f0.grid, config.accuracy_order, config.boundary)
+    x = f0.grid.nodes
+    dt = config.dt
+
+    def a(t):
+        d1, d2 = model.eval(t)
+        return -d1 * b1 + d2 * b2
+
+    def apply_a(t, g):
+        d1, d2 = model.eval(t)
+        return -d1 * _band_matvec(b1, w, g) + d2 * _band_matvec(b2, w, g)
+
+    def identity_plus(m, c):
+        m = c * m
+        m[w] += 1.0
+        return m
+
+    f = f0.values.copy()
+    if config.boundary == "zero_dirichlet":
+        f[[0, -1]] = 0.0
+        f = f / np.trapezoid(f, x)
+    t0 = f0.time_stamp
+    record = {round((tau - t0) / dt) for tau in config.record_times}
+    snapshots, masses = [], []
+    for k in range(1, max(record) + 1):
+        t = t0 + (k - 1) * dt
+        if config.integrator == "explicit_rk4":
+            k1 = apply_a(t, f)
+            k2 = apply_a(t + 0.5 * dt, f + 0.5 * dt * k1)
+            k3 = apply_a(t + 0.5 * dt, f + 0.5 * dt * k2)
+            k4 = apply_a(t + dt, f + dt * k3)
+            f = f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            rhs = _band_matvec(identity_plus(a(t), 0.5 * dt), w, f)
+            f = solve_banded((w, w), identity_plus(a(t + dt), -0.5 * dt), rhs)
+        f = np.clip(f, 0.0, None)
+        masses.append(float(np.trapezoid(f, x)))
+        f = f / masses[-1]
+        if k in record:
+            snapshots.append(f)
+    return snapshots, np.asarray(masses)
+
+
+def matrix_config(integrator, boundary, accuracy_order, time_varying, n_points):
+    grid = Grid(-5.0, 5.0, n_points)
+    f0 = gaussian_density(grid, 0.3, 2.0, 0.0)
+    if time_varying:
+        model = CoefficientModel(drift_poly=(0.4, 0.5), diff_poly=(0.2, 0.1))
+    else:
+        model = CoefficientModel(drift_poly=(0.4,), diff_poly=(0.2,))
+    dt = 0.5 * grid.spacing**2
+    config = SolverConfig(
+        integrator=integrator,
+        dt=dt,
+        record_times=(10 * dt, 25 * dt),
+        boundary=boundary,
+        accuracy_order=accuracy_order,
+    )
+    return f0, model, config
+
+
+class TestLapackStepMatchesSolveBanded:
+    @pytest.mark.parametrize(
+        "integrator, boundary, accuracy_order, time_varying, n_points",
+        list(
+            itertools.product(
+                ("explicit_rk4", "crank_nicolson"),
+                ("zero_flux", "zero_dirichlet"),
+                (2, 4),
+                (False, True),
+                (129, 301),
+            )
+        ),
+    )
+    def test_bitwise_equal(self, integrator, boundary, accuracy_order, time_varying, n_points):
+        f0, model, config = matrix_config(
+            integrator, boundary, accuracy_order, time_varying, n_points
+        )
+        trace = solve(f0, model, config)
+        snapshots, masses = banded_reference_solve(f0, model, config)
+        assert not trace.diverged
+        assert len(trace.snapshots) == len(snapshots) == 2
+        for got, want in zip(trace.snapshots, snapshots):
+            assert np.array_equal(got.values, want)
+        assert np.array_equal(trace.mass_log, masses)
+
+    @pytest.mark.parametrize("time_varying", (False, True))
+    def test_repeated_solves_are_bitwise_equal(self, time_varying):
+        f0, model, config = matrix_config("crank_nicolson", "zero_flux", 2, time_varying, 129)
+        first = solve(f0, model, config)
+        second = solve(f0, model, config)
+        for a, b in zip(first.snapshots, second.snapshots, strict=True):
+            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(first.mass_log, second.mass_log)
+
+    @pytest.mark.parametrize("accuracy_order", (2, 4))
+    def test_cached_bands_are_read_only_and_survive_a_solve(self, accuracy_order):
+        f0, model, config = matrix_config(
+            "crank_nicolson", "zero_flux", accuracy_order, False, 129
+        )
+        b1, b2, w = _closed_bands(f0.grid, accuracy_order, "zero_flux")
+        assert not b1.flags.writeable and not b2.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            b2[w, 0] = 0.0
+        solve(f0, model, config)
+        again = _closed_bands(f0.grid, accuracy_order, "zero_flux")
+        assert again[0] is b1 and again[1] is b2
+        fresh = _closed_bands.__wrapped__(f0.grid, accuracy_order, "zero_flux")
+        assert np.array_equal(b1, fresh[0]) and np.array_equal(b2, fresh[1])
