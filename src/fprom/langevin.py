@@ -3,7 +3,11 @@
 Synthetic ground-truth generator: dx = h(x,t) dt + g(x,t) dW with h
 and g picked from small registries. Every trajectory draws from its
 own counter-based RNG stream keyed by (seed, trajectory index), so the
-ensemble is bit-identical regardless of chunking or scheduling.
+ensemble is bit-identical regardless of chunking or scheduling. A
+Philox stream's whole state is (key, counter), so one Philox re-keyed
+to a fresh state per trajectory replays exactly the stream a new
+Philox(key=[seed, r]) would; seeds are confined to [0, 2**63) so that
+no two seeds share a key.
 
 Stratonovich-calibrated inputs must be converted with
 coefficients.stratonovich_to_ito_drift before simulation.
@@ -31,7 +35,8 @@ __all__ = [
     "read_ensemble_csv",
 ]
 
-# drift registry: kind -> (parameter names, h(params, x, t))
+# drift registry: kind -> (parameter names, h(params, x, t)); h and g
+# return fresh arrays, which simulate scales in place
 DRIFT_KINDS = {
     "constant": (("value",), lambda p, x, t: np.full_like(x, p[0])),
     "linear_in_t": (("a", "b"), lambda p, x, t: np.full_like(x, p[0] + p[1] * t)),
@@ -49,7 +54,26 @@ X0_KINDS = ("point", "normal")
 
 _CHUNK = 8192
 
+# noise is drawn trajectory by trajectory into a reused buffer of at
+# most _DRAW_ROWS rows and _DRAW_DOUBLES values, then transposed into
+# the step-major noise array; 125 KiB stays under glibc's default
+# 128 KiB mmap threshold, so the buffer comes from the heap and freeing
+# it does not raise the allocator's dynamic mmap threshold for the rest
+# of the process
+_DRAW_ROWS = 8
+_DRAW_DOUBLES = 16_000
+
 _ENSEMBLE_DTYPE = np.dtype([("traj_id", np.int64), ("t", float), ("x", float)])
+
+
+def _check_seed(seed) -> int:
+    """The seed as an int, refused unless in [0, 2**63): Philox reads a
+    larger or negative key modulo 2**64 (or overflows), so two seeds
+    would share a stream."""
+    seed = int(seed)
+    if not 0 <= seed < 2**63:
+        raise InfeasibleConfigError("seed must be in [0, 2**63)")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -134,7 +158,7 @@ class SimPlan:
         object.__setattr__(self, "x0_params", params)
         object.__setattr__(self, "n_trajectories", int(self.n_trajectories))
         object.__setattr__(self, "stride", int(self.stride))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     @property
     def n_steps(self) -> int:
@@ -146,6 +170,14 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
     stride lattice. Identical (spec, plan) inputs give bit-identical
     ensembles.
 
+    Trajectory r draws from the Philox stream keyed [seed, r]: first x0
+    when x0 is "normal", then one increment per step, whatever the
+    stride. One Philox is re-keyed per trajectory, which leaves every
+    stream unchanged. The increments are held step-major, n_steps x
+    min(n_trajectories, 8192) float64, so each step reads one
+    contiguous row; trajectories beyond 8192 reuse that array chunk by
+    chunk.
+
     Raises SolverDivergenceError on non-finite state and
     InfeasibleConfigError if the noise amplitude evaluates negative.
     """
@@ -153,39 +185,62 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
     n_rec = n_steps // plan.stride + 1
     out = np.empty((plan.n_trajectories, n_rec))
     times = np.arange(0, n_steps + 1, plan.stride) * plan.dt
-    sqrt_dt = np.sqrt(plan.dt)
+    dt = plan.dt
+    sqrt_dt = np.sqrt(dt)
     normal_x0 = plan.x0_kind == "normal"
+    bits = Philox(key=[plan.seed, 0])
+    fresh = bits.state
+    gen = Generator(bits)
+    noise = np.empty((n_steps, min(plan.n_trajectories, _CHUNK)))
+    seg = min(n_steps, _DRAW_DOUBLES)
+    rows = min(_DRAW_ROWS, _DRAW_DOUBLES // seg, noise.shape[1])
+    buf = np.empty((rows, seg))
     for lo in range(0, plan.n_trajectories, _CHUNK):
         hi = min(lo + _CHUNK, plan.n_trajectories)
         m = hi - lo
-        # per-trajectory streams: first draw feeds x0 when x0 is random,
-        # the rest are the step increments, so stride never shifts them
-        noise = np.empty((m, n_steps))
         x = np.empty(m)
-        for r in range(lo, hi):
-            gen = Generator(Philox(key=[plan.seed, r]))
-            if normal_x0:
-                mu0, sigma0 = plan.x0_params
-                x[r - lo] = mu0 + sigma0 * gen.standard_normal()
-            else:
-                x[r - lo] = plan.x0_params[0]
-            noise[r - lo, :] = gen.standard_normal(n_steps)
+        # rows > 1 only when one segment holds all n_steps; with longer
+        # paths each block is one trajectory, whose stream simply goes on
+        # from segment to segment
+        for j0 in range(0, m, rows):
+            j1 = min(j0 + rows, m)
+            for k0 in range(0, n_steps, seg):
+                k1 = min(k0 + seg, n_steps)
+                for j in range(j0, j1):
+                    if k0 == 0:
+                        fresh["state"]["key"] = np.array(
+                            [plan.seed, lo + j], dtype=np.uint64
+                        )
+                        bits.state = fresh
+                        if normal_x0:
+                            mu0, sigma0 = plan.x0_params
+                            x[j] = mu0 + sigma0 * gen.standard_normal()
+                        else:
+                            x[j] = plan.x0_params[0]
+                    gen.standard_normal(out=buf[j - j0, : k1 - k0])
+                noise[k0:k1, j0:j1] = buf[: j1 - j0, : k1 - k0].T
         out[lo:hi, 0] = x
         col = 1
         for k in range(n_steps):
-            t = k * plan.dt
+            t = k * dt
             g = spec.noise(x, t)
-            if np.any(g < 0.0):
+            if (g < 0.0).any():
                 bad = int(np.argmax(g < 0.0))
                 raise InfeasibleConfigError(
                     f"noise amplitude negative ({g[bad]}) at t={t}, x={x[bad]}"
                 )
-            x = x + spec.drift(x, t) * plan.dt + g * sqrt_dt * noise[:, k]
-            if not np.all(np.isfinite(x)):
+            # (x + h dt) + (g sqrt(dt)) xi, the same operations in place
+            step = spec.drift(x, t)
+            step *= dt
+            g *= sqrt_dt
+            g *= noise[k, :m]
+            x += step
+            x += g
+            if not np.isfinite(x).all():
                 bad = int(np.argmax(~np.isfinite(x)))
                 raise SolverDivergenceError(
                     f"trajectory {lo + bad} non-finite at step {k + 1} "
-                    f"(t={(k + 1) * plan.dt})"
+                    f"(t={(k + 1) * dt})"
                 )
             if (k + 1) % plan.stride == 0:
                 out[lo:hi, col] = x
@@ -221,13 +276,11 @@ def ensemble_to_densities(
 def write_ensemble_csv(ens: TrajectoryEnsemble, path) -> None:
     """Long format `traj_id,t,x`, trajectory-major, shortest round-trip
     decimals. The transform tag is not stored; files carry raw columns."""
+    heads = [f",{float(t)!r}," for t in ens.times]
     with open(path, "w", newline="") as fh:
         fh.write("traj_id,t,x\n")
-        times = [float(t) for t in ens.times]
-        for r in range(ens.n_realizations):
-            row = ens.samples[r]
-            for k in range(ens.n_times):
-                fh.write(f"{r},{times[k]!r},{float(row[k])!r}\n")
+        for r, row in enumerate(ens.samples.tolist()):
+            fh.write("".join([f"{r}{head}{x!r}\n" for head, x in zip(heads, row)]))
 
 
 def _read_ensemble_arrays(path) -> tuple[np.ndarray, np.ndarray]:

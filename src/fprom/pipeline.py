@@ -43,7 +43,7 @@ from .estimation import (
     regress_time_only_coefficients,
 )
 from .grid import Grid
-from .langevin import _read_ensemble_arrays, ensemble_to_densities
+from .langevin import _check_seed, _read_ensemble_arrays, ensemble_to_densities
 from .sampling import TransformSpec, pushforward_density
 from .solver import SolverConfig, solve
 
@@ -196,7 +196,7 @@ class RunConfig:
                 "density-list inputs are taken as already being in model "
                 "coordinates; transform must be identity"
             )
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         object.__setattr__(self, "budget", int(self.budget))
 
     @classmethod
@@ -393,7 +393,7 @@ class RomArtifact:
             raise InfeasibleConfigError(f"unknown calibration method {self.method!r}")
         object.__setattr__(self, "train_window", (first, last))
         object.__setattr__(self, "loss", float(self.loss))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 def save_artifact(artifact: RomArtifact, path) -> None:

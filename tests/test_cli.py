@@ -104,6 +104,20 @@ class TestSimulate:
         assert same == base.read_bytes()
         assert same != (tmp_path / "other.csv").read_bytes()
 
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+    def test_seed_outside_key_range_exits_4(self, cli_workspace, tmp_path, capsys, seed):
+        raw = json.loads((cli_workspace / "sim.json").read_text())
+        raw["seed"] = seed
+        (tmp_path / "sim.json").write_text(json.dumps(raw))
+        out = tmp_path / "ens.csv"
+        for args in (
+            ["--config", str(cli_workspace / "sim.json"), "--seed", str(seed)],
+            ["--config", str(tmp_path / "sim.json")],
+        ):
+            assert main(["simulate", *args, "--output", str(out)]) == 4
+            assert capsys.readouterr().err == "error: seed must be in [0, 2**63)\n"
+        assert not out.exists()
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sim.json"
         path.write_text('{"drift": 1, "volatility": 2}')
@@ -194,6 +208,22 @@ class TestTrainAndCalibrate:
         path.write_text(json.dumps(raw))
         assert main(["train", "--config", str(path)]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+    def test_seed_outside_key_range_exits_4(self, cli_workspace, tmp_path, capsys, seed):
+        raw = json.loads((cli_workspace / "run.json").read_text())
+        raw["input"]["path"] = str(cli_workspace / "ensemble.csv")
+        (tmp_path / "run.json").write_text(json.dumps(raw))
+        raw["seed"] = seed
+        (tmp_path / "bad.json").write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        for args in (
+            ["--config", str(tmp_path / "run.json"), "--seed", str(seed)],
+            ["--config", str(tmp_path / "bad.json")],
+        ):
+            assert main(["train", *args, "--output-dir", str(out)]) == 4
+            assert capsys.readouterr().err == "error: seed must be in [0, 2**63)\n"
+        assert not (out / "artifact.json").exists()
 
     def test_off_axis_train_end_exits_4(self, cli_workspace, tmp_path, capsys):
         raw = json.loads((cli_workspace / "run.json").read_text())

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from fprom import (
     Grid,
     SdeSpec,
     SimPlan,
+    TrajectoryEnsemble,
     ensemble_to_densities,
     read_ensemble_csv,
     simulate,
@@ -15,6 +19,7 @@ from fprom.errors import (
     InputDataError,
     SolverDivergenceError,
 )
+from fprom.langevin import _CHUNK, _DRAW_DOUBLES
 
 
 def constant_spec(mu=1.0, sigma=1.0):
@@ -85,6 +90,19 @@ class TestPlanValidation:
     def test_n_steps(self):
         plan = SimPlan(n_trajectories=1, dt=0.1, horizon=2.0, stride=4)
         assert plan.n_steps == 20
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1, 2**64])
+    def test_seed_outside_philox_key_range_refused(self, seed):
+        # 2**64 - 1 would be read as key 0 and 2**64 would overflow
+        with pytest.raises(InfeasibleConfigError) as info:
+            SimPlan(n_trajectories=1, dt=0.1, horizon=1.0, seed=seed)
+        assert str(info.value) == "seed must be in [0, 2**63)"
+
+    def test_largest_seed_accepted(self):
+        plan = SimPlan(n_trajectories=2, dt=0.1, horizon=0.2, seed=2**63 - 1)
+        assert plan.seed == 2**63 - 1
+        ens = simulate(constant_spec(), plan)
+        assert np.array_equal(ens.samples, reference_simulate(constant_spec(), plan).samples)
 
 
 class TestSimulate:
@@ -232,6 +250,153 @@ class TestSimulate:
                 simulate(spec, plan)
 
 
+def reference_simulate(spec, plan):
+    """The Euler-Maruyama loop as first written: a fresh Generator per
+    trajectory, trajectory-major noise and out-of-place updates."""
+    n_steps = plan.n_steps
+    n_rec = n_steps // plan.stride + 1
+    out = np.empty((plan.n_trajectories, n_rec))
+    times = np.arange(0, n_steps + 1, plan.stride) * plan.dt
+    sqrt_dt = np.sqrt(plan.dt)
+    normal_x0 = plan.x0_kind == "normal"
+    for lo in range(0, plan.n_trajectories, _CHUNK):
+        hi = min(lo + _CHUNK, plan.n_trajectories)
+        m = hi - lo
+        noise = np.empty((m, n_steps))
+        x = np.empty(m)
+        for r in range(lo, hi):
+            gen = Generator(Philox(key=[plan.seed, r]))
+            if normal_x0:
+                mu0, sigma0 = plan.x0_params
+                x[r - lo] = mu0 + sigma0 * gen.standard_normal()
+            else:
+                x[r - lo] = plan.x0_params[0]
+            noise[r - lo, :] = gen.standard_normal(n_steps)
+        out[lo:hi, 0] = x
+        col = 1
+        for k in range(n_steps):
+            t = k * plan.dt
+            g = spec.noise(x, t)
+            if np.any(g < 0.0):
+                bad = int(np.argmax(g < 0.0))
+                raise InfeasibleConfigError(
+                    f"noise amplitude negative ({g[bad]}) at t={t}, x={x[bad]}"
+                )
+            x = x + spec.drift(x, t) * plan.dt + g * sqrt_dt * noise[:, k]
+            if not np.all(np.isfinite(x)):
+                bad = int(np.argmax(~np.isfinite(x)))
+                raise SolverDivergenceError(
+                    f"trajectory {lo + bad} non-finite at step {k + 1} "
+                    f"(t={(k + 1) * plan.dt})"
+                )
+            if (k + 1) % plan.stride == 0:
+                out[lo:hi, col] = x
+                col += 1
+    return TrajectoryEnsemble(times=times, samples=out, transform="identity")
+
+
+_DRIFTS = [
+    ("constant", (0.3,)),
+    ("linear_in_t", (0.5, -0.8)),
+    ("linear_in_x", (0.3, -0.7)),
+    ("ornstein_uhlenbeck", (1.2, 0.4)),
+]
+_NOISES = [("constant", (0.7,)), ("linear_in_x", (0.5, 0.05))]
+_X0S = [("point", (0.25,)), ("normal", (0.2, 0.3))]
+# (trajectories, steps, stride): 9 is not a multiple of the 8-row draw
+# block and _CHUNK + 3 spills into a second chunk
+_SHAPES = [
+    (m, n, s) for m in (1, 9) for n, strides in ((1, (1,)), (5, (1, 5)), (40, (1, 8)))
+    for s in strides
+] + [(_CHUNK + 3, 1, 1), (_CHUNK + 3, 5, 5)]
+
+
+def _plan(shape, x0, seed=23, dt=0.01):
+    m, n_steps, stride = shape
+    return SimPlan(
+        n_trajectories=m,
+        dt=dt,
+        horizon=n_steps * dt,
+        stride=stride,
+        x0_kind=x0[0],
+        x0_params=x0[1],
+        seed=seed,
+    )
+
+
+def _raised(fn, *args):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises((InfeasibleConfigError, SolverDivergenceError)) as info:
+            fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestSimulateMatchesReference:
+    @pytest.mark.parametrize("shape", _SHAPES, ids=lambda s: "m%d-n%d-s%d" % s)
+    @pytest.mark.parametrize("x0", _X0S, ids=lambda x: x[0])
+    @pytest.mark.parametrize("noise", _NOISES, ids=lambda n: n[0])
+    @pytest.mark.parametrize("drift", _DRIFTS, ids=lambda d: d[0])
+    def test_bitwise_equal(self, drift, noise, x0, shape):
+        spec = SdeSpec(drift[0], drift[1], noise[0], noise[1])
+        plan = _plan(shape, x0)
+        ens = simulate(spec, plan)
+        ref = reference_simulate(spec, plan)
+        assert np.array_equal(ens.times, ref.times)
+        assert np.array_equal(ens.samples, ref.samples)
+
+    @pytest.mark.parametrize("x0", _X0S, ids=lambda x: x[0])
+    def test_paths_longer_than_one_draw_are_bitwise_equal(self, x0):
+        # more steps than one buffer row holds: each trajectory's draw
+        # runs over several segments
+        spec = SdeSpec("ornstein_uhlenbeck", (1.2, 0.4), "linear_in_x", (0.5, 0.05))
+        plan = _plan((3, _DRAW_DOUBLES + 5, 1), x0, dt=1e-4)
+        assert np.array_equal(simulate(spec, plan).samples, reference_simulate(spec, plan).samples)
+
+    @pytest.mark.parametrize(
+        "spec,plan",
+        [
+            # negative at the first step, and only after the drift moves x
+            (
+                SdeSpec("constant", (0.0,), "linear_in_x", (0.1, 1.0)),
+                _plan((32, 100, 1), ("normal", (0.0, 1.0)), seed=1),
+            ),
+            (
+                SdeSpec("constant", (-1.0,), "linear_in_x", (0.05, 1.0)),
+                _plan((9, 100, 1), ("point", (0.5,)), seed=4),
+            ),
+            # zero noise explodes every path at once; with noise the
+            # largest start (trajectory 4 here) overflows first
+            (
+                SdeSpec("linear_in_x", (0.0, 1e20), "constant", (0.0,)),
+                _plan((2, 40, 1), ("point", (1.0,)), dt=0.1),
+            ),
+            (
+                SdeSpec("linear_in_x", (0.0, 10.0), "constant", (1.0,)),
+                _plan((9, 1100, 1), ("normal", (0.0, 1.0)), dt=0.1, seed=2),
+            ),
+        ],
+        ids=["noise_negative_at_start", "noise_negative_later", "blowup", "blowup_noisy"],
+    )
+    def test_refusals_match_exactly(self, spec, plan):
+        assert _raised(simulate, spec, plan) == _raised(reference_simulate, spec, plan)
+
+
+class TestSimulateMemory:
+    def test_peak_is_the_noise_and_the_output(self):
+        spec = SdeSpec("ornstein_uhlenbeck", (1.0, 0.5), "constant", (0.7,))
+        plan = _plan((2000, 2000, 100), ("normal", (0.0, 1.0)), dt=1e-3)
+        noise_bytes = 2000 * 2000 * 8
+        out_bytes = 2000 * 21 * 8
+        tracemalloc.start()
+        try:
+            ens = simulate(spec, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ens.samples.shape == (2000, 21)
+        assert peak < noise_bytes + out_bytes + 2**20
+
+
 class TestEnsembleToDensities:
     def test_densities_at_requested_times(self):
         spec = constant_spec(mu=1.0, sigma=1.0)
@@ -321,6 +486,45 @@ class TestEnsembleCsv:
         path.write_text("traj_id,t,x\n")
         with pytest.raises(InputDataError, match="no data rows"):
             read_ensemble_csv(path)
+
+
+def reference_write_ensemble_csv(ens, path):
+    """The ensemble writer as first written: one f-string and one write
+    per row."""
+    with open(path, "w", newline="") as fh:
+        fh.write("traj_id,t,x\n")
+        times = [float(t) for t in ens.times]
+        for r in range(ens.n_realizations):
+            row = ens.samples[r]
+            for k in range(ens.n_times):
+                fh.write(f"{r},{times[k]!r},{float(row[k])!r}\n")
+
+
+class TestEnsembleCsvBytes:
+    def test_awkward_values_match_the_row_writer(self, tmp_path):
+        times = np.array([0.0, 0.1, 0.2, 3 * 0.1, 0.4])
+        samples = np.array(
+            [
+                [-0.0, 5e-324, 1e300, -1.5e-7, 0.1 + 0.2],
+                [1.0, -5e-324, -1e300, 2.0**-1074 * 3, 123456789.125],
+            ]
+        )
+        ens = TrajectoryEnsemble(times=times, samples=samples)
+        write_ensemble_csv(ens, tmp_path / "fast.csv")
+        reference_write_ensemble_csv(ens, tmp_path / "ref.csv")
+        text = (tmp_path / "fast.csv").read_bytes()
+        assert text == (tmp_path / "ref.csv").read_bytes()
+        assert b"\n0,0.30000000000000004,-1.5e-07\n" in text
+        assert b"\n0,0.0,-0.0\n" in text
+
+    def test_simulated_ensemble_matches_the_row_writer(self, tmp_path):
+        ens = simulate(
+            SdeSpec("linear_in_x", (0.3, -0.7), "linear_in_x", (0.5, 0.05)),
+            _plan((300, 40, 8), ("normal", (0.2, 0.3)), dt=0.1),
+        )
+        write_ensemble_csv(ens, tmp_path / "fast.csv")
+        reference_write_ensemble_csv(ens, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 _ENSEMBLE_ACCEPTED = [

@@ -122,6 +122,12 @@ class TestRunConfig:
         with pytest.raises(InputDataError, match="solver section needs dt"):
             ensemble_config(workspace, solver={"integrator": "crank_nicolson"})
 
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+    def test_seed_outside_key_range(self, workspace, seed):
+        with pytest.raises(InfeasibleConfigError) as info:
+            ensemble_config(workspace, seed=seed)
+        assert str(info.value) == "seed must be in [0, 2**63)"
+
     def test_budget_floor(self, workspace):
         with pytest.raises(InfeasibleConfigError, match="budget"):
             ensemble_config(workspace, budget=10)
@@ -238,6 +244,17 @@ class TestArtifact:
         path.write_text(json.dumps(payload))
         with pytest.raises(InputDataError, match="malformed artifact"):
             load_artifact(path)
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+    def test_seed_outside_key_range(self, tmp_path, seed):
+        path = tmp_path / "artifact.json"
+        save_artifact(self.make(), path)
+        payload = json.loads(path.read_text())
+        payload["metadata"]["seed"] = seed
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputDataError) as info:
+            load_artifact(path)
+        assert str(info.value) == f"{path}: malformed artifact (seed must be in [0, 2**63))"
 
     def test_window_must_be_ordered(self):
         grid = Grid(-6.0, 6.0, 129)
