@@ -39,7 +39,7 @@ from .estimation import (
     moment_series,
     regress_time_only_coefficients,
 )
-from .grid import DerivativeMatrix, Grid, build_grid, derivative_matrix, fd_weights
+from .grid import Grid
 from .langevin import (
     SdeSpec,
     SimPlan,
@@ -69,7 +69,6 @@ __all__ = [
     "CalibrationResult",
     "CoefficientModel",
     "DensityField",
-    "DerivativeMatrix",
     "Grid",
     "InfeasibleConfigError",
     "InputDataError",
@@ -87,13 +86,10 @@ __all__ = [
     "TrajectoryEnsemble",
     "TransformSpec",
     "auto_bandwidth",
-    "build_grid",
     "calibrate",
     "conditional_km_coefficient",
-    "derivative_matrix",
     "drift_diffusion_density",
     "ensemble_to_densities",
-    "fd_weights",
     "gaussian_density",
     "ingest",
     "kde_estimate",

@@ -87,13 +87,13 @@ def _simulate_inputs(raw: dict, path) -> tuple[SdeSpec, SimPlan]:
         noise_params=tuple(raw["noise"]["params"]),
     )
     plan = SimPlan(
-        n_trajectories=int(raw["n_trajectories"]),
+        n_trajectories=raw["n_trajectories"],
         dt=float(raw["dt"]),
         horizon=float(raw["horizon"]),
-        stride=int(raw.get("stride", 1)),
+        stride=raw.get("stride", 1),
         x0_kind=x0["kind"],
         x0_params=tuple(x0["params"]),
-        seed=int(raw.get("seed", 0)),
+        seed=raw.get("seed", 0),
     )
     return spec, plan
 
@@ -178,7 +178,6 @@ def _solver_settings(args, fallback: SolverSettings | None = None) -> SolverSett
         dt=dt,
         integrator=args.integrator or base.integrator,
         boundary=args.boundary or base.boundary,
-        accuracy_order=args.accuracy_order or base.accuracy_order,
     )
 
 
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--integrator", choices=("explicit_rk4", "crank_nicolson"))
     p.add_argument("--boundary", choices=("zero_flux", "zero_dirichlet"))
-    p.add_argument("--accuracy-order", type=int)
     p.add_argument("--pushforward-samples", type=int, default=100_000)
     p.add_argument("--output-dir", help="where to write density CSVs")
     p.set_defaults(handler=_cmd_predict)
@@ -300,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, help="solver dt (default: config value)")
     p.add_argument("--integrator", choices=("explicit_rk4", "crank_nicolson"))
     p.add_argument("--boundary", choices=("zero_flux", "zero_dirichlet"))
-    p.add_argument("--accuracy-order", type=int)
     p.add_argument("--output-dir", help="where to write metrics.csv")
     p.set_defaults(handler=_cmd_validate)
 

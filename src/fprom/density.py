@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputDataError
-from .grid import Grid, derivative_bands
+from .grid import Grid
 
 __all__ = [
     "DensityField",
@@ -254,19 +254,29 @@ def l1_distance(p: DensityField, q: DensityField) -> float:
     return float(np.trapezoid(np.abs(p.values - q.values), p.grid.nodes))
 
 
-def tikhonov_smooth(f: DensityField, lam: float = 1e-6, deriv_degree: int = 2) -> DensityField:
+def tikhonov_smooth(f: DensityField, lam: float = 1e-6) -> DensityField:
     """Roughness-penalized smoothing: solve (I + lam * E^T E) fhat = f.
 
-    E is the derivative operator of the given degree (order 2). The
-    system is symmetric positive definite for lam > 0 and banded, so it
-    is assembled in band storage and solved by banded Cholesky
-    factorization in O(n); the result is clipped at zero and
-    renormalized.
+    E is the second difference, (1, -2, 1)/h^2 inside and the one-sided
+    (2, -5, 4, -1)/h^2 at the walls. The system is symmetric positive
+    definite for lam > 0 and banded, so it is assembled in band storage
+    and solved by banded Cholesky factorization in O(n); the result is
+    clipped at zero and renormalized.
     """
     if not lam > 0.0:
         raise ValueError("lam must be > 0")
-    e, bw, _ = derivative_bands(f.grid, deriv_degree, 2)
     n = f.grid.n_points
+    h2 = f.grid.spacing**2
+    # E in band storage, entry (i, j) at e[bw + i - j, j]; the wall
+    # rows reach three nodes in
+    bw = 3
+    e = np.zeros((2 * bw + 1, n))
+    e[bw - 1, 1:] = e[bw + 1, :-1] = 1.0 / h2
+    e[bw] = -2.0 / h2
+    wall = np.array([2.0, -5.0, 4.0, -1.0]) / h2
+    cols = np.arange(wall.size)
+    e[bw - cols, cols] = wall
+    e[bw + cols, n - 1 - cols] = wall
     p = 2 * bw
     # upper band storage: entry (i, i + s) of E^T E sits at [p - s, i + s];
     # it sums E[i + r, i] * E[i + r, i + s] over the rows i + r both reach

@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes, so anything user-facing
 should raise one of them rather than a bare exception.
 """
 
+import numbers
+
 
 class InputDataError(ValueError):
     """Malformed or unreadable user input (files, config, CLI arguments)."""
@@ -17,3 +19,16 @@ class InfeasibleConfigError(ValueError):
 
 class SolverDivergenceError(RuntimeError):
     """A numerical computation blew up (non-finite state, vanished mass)."""
+
+
+def require_integer(value, what: str) -> int:
+    """value as an int, refused unless it is a real number with an
+    integral value; bools are refused too, so a JSON ``true`` or a
+    fraction never runs silently as a truncated count."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not float(value).is_integer()
+    ):
+        raise InfeasibleConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)

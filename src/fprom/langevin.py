@@ -22,7 +22,12 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .density import DensityField, _load_csv_table, kde_estimate
-from .errors import InfeasibleConfigError, InputDataError, SolverDivergenceError
+from .errors import (
+    InfeasibleConfigError,
+    InputDataError,
+    SolverDivergenceError,
+    require_integer,
+)
 from .estimation import TrajectoryEnsemble
 from .grid import Grid
 
@@ -70,7 +75,7 @@ def _check_seed(seed) -> int:
     """The seed as an int, refused unless in [0, 2**63): Philox reads a
     larger or negative key modulo 2**64 (or overflows), so two seeds
     would share a stream."""
-    seed = int(seed)
+    seed = require_integer(seed, "seed")
     if not 0 <= seed < 2**63:
         raise InfeasibleConfigError("seed must be in [0, 2**63)")
     return seed
@@ -130,11 +135,13 @@ class SimPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_trajectories", "stride"):
+            object.__setattr__(self, name, require_integer(getattr(self, name), name))
         if self.n_trajectories < 1:
             raise InfeasibleConfigError("n_trajectories must be >= 1")
         if not self.dt > 0.0:
             raise InfeasibleConfigError("dt must be > 0")
-        if self.stride < 1 or int(self.stride) != self.stride:
+        if self.stride < 1:
             raise InfeasibleConfigError("stride must be an integer >= 1")
         steps = self.horizon / self.dt
         n_steps = int(round(steps))
@@ -156,8 +163,6 @@ class SimPlan:
                 f"x0 kind {self.x0_kind!r} takes {want} finite parameter(s)"
             )
         object.__setattr__(self, "x0_params", params)
-        object.__setattr__(self, "n_trajectories", int(self.n_trajectories))
-        object.__setattr__(self, "stride", int(self.stride))
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
     @property

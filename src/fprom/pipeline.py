@@ -35,7 +35,12 @@ from .density import (
     tikhonov_smooth,
     write_density_csv,
 )
-from .errors import InfeasibleConfigError, InputDataError, SolverDivergenceError
+from .errors import (
+    InfeasibleConfigError,
+    InputDataError,
+    SolverDivergenceError,
+    require_integer,
+)
 from .estimation import (
     MomentSeries,
     TrajectoryEnsemble,
@@ -106,7 +111,6 @@ class SolverSettings:
     dt: float
     integrator: str = "crank_nicolson"
     boundary: str = "zero_flux"
-    accuracy_order: int = 2
 
     def __post_init__(self) -> None:
         # delegate range checks to SolverConfig with a throwaway record time
@@ -118,7 +122,6 @@ class SolverSettings:
             dt=self.dt,
             record_times=tuple(record_times),
             boundary=self.boundary,
-            accuracy_order=self.accuracy_order,
         )
 
 
@@ -159,6 +162,8 @@ class RunConfig:
     defaulted: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("drift_degree", "diff_degree", "budget"):
+            object.__setattr__(self, name, require_integer(getattr(self, name), name))
         if self.input_mode not in INPUT_MODES:
             raise InfeasibleConfigError(
                 f"input mode must be one of {INPUT_MODES}, got {self.input_mode!r}"
@@ -197,7 +202,6 @@ class RunConfig:
                 "coordinates; transform must be identity"
             )
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        object.__setattr__(self, "budget", int(self.budget))
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path | None = None) -> "RunConfig":
@@ -239,13 +243,11 @@ class RunConfig:
 
         _require_keys(raw["grid"], ("x_min", "x_max", "n_points"), "grid")
         try:
-            grid = Grid(
-                x_min=float(raw["grid"].get("x_min", np.nan)),
-                x_max=float(raw["grid"].get("x_max", np.nan)),
-                n_points=int(raw["grid"].get("n_points", 0)),
-            )
+            x_min = float(raw["grid"].get("x_min", np.nan))
+            x_max = float(raw["grid"].get("x_max", np.nan))
         except (TypeError, ValueError) as exc:
             raise InputDataError(f"grid section: {exc}") from exc
+        grid = Grid(x_min=x_min, x_max=x_max, n_points=raw["grid"].get("n_points", 0))
 
         _require_keys(raw["split"], ("train_end", "truncate_start"), "split")
         if "train_end" not in raw["split"]:
@@ -255,14 +257,12 @@ class RunConfig:
         if truncate_start is not None:
             truncate_start = float(truncate_start)
 
-        _require_keys(
-            raw["solver"], ("dt", "integrator", "boundary", "accuracy_order"), "solver"
-        )
+        _require_keys(raw["solver"], ("dt", "integrator", "boundary"), "solver")
         if "dt" not in raw["solver"]:
             raise InputDataError("solver section needs dt")
         defaulted = []
         solver_kwargs = {"dt": float(raw["solver"]["dt"])}
-        for key in ("integrator", "boundary", "accuracy_order"):
+        for key in ("integrator", "boundary"):
             if key in raw["solver"]:
                 solver_kwargs[key] = raw["solver"][key]
             else:
@@ -349,7 +349,6 @@ class RunConfig:
             ("solver_integrator", self.solver.integrator),
             ("solver_dt", self.solver.dt),
             ("solver_boundary", self.solver.boundary),
-            ("solver_accuracy_order", self.solver.accuracy_order),
             ("smoothing_lambda", self.smoothing_lambda),
             ("split_train_end", self.train_end),
             ("split_truncate_start", self.truncate_start),

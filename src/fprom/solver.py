@@ -1,16 +1,19 @@
 """Forward integration of the 1-D Fokker-Planck equation.
 
 The semi-discrete form is df/dt = A(t) f with
-A(t) = -D1(t) * E1 + D2(t) * E2, E1 and E2 the first- and
-second-derivative operators with their wall rows closed per the
-boundary condition. E1 and E2 are held in LAPACK band storage, so
-memory and work per step are O(n): tridiagonal for accuracy order 2,
-banded otherwise. Two integrators: classical explicit RK4 (with a hard
-diffusion stability check) applying A by a banded matrix-vector
-product, and Crank-Nicolson solving its left-hand band each step with
-LAPACK ``?gtsv`` (tridiagonal) or ``?gbsv`` (wider bands), fetched once
-per solve and called directly; no sparse LU is factored. The closed
-bands are cached per (grid, accuracy order, boundary) and read-only.
+A(t) = -D1(t) * E1 + D2(t) * E2. E1 and E2 make one conservative
+flux-form operator on the grid nodes: each node owns the cell between
+its neighbouring faces, the face flux is D1 times the mean of the two
+node values minus D2 times their difference quotient, and under
+``zero_flux`` no flux crosses a wall, so the trapezoidal mass of A f is
+exactly zero. Interior rows are the centred second-order stencils. Both
+are tridiagonal, held in LAPACK band storage, cached per
+(grid, boundary) and read-only, so memory and work per step are O(n).
+
+Two integrators: classical explicit RK4, with hard diffusion and
+advection stability checks, applying A by a tridiagonal matrix-vector
+product; and Crank-Nicolson, solving its left-hand band each step with
+LAPACK ``?gtsv``, fetched once per solve and called directly.
 
 After every step the state is clipped at zero and renormalized; the
 pre-renormalization mass of each step is logged so mass conservation
@@ -20,6 +23,7 @@ divergence flag and returns the partial trace instead of raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,15 +33,18 @@ from scipy.linalg import get_lapack_funcs
 from .coefficients import CoefficientModel
 from .density import DensityField
 from .errors import InfeasibleConfigError
-from .grid import Grid, derivative_bands
+from .grid import Grid
 
 __all__ = ["SolverConfig", "SolutionTrace", "solve"]
 
 INTEGRATORS = ("explicit_rk4", "crank_nicolson")
 BOUNDARIES = ("zero_flux", "zero_dirichlet")
 
-# explicit diffusion stability: dt <= STABILITY_SAFETY * h^2 / max|D2|
+# explicit RK4 stability: dt <= STABILITY_SAFETY * h^2 / max|D2| for
+# diffusion and dt <= STABILITY_SAFETY * RK4_IMAG_REACH * h / max|D1| for
+# advection, whose central-difference eigenvalues are imaginary
 STABILITY_SAFETY = 0.4
+RK4_IMAG_REACH = 2.0 * math.sqrt(2.0)
 
 # mass below this cannot be renormalized; the solve is declared diverged
 MASS_COLLAPSE = 1e-12
@@ -51,7 +58,6 @@ class SolverConfig:
     dt: float
     record_times: tuple[float, ...]
     boundary: str = "zero_flux"
-    accuracy_order: int = 2
     allow_negative_diffusion: bool = False
 
     def __post_init__(self) -> None:
@@ -66,8 +72,6 @@ class SolverConfig:
             raise InfeasibleConfigError("record_times must be nonempty")
         if any(b <= a for a, b in zip(rt, rt[1:])):
             raise InfeasibleConfigError("record_times must be strictly increasing")
-        if self.accuracy_order < 2 or self.accuracy_order % 2 != 0:
-            raise InfeasibleConfigError("accuracy_order must be even and >= 2")
         object.__setattr__(self, "record_times", rt)
 
 
@@ -83,89 +87,54 @@ class SolutionTrace:
 
 
 @lru_cache(maxsize=32)
-def _closed_bands(
-    grid: Grid, accuracy_order: int, boundary: str
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """E1, E2 bands with the wall rows replaced per the condition.
+def _closed_bands(grid: Grid, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Tridiagonal E1, E2 in LAPACK band storage, entry (i, j) at [1 + i - j, j].
 
-    zero_flux uses an even-reflection ghost closure: the wall rows of E1
-    vanish and the wall rows of E2 become (-2, +2)/h^2, zeroing the
-    diffusive flux. zero_dirichlet zeroes both wall rows so edge values
-    stay frozen. Interior rows are untouched.
-
-    Returns (b1, b2, w): both bands hold entry (i, j) at [w + i - j, j]
-    with l = u = w, the smallest width covering every nonzero entry
-    once the walls are closed (1 for accuracy order 2). Results are
-    cached and shared between solves, so both bands are read-only.
+    Interior rows are the centred (-1, 0, 1)/(2h) and (1, -2, 1)/h^2.
+    zero_flux closes the walls in flux form: node i owns the cell
+    between its neighbouring faces (a half cell at a wall), the face
+    flux is F = D1*(f_i + f_i+1)/2 - D2*(f_i+1 - f_i)/h, and no flux
+    crosses a wall. E1's wall rows are then (1, 1)/h and (-1, -1)/h and
+    E2's are (-2, 2)/h^2, so the trapezoidal mass of A f is exactly
+    zero. zero_dirichlet zeroes both wall rows so edge values stay
+    frozen. Results are cached and shared between solves, so both bands
+    are read-only.
     """
-    e1, w1, _ = derivative_bands(grid, 1, accuracy_order)
-    b2, w2, _ = derivative_bands(grid, 2, accuracy_order)
-    # widen E1's band to E2's so both share one storage layout
-    b1 = np.zeros_like(b2)
-    b1[w2 - w1 : w2 + w1 + 1] = e1
     n = grid.n_points
-    # entry (i, j) of a wall row i sits at [w2 + i - j, j]
-    for i in (0, n - 1):
-        cols = np.arange(max(0, i - w2), min(n, i + w2 + 1))
-        b1[w2 + i - cols, cols] = 0.0
-        b2[w2 + i - cols, cols] = 0.0
+    h = grid.spacing
+    b1 = np.zeros((3, n))
+    b1[0, 1:] = 0.5 / h
+    b1[2, :-1] = -0.5 / h
+    b2 = np.zeros((3, n))
+    b2[0, 1:] = b2[2, :-1] = 1.0 / h**2
+    b2[1] = -2.0 / h**2
+    # the slots of wall row 0, (0, 0) and (0, 1), then of row n - 1,
+    # (n - 1, n - 2) and (n - 1, n - 1)
+    walls = ([1, 0, 2, 1], [0, 1, n - 2, n - 1])
     if boundary == "zero_flux":
-        h = grid.spacing
-        b2[w2, 0] = -2.0 / h**2
-        b2[w2 - 1, 1] = 2.0 / h**2
-        b2[w2, n - 1] = -2.0 / h**2
-        b2[w2 + 1, n - 2] = 2.0 / h**2
-    used = np.flatnonzero(np.any(b1 != 0.0, axis=1) | np.any(b2 != 0.0, axis=1))
-    w = int(np.max(np.abs(used - w2)))
-    b1 = b1[w2 - w : w2 + w + 1]
-    b2 = b2[w2 - w : w2 + w + 1]
+        b1[walls] = (1.0 / h, 1.0 / h, -1.0 / h, -1.0 / h)
+        b2[walls] = (-2.0 / h**2, 2.0 / h**2, 2.0 / h**2, -2.0 / h**2)
+    else:
+        b1[walls] = 0.0
+        b2[walls] = 0.0
     b1.flags.writeable = False
     b2.flags.writeable = False
-    return b1, b2, w
+    return b1, b2
 
 
-def _band_matvec(ab: np.ndarray, w: int, g: np.ndarray) -> np.ndarray:
-    """Product of the band matrix (l = u = w) with the vector g."""
-    y = ab[w] * g
-    for k in range(1, w + 1):
-        y[:-k] += ab[w - k, k:] * g[k:]
-        y[k:] += ab[w + k, :-k] * g[:-k]
+def _band_matvec(ab: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Product of the tridiagonal band ab with the vector g."""
+    y = ab[1] * g
+    y[:-1] += ab[0, 1:] * g[1:]
+    y[1:] += ab[2, :-1] * g[:-1]
     return y
 
 
-def _identity_plus(a: np.ndarray, w: int, c: float) -> np.ndarray:
-    """Band of I + c * A, for A in band storage with l = u = w."""
+def _identity_plus(a: np.ndarray, c: float) -> np.ndarray:
+    """Band of I + c * A, for A a tridiagonal band."""
     m = c * a
-    m[w] += 1.0
+    m[1] += 1.0
     return m
-
-
-def _band_solver(w: int):
-    """Solver of the band system (l = u = w) for one right-hand side.
-
-    Calls LAPACK exactly as ``scipy.linalg.solve_banded`` does, ?gtsv
-    for w = 1 and ?gbsv on the (3w + 1, n) zero-padded layout otherwise,
-    without its per-call validation; the caller checks finiteness. The
-    band is left untouched and b is overwritten. Returns (x, info),
-    with info > 0 for an exactly singular matrix.
-    """
-    if w == 1:
-        (gtsv,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
-
-        def solve_band(ab: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-            _, _, _, x, info = gtsv(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_b=True)
-            return x, info
-
-    else:
-        (gbsv,) = get_lapack_funcs(("gbsv",), dtype=np.float64)
-
-        def solve_band(ab: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-            lu = np.zeros((3 * w + 1, ab.shape[1]))
-            lu[w:] = ab
-            _, _, x, info = gbsv(w, w, lu, b, overwrite_ab=True, overwrite_b=True)
-            return x, info
-
-    return solve_band
 
 
 def _record_steps(t0: float, record_times: tuple[float, ...], dt: float) -> list[int]:
@@ -189,8 +158,8 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
 
     Record times must lie on the step lattice t0 + k*dt (validated);
     each recorded snapshot is the clipped, renormalized state. For
-    explicit_rk4 the diffusion stability bound is checked up front and
-    violations are errors, not warnings.
+    explicit_rk4 the diffusion and advection stability bounds are
+    checked up front and violations are errors, not warnings.
     """
     grid = f0.grid
     t0 = f0.time_stamp
@@ -206,16 +175,19 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
             "is ill-posed and refused unless allow_negative_diffusion is set"
         )
     if config.integrator == "explicit_rk4":
-        dmax = max(abs(d2_min), abs(d2_max))
-        if dmax > 0.0:
-            dt_bound = STABILITY_SAFETY * grid.spacing**2 / dmax
-            if config.dt > dt_bound:
+        h = grid.spacing
+        d1_max = model.max_abs_drift(t0, max(t_end, t0))
+        for label, scale, dmax in (
+            ("h^2/max|D2|", h**2, max(abs(d2_min), abs(d2_max))),
+            ("2*sqrt(2)*h/max|D1|", RK4_IMAG_REACH * h, d1_max),
+        ):
+            if dmax > 0.0 and config.dt > STABILITY_SAFETY * scale / dmax:
                 raise InfeasibleConfigError(
                     f"explicit_rk4 unstable: dt={config.dt} exceeds "
-                    f"{STABILITY_SAFETY}*h^2/max|D2| = {dt_bound:.6e}"
+                    f"{STABILITY_SAFETY}*{label} = {STABILITY_SAFETY * scale / dmax:.6e}"
                 )
 
-    b1, b2, w = _closed_bands(grid, config.accuracy_order, config.boundary)
+    b1, b2 = _closed_bands(grid, config.boundary)
     x = grid.nodes
     dx = np.diff(x)
     dt = config.dt
@@ -228,13 +200,13 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
 
     def apply_a(t: float, g: np.ndarray) -> np.ndarray:
         d1, d2 = model.eval(t)
-        return -d1 * _band_matvec(b1, w, g) + d2 * _band_matvec(b2, w, g)
+        return -d1 * _band_matvec(b1, g) + d2 * _band_matvec(b2, g)
 
-    solve_band = _band_solver(w)
+    (gtsv,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
     cn_cached = None
     if config.integrator == "crank_nicolson" and model.is_constant():
         a = -model.drift(0.0) * b1 + model.diffusion(0.0) * b2
-        cn_cached = (_identity_plus(a, w, -0.5 * dt), _identity_plus(a, w, 0.5 * dt))
+        cn_cached = (_identity_plus(a, -0.5 * dt), _identity_plus(a, 0.5 * dt))
 
     snapshots: list[DensityField] = []
     mass_log: list[float] = []
@@ -270,12 +242,16 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
             else:
                 d1n, d2n = model.eval(t + dt)
                 d1c, d2c = model.eval(t)
-                m_minus = _identity_plus(-d1n * b1 + d2n * b2, w, -0.5 * dt)
-                m_plus = _identity_plus(-d1c * b1 + d2c * b2, w, 0.5 * dt)
-            rhs = _band_matvec(m_plus, w, f)
+                m_minus = _identity_plus(-d1n * b1 + d2n * b2, -0.5 * dt)
+                m_plus = _identity_plus(-d1c * b1 + d2c * b2, 0.5 * dt)
+            rhs = _band_matvec(m_plus, f)
             if not (np.isfinite(m_minus).all() and np.isfinite(rhs).all()):
                 return diverged("non-finite Crank-Nicolson system", k)
-            f_new, info = solve_band(m_minus, rhs)
+            # as scipy.linalg.solve_banded calls it, minus its validation;
+            # the bands are copied, rhs is overwritten
+            *_, f_new, info = gtsv(
+                m_minus[2, :-1], m_minus[1], m_minus[0, 1:], rhs, overwrite_b=True
+            )
             if info > 0:
                 return diverged("singular Crank-Nicolson system", k)
 

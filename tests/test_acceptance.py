@@ -15,13 +15,13 @@ import pytest
 from fprom import (
     CalibrationProblem,
     CoefficientModel,
+    DensityField,
     Grid,
     MomentSeries,
     SdeSpec,
     SimPlan,
     SolverConfig,
     calibrate,
-    derivative_matrix,
     drift_diffusion_density,
     gaussian_density,
     kde_estimate,
@@ -46,6 +46,17 @@ from fprom.pipeline import ENV_OUTPUT_DIR
 def isolated_env(monkeypatch, tmp_path):
     monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
     monkeypatch.chdir(tmp_path)
+
+
+def second_difference_matrix(grid):
+    """Dense order-2 second difference: (1, -2, 1)/h^2 inside and the
+    one-sided (2, -5, 4, -1)/h^2 at the walls."""
+    n, h2 = grid.n_points, grid.spacing**2
+    e = (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)) / h2
+    e[[0, -1]] = 0.0
+    e[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / h2
+    e[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h2
+    return e
 
 
 def _cn(record_times, dt):
@@ -232,7 +243,7 @@ def test_density_toolbox_invariants():
         rng.normal(size=200), Grid(-8.0, 8.0, 513), bandwidth=0.05, time_stamp=0.0
     )
     smoothed = tikhonov_smooth(noisy, lam=1e-4)
-    rough = derivative_matrix(noisy.grid, degree=2, accuracy_order=2).values
+    rough = second_difference_matrix(noisy.grid)
     assert np.sum((rough @ smoothed.values) ** 2) < np.sum((rough @ noisy.values) ** 2)
 
 
@@ -248,6 +259,27 @@ def test_spatial_convergence_order():
         assert not trace.diverged
         errors.append(l1_distance(trace.snapshots[0], truth))
     assert errors[0] / errors[1] >= 3.0
+
+
+@pytest.mark.criterion(12, "reflecting walls reach the exact stationary density")
+def test_reflecting_stationary_density_second_order():
+    # zero-flux walls on [-3, 3] with D1 = 1, D2 = 0.05: the stationary
+    # density is proportional to exp(D1 x / D2) (Risken 1989). At t = 40
+    # the solve has relaxed onto it; at t = 4 it has not.
+    d1, d2 = 1.0, 0.05
+    model = CoefficientModel(drift_poly=(d1,), diff_poly=(d2,))
+    errors = []
+    for n_points in (129, 257, 513):
+        grid = Grid(-3.0, 3.0, n_points)
+        f0 = gaussian_density(grid, 0.0, 0.1, 0.0)
+        trace = solve(f0, model, _cn((40.0,), dt=0.01))
+        assert not trace.diverged
+        assert np.max(np.abs(trace.mass_log - 1.0)) <= 1e-12
+        exact = DensityField.normalized(grid, np.exp(d1 * (grid.nodes - 3.0) / d2), 40.0)
+        errors.append(l1_distance(trace.snapshots[0], exact))
+    assert errors[-1] <= 5e-3
+    assert errors[0] / errors[1] >= 3.5
+    assert errors[1] / errors[2] >= 3.5
 
 
 def _write_small_workflow_inputs(root):

@@ -118,6 +118,19 @@ class TestSimulate:
             assert capsys.readouterr().err == "error: seed must be in [0, 2**63)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_trajectories", 2.9), ("stride", 2.5), ("seed", True), ("seed", 1.7)],
+    )
+    def test_non_integral_count_exits_4(self, cli_workspace, tmp_path, capsys, key, value):
+        raw = json.loads((cli_workspace / "sim.json").read_text())
+        raw[key] = value
+        (tmp_path / "sim.json").write_text(json.dumps(raw))
+        out = tmp_path / "ens.csv"
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--output", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {key} must be an integer, got {value!r}\n"
+        assert not out.exists()
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sim.json"
         path.write_text('{"drift": 1, "volatility": 2}')
@@ -225,6 +238,38 @@ class TestTrainAndCalibrate:
             assert capsys.readouterr().err == "error: seed must be in [0, 2**63)\n"
         assert not (out / "artifact.json").exists()
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("grid", "n_points"), 512.7, "n_points must be an integer, got 512.7"),
+            (("budget",), 200.9, "budget must be an integer, got 200.9"),
+            (("seed",), True, "seed must be an integer, got True"),
+            (("seed",), 1.7, "seed must be an integer, got 1.7"),
+        ],
+    )
+    def test_non_integral_count_exits_4(
+        self, cli_workspace, tmp_path, capsys, path, value, message
+    ):
+        raw = json.loads((cli_workspace / "run.json").read_text())
+        raw["input"]["path"] = str(cli_workspace / "ensemble.csv")
+        section = raw
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        (tmp_path / "bad.json").write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(tmp_path / "bad.json"), "--output-dir", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "artifact.json").exists()
+
+    def test_accuracy_order_is_an_unknown_solver_key(self, cli_workspace, tmp_path, capsys):
+        raw = json.loads((cli_workspace / "run.json").read_text())
+        raw["solver"]["accuracy_order"] = 2
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 2
+        assert "unknown solver key(s): accuracy_order" in capsys.readouterr().err
+
     def test_off_axis_train_end_exits_4(self, cli_workspace, tmp_path, capsys):
         raw = json.loads((cli_workspace / "run.json").read_text())
         raw["split"] = {"train_end": 0.4}
@@ -329,8 +374,6 @@ class TestPredictAndValidate:
                     "1e80",
                     "--dt",
                     "1e80",
-                    "--integrator",
-                    "explicit_rk4",
                 ]
             )
         assert code == 3
