@@ -346,8 +346,10 @@ class TestTikhonov:
         smoothed = tikhonov_smooth(noisy, lam=1e-4)
         assert kl_divergence(truth, smoothed) < kl_divergence(truth, noisy)
 
-    @pytest.mark.parametrize("grid", [Grid(-8.0, 8.0, 513), Grid(-6.0, 6.0, 301)])
-    @pytest.mark.parametrize("lam", [1e-4, 1e-6])
+    @pytest.mark.parametrize(
+        "grid", [Grid(-8.0, 8.0, 513), Grid(-6.0, 6.0, 301), Grid(-3.0, 5.0, 100)]
+    )
+    @pytest.mark.parametrize("lam", [1e-4, 1e-6, 1e-2])
     def test_banded_solve_matches_dense_cholesky(self, grid, lam):
         # rough everywhere, walls included, so every band entry matters
         noisy = DensityField.normalized(
@@ -359,6 +361,18 @@ class TestTikhonov:
         want = DensityField.normalized(grid, dense, noisy.time_stamp)
         got = tikhonov_smooth(noisy, lam=lam)
         assert np.max(np.abs(got.values - want.values)) <= 1e-12
+
+    @pytest.mark.parametrize("grid", [Grid(-8.0, 8.0, 513), Grid(-3.0, 5.0, 100)])
+    def test_commutes_with_reflection(self, grid):
+        # the penalty treats both walls alike, so smoothing a mirrored
+        # density gives the mirrored result
+        noisy = DensityField.normalized(
+            grid, 1.0 + _philox(8).random(grid.n_points), 0.0
+        )
+        mirrored = DensityField.normalized(grid, noisy.values[::-1], 0.0)
+        got = tikhonov_smooth(mirrored, lam=1e-4).values
+        want = tikhonov_smooth(noisy, lam=1e-4).values[::-1]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
     def test_preserves_mass_and_time(self, unit_gaussian):
         smoothed = tikhonov_smooth(unit_gaussian, lam=1e-4)

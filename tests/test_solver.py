@@ -468,6 +468,102 @@ class TestFluxFormOperator:
             assert np.max(np.abs(column_mass)) <= 1e-12 * np.max(np.abs(band))
 
 
+    @pytest.mark.parametrize("boundary", ("zero_flux", "zero_dirichlet"))
+    @pytest.mark.parametrize("grid", (Grid(-3.0, 3.0, 65), Grid(-1.3, 2.7, 50)))
+    def test_interior_stencils_are_classic_central_weights(self, grid, boundary):
+        b1, b2 = _closed_bands(grid, boundary)
+        h = grid.spacing
+        # row i in 1..n-2 holds (i, i-1) at [2, i-1], (i, i) at [1, i]
+        # and (i, i+1) at [0, i+1]
+        assert np.all(b1[2, :-2] == -0.5 / h)
+        assert np.all(b1[1, 1:-1] == 0.0)
+        assert np.all(b1[0, 2:] == 0.5 / h)
+        assert np.all(b2[2, :-2] == 1.0 / h**2)
+        assert np.all(b2[1, 1:-1] == -2.0 / h**2)
+        assert np.all(b2[0, 2:] == 1.0 / h**2)
+
+    @pytest.mark.parametrize("boundary", ("zero_flux", "zero_dirichlet"))
+    def test_wall_rows(self, boundary):
+        grid = Grid(-1.3, 2.7, 50)
+        h = grid.spacing
+        e1, e2 = (band_to_dense(b) for b in _closed_bands(grid, boundary))
+        if boundary == "zero_flux":
+            want1 = ((1.0 / h, 1.0 / h), (-1.0 / h, -1.0 / h))
+            want2 = ((-2.0 / h**2, 2.0 / h**2), (2.0 / h**2, -2.0 / h**2))
+        else:
+            want1 = want2 = ((0.0, 0.0), (0.0, 0.0))
+        for dense, (row0, row_last) in ((e1, want1), (e2, want2)):
+            assert np.array_equal(dense[0, :2], row0)
+            assert np.array_equal(dense[-1, -2:], row_last)
+            # tridiagonal: nothing further in from either wall
+            assert not np.any(dense[0, 2:]) and not np.any(dense[-1, :-2])
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), degree=st.sampled_from([1, 2]))
+    def test_interior_rows_exact_below_degree_plus_order(self, data, degree):
+        # centred order-2 stencils are exact for polynomials of degree
+        # below the derivative's degree + 2
+        coeffs = data.draw(
+            st.lists(
+                st.floats(min_value=-3.0, max_value=3.0),
+                min_size=1,
+                max_size=degree + 2,
+            )
+        )
+        grid = Grid(-1.0, 1.0, 21)
+        x = grid.nodes
+        poly = np.polynomial.Polynomial(coeffs)
+        band = _closed_bands(grid, "zero_flux")[degree - 1]
+        approx = _band_matvec(band, poly(x))
+        exact = poly.deriv(degree)(x)
+        assert np.allclose(approx[1:-1], exact[1:-1], atol=1e-7)
+
+    @pytest.mark.parametrize("degree", (1, 2))
+    def test_interior_rows_converge_at_second_order(self, degree):
+        errors = []
+        for n_points in (65, 129, 257):
+            grid = Grid(-1.0, 1.0, n_points)
+            x = grid.nodes
+            band = _closed_bands(grid, "zero_flux")[degree - 1]
+            exact = 3.0 * np.cos(3.0 * x) if degree == 1 else -9.0 * np.sin(3.0 * x)
+            approx = _band_matvec(band, np.sin(3.0 * x))
+            errors.append(np.max(np.abs(approx - exact)[1:-1]))
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((ratios > 3.8) & (ratios < 4.2))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n_points=st.integers(8, 300),
+        x_min=st.floats(-10.0, 10.0),
+        width=st.floats(0.1, 20.0),
+        d1=st.floats(-5.0, 5.0),
+        d2=st.floats(0.0, 5.0),
+        seed=st.integers(0, 2**31),
+    )
+    def test_zero_flux_generator_keeps_mass_of_any_vector(
+        self, n_points, x_min, width, d1, d2, seed
+    ):
+        grid = Grid(x_min, x_min + width, n_points)
+        b1, b2 = _closed_bands(grid, "zero_flux")
+        g = np.random.Generator(np.random.Philox(key=[seed, 0])).random(n_points)
+        dg = -d1 * _band_matvec(b1, g) + d2 * _band_matvec(b2, g)
+        weights = np.full(n_points, grid.spacing)
+        weights[[0, -1]] = grid.spacing / 2
+        # rounding is relative to the size of the terms that cancel
+        terms = abs(d1) * _band_matvec(np.abs(b1), g) + d2 * _band_matvec(np.abs(b2), g)
+        assert abs(weights @ dg) <= 1e-13 * (weights @ terms)
+
+    def test_each_boundary_caches_its_own_read_only_bands(self):
+        flux = _closed_bands(Grid(-5.0, 5.0, 129), "zero_flux")
+        dirichlet = _closed_bands(Grid(-5.0, 5.0, 129), "zero_dirichlet")
+        assert flux[0] is not dirichlet[0] and flux[1] is not dirichlet[1]
+        for band in (*flux, *dirichlet):
+            assert not band.flags.writeable
+        # an equal grid built again hits the same cache entry
+        again = _closed_bands(Grid(-5.0, 5.0, 129.0), "zero_dirichlet")
+        assert again[0] is dirichlet[0] and again[1] is dirichlet[1]
+
+
 class TestBandedOperatorMatchesDense:
     @pytest.mark.parametrize(
         "integrator, boundary, time_varying",
@@ -502,6 +598,24 @@ class TestBandedOperatorMatchesDense:
         for got, want in zip(trace.snapshots, snapshots):
             assert np.max(np.abs(got.values - want)) <= 1e-12
         assert np.max(np.abs(trace.mass_log - masses)) <= 1e-12
+
+
+    @pytest.mark.parametrize("integrator", ("explicit_rk4", "crank_nicolson"))
+    @pytest.mark.parametrize("sign", (-1.0, 1.0))
+    def test_drift_toward_each_wall_matches_dense_reference(self, integrator, sign):
+        # the drift piles mass against one wall, so E1's wall rows carry
+        # most of the flux balance there
+        grid = Grid(-5.0, 5.0, 61)
+        f0 = gaussian_density(grid, sign * 3.5, 1.0, 0.0)
+        model = CoefficientModel(drift_poly=(sign * 0.8,), diff_poly=(0.2,))
+        dt = 0.5 * grid.spacing**2
+        config = SolverConfig(integrator=integrator, dt=dt, record_times=(40 * dt,))
+        trace = solve(f0, model, config)
+        snapshots, masses = dense_reference_solve(f0, model, config)
+        assert not trace.diverged
+        assert np.max(np.abs(trace.snapshots[0].values - snapshots[0])) <= 1e-12
+        assert np.max(np.abs(trace.mass_log - masses)) <= 1e-12
+        assert np.max(np.abs(masses - 1.0)) <= 1e-12
 
 
 class TestMemory:
@@ -606,6 +720,34 @@ class TestLapackStepMatchesSolveBanded:
         assert not trace.diverged
         assert len(trace.snapshots) == len(snapshots) == 2
         for got, want in zip(trace.snapshots, snapshots):
+            assert np.array_equal(got.values, want)
+        assert np.array_equal(trace.mass_log, masses)
+
+    @pytest.mark.parametrize(
+        "integrator, boundary, sign",
+        list(
+            itertools.product(
+                ("explicit_rk4", "crank_nicolson"),
+                ("zero_flux", "zero_dirichlet"),
+                (-1.0, 1.0),
+            )
+        ),
+    )
+    def test_bitwise_equal_with_drift_toward_each_wall(self, integrator, boundary, sign):
+        grid = Grid(-5.0, 5.0, 129)
+        f0 = gaussian_density(grid, sign * 3.0, 1.0, 0.0)
+        model = CoefficientModel(drift_poly=(sign * 0.8, 0.3), diff_poly=(0.2,))
+        dt = 0.5 * grid.spacing**2
+        config = SolverConfig(
+            integrator=integrator,
+            dt=dt,
+            record_times=(10 * dt, 25 * dt),
+            boundary=boundary,
+        )
+        trace = solve(f0, model, config)
+        snapshots, masses = banded_reference_solve(f0, model, config)
+        assert not trace.diverged
+        for got, want in zip(trace.snapshots, snapshots, strict=True):
             assert np.array_equal(got.values, want)
         assert np.array_equal(trace.mass_log, masses)
 
