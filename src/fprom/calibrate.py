@@ -8,6 +8,16 @@ derivative-free search stays total.
 
 Search is seeded Nelder-Mead, optionally restarted from 8 uniform
 draws inside the bounds. Everything is deterministic per seed.
+
+The Nelder-Mead search (Nelder & Mead, Comput. J. 7, 1965) is scipy's
+non-adaptive `_minimize_neldermead`, implemented in this module so that
+importing fprom does not import scipy.optimize: reflection 1,
+expansion 2, contraction 1/2 and shrink 1/2; a first simplex that moves
+each coordinate of the start by 5 % (to 0.00025 where it is zero); and
+the stopping rule xatol 1e-6 with fatol 1e-14 or the evaluation budget.
+It evaluates the same points in the same order as
+``scipy.optimize.minimize(method="Nelder-Mead")`` with those options,
+so results do not depend on the version of scipy's optimiser.
 """
 
 from __future__ import annotations
@@ -16,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.optimize import minimize
 
 from .coefficients import MAX_DEGREE, CoefficientModel
 from .density import DensityField, kl_divergence
@@ -40,6 +49,7 @@ N_STARTS = 8
 _EXCURSION_WEIGHT = 1e3
 
 _SIMPLEX_TOL = 1e-6
+_VALUE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -177,6 +187,96 @@ def loss(problem: CalibrationProblem, params) -> float:
     return total
 
 
+class _BudgetSpent(Exception):
+    """The evaluation budget ran out in the middle of a simplex step."""
+
+
+def _nelder_mead(func, x0, maxfev: int) -> tuple[np.ndarray, float, bool]:
+    """Minimize func from x0 by at most maxfev evaluations.
+
+    Line for line scipy's `_minimize_neldermead` without bounds, initial
+    simplex or iteration cap (see the module docstring). A step that the
+    budget cuts short stops where scipy's `_MaxFuncCallError` stops it:
+    an expansion or contraction stores nothing, and a shrink leaves the
+    vertex it just moved with its old value. Returns the best vertex,
+    its value and whether the tolerances stopped the search before the
+    budget did.
+    """
+    n_calls = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal n_calls
+        if n_calls >= maxfev:
+            raise _BudgetSpent
+        n_calls += 1
+        return func(np.copy(x))
+
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # sorted twice, as scipy does: argsort is not stable, so a second
+    # pass can reorder tied values
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    while n_calls < maxfev:
+        try:
+            if (
+                np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _SIMPLEX_TOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= _VALUE_TOL
+            ):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - 1 * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:
+                    xcc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxcc = f(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return sim[0], float(np.min(fsim)), n_calls < maxfev
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     """Best model found plus bookkeeping.
@@ -238,16 +338,11 @@ def calibrate(
     best_val = np.inf
     converged = False
     for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options=dict(xatol=_SIMPLEX_TOL, fatol=1e-14, maxfev=per_start),
-        )
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = np.clip(res.x, lo, hi)
-            converged = bool(res.success)
+        x, fun, success = _nelder_mead(objective, x0, per_start)
+        if fun < best_val:
+            best_val = fun
+            best_x = np.clip(x, lo, hi)
+            converged = success
 
     final_model = problem.model_from_params(best_x)
     final_loss = loss(problem, best_x)

@@ -24,7 +24,13 @@ from .analytic import (
     pure_drift_density,
 )
 from .density import write_density_csv
-from .errors import InfeasibleConfigError, InputDataError, SolverDivergenceError
+from .errors import (
+    InfeasibleConfigError,
+    InputDataError,
+    SolverDivergenceError,
+    require_float,
+    require_floats,
+)
 from .estimation import moment_series, regress_time_only_coefficients
 from .grid import Grid
 from .langevin import SdeSpec, SimPlan, simulate, write_ensemble_csv
@@ -82,17 +88,17 @@ def _simulate_inputs(raw: dict, path) -> tuple[SdeSpec, SimPlan]:
         raise InputDataError(f"{path}: x0 must be an object with kind and params")
     spec = SdeSpec(
         drift_kind=raw["drift"]["kind"],
-        drift_params=tuple(raw["drift"]["params"]),
+        drift_params=require_floats(raw["drift"]["params"], f"{path}: drift.params"),
         noise_kind=raw["noise"]["kind"],
-        noise_params=tuple(raw["noise"]["params"]),
+        noise_params=require_floats(raw["noise"]["params"], f"{path}: noise.params"),
     )
     plan = SimPlan(
         n_trajectories=raw["n_trajectories"],
-        dt=float(raw["dt"]),
-        horizon=float(raw["horizon"]),
+        dt=require_float(raw["dt"], f"{path}: dt"),
+        horizon=require_float(raw["horizon"], f"{path}: horizon"),
         stride=raw.get("stride", 1),
         x0_kind=x0["kind"],
-        x0_params=tuple(x0["params"]),
+        x0_params=require_floats(x0["params"], f"{path}: x0.params"),
         seed=raw.get("seed", 0),
     )
     return spec, plan

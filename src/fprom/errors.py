@@ -32,3 +32,22 @@ def require_integer(value, what: str) -> int:
     ):
         raise InfeasibleConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_float(value, what: str) -> float:
+    """value as a float, refused with an InputDataError naming what when
+    float() cannot read it (a list, an object, null or a non-numeric
+    string), so a malformed config field exits 2 instead of raising a
+    TypeError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InputDataError(f"{what} must be a number, got {value!r}") from None
+
+
+def require_floats(values, what: str) -> tuple[float, ...]:
+    """A list of numbers as a tuple of floats, each read by require_float
+    and named by its index."""
+    if not isinstance(values, (list, tuple)):
+        raise InputDataError(f"{what} must be a list of numbers, got {values!r}")
+    return tuple(require_float(v, f"{what}[{i}]") for i, v in enumerate(values))

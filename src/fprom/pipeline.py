@@ -39,6 +39,8 @@ from .errors import (
     InfeasibleConfigError,
     InputDataError,
     SolverDivergenceError,
+    require_float,
+    require_floats,
     require_integer,
 )
 from .estimation import (
@@ -242,26 +244,23 @@ class RunConfig:
             input_path = str(Path(base_dir) / input_path)
 
         _require_keys(raw["grid"], ("x_min", "x_max", "n_points"), "grid")
-        try:
-            x_min = float(raw["grid"].get("x_min", np.nan))
-            x_max = float(raw["grid"].get("x_max", np.nan))
-        except (TypeError, ValueError) as exc:
-            raise InputDataError(f"grid section: {exc}") from exc
+        x_min = require_float(raw["grid"].get("x_min", np.nan), "grid.x_min")
+        x_max = require_float(raw["grid"].get("x_max", np.nan), "grid.x_max")
         grid = Grid(x_min=x_min, x_max=x_max, n_points=raw["grid"].get("n_points", 0))
 
         _require_keys(raw["split"], ("train_end", "truncate_start"), "split")
         if "train_end" not in raw["split"]:
             raise InputDataError("split section needs train_end")
-        train_end = float(raw["split"]["train_end"])
+        train_end = require_float(raw["split"]["train_end"], "split.train_end")
         truncate_start = raw["split"].get("truncate_start")
         if truncate_start is not None:
-            truncate_start = float(truncate_start)
+            truncate_start = require_float(truncate_start, "split.truncate_start")
 
         _require_keys(raw["solver"], ("dt", "integrator", "boundary"), "solver")
         if "dt" not in raw["solver"]:
             raise InputDataError("solver section needs dt")
         defaulted = []
-        solver_kwargs = {"dt": float(raw["solver"]["dt"])}
+        solver_kwargs = {"dt": require_float(raw["solver"]["dt"], "solver.dt")}
         for key in ("integrator", "boundary"):
             if key in raw["solver"]:
                 solver_kwargs[key] = raw["solver"][key]
@@ -295,6 +294,9 @@ class RunConfig:
                 kwargs[key] = default
                 defaulted.append(key)
         kwargs["transform"] = TransformSpec(str(kwargs["transform"]))
+        kwargs["smoothing_lambda"] = require_float(
+            kwargs["smoothing_lambda"], "smoothing_lambda"
+        )
         if kwargs["bounds"] is not None:
             try:
                 kwargs["bounds"] = tuple(
@@ -305,12 +307,12 @@ class RunConfig:
                     "bounds must be a list of [lower, upper] pairs"
                 ) from exc
         if kwargs["weights"] is not None:
-            kwargs["weights"] = tuple(float(w) for w in kwargs["weights"])
+            kwargs["weights"] = require_floats(kwargs["weights"], "weights")
         if kwargs["fit_window"] is not None:
             window = kwargs["fit_window"]
             if not isinstance(window, (list, tuple)) or len(window) != 2:
                 raise InputDataError("fit_window must be a [lo, hi] pair")
-            kwargs["fit_window"] = (float(window[0]), float(window[1]))
+            kwargs["fit_window"] = require_floats(window, "fit_window")
 
         return cls(
             input_mode=input_mode,

@@ -1,5 +1,8 @@
+import importlib
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from fprom import (
     CalibrationProblem,
@@ -11,6 +14,7 @@ from fprom import (
     gaussian_density,
     loss,
 )
+from fprom.calibrate import _SIMPLEX_TOL, _nelder_mead
 from fprom.errors import InfeasibleConfigError
 
 
@@ -338,3 +342,155 @@ class TestCalibrate:
         problem = diffusion_problem()
         with pytest.raises(InfeasibleConfigError, match="optimizer"):
             calibrate(problem, optimizer="bfgs")
+
+
+def _recording(func):
+    points = []
+
+    def wrapped(x):
+        points.append(np.array(x, copy=True))
+        return func(x)
+
+    return wrapped, points
+
+
+def _scipy_nelder_mead(func, x0, maxfev):
+    res = minimize(
+        func,
+        x0,
+        method="Nelder-Mead",
+        options=dict(xatol=_SIMPLEX_TOL, fatol=1e-14, maxfev=maxfev),
+    )
+    return res.x, res.fun, res.success
+
+
+def _assert_matches_scipy(func, x0, maxfev):
+    """Both searches evaluate the same points in the same order and
+    return the same point, value and flag, bit for bit; returns the
+    points."""
+    ours, our_points = _recording(func)
+    theirs, their_points = _recording(func)
+    x, fun, ok = _nelder_mead(ours, x0, maxfev)
+    x_ref, fun_ref, ok_ref = _scipy_nelder_mead(theirs, x0, maxfev)
+    assert len(our_points) == len(their_points) <= maxfev
+    for a, b in zip(our_points, their_points):
+        assert a.tobytes() == b.tobytes()
+    assert x.tobytes() == x_ref.tobytes()
+    assert np.float64(fun).tobytes() == np.float64(fun_ref).tobytes()
+    assert ok is ok_ref
+    return our_points
+
+
+def _objective(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=n)
+    w = np.arange(1.0, n + 1.0)
+    if kind == "smooth":
+        return lambda x: float(np.sum(w * (x - c) ** 2) + 0.3 * x[0] * x[-1])
+    if kind == "rosenbrock":
+        return lambda x: float(
+            np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+            + (x[0] - c[0]) ** 2
+        )
+    if kind == "non_smooth":
+        return lambda x: float(np.sum(w * np.abs(x - c)))
+    if kind == "tied":
+        return lambda x: float(np.round(np.sum((x - c) ** 2), 1))
+    return lambda x: 1.0
+
+
+class TestNelderMeadMatchesScipy:
+    """The in-module search is scipy's non-adaptive Nelder-Mead."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "kind", ["smooth", "rosenbrock", "non_smooth", "tied", "constant"]
+    )
+    def test_every_budget(self, kind, n):
+        x0 = np.random.default_rng(100 + n).normal(size=n)
+        if n > 1:
+            x0[1] = 0.0
+        func = _objective(kind, n, seed=n)
+        for maxfev in [*range(1, 41), 60, 90, 120]:
+            _assert_matches_scipy(func, x0, maxfev)
+
+    @pytest.mark.parametrize(
+        "func, cut_step",
+        [
+            (lambda x: float(x[0] ** 2), lambda xbar, w: 3 * xbar - 2 * w),
+            (lambda x: float((x[0] - 0.99) ** 2), lambda xbar, w: 1.5 * xbar - 0.5 * w),
+            (lambda x: float((x[0] - 1.02) ** 2), lambda xbar, w: 0.5 * xbar + 0.5 * w),
+        ],
+        ids=["expansion", "outside_contraction", "inside_contraction"],
+    )
+    def test_budget_ends_inside_a_step(self, func, cut_step):
+        """From x0 = 1 the simplex is {1, 1.05}; the third evaluation is
+        the reflection 0.95 and the fourth the step that a budget of 3
+        cuts off, which stores nothing."""
+        points = _assert_matches_scipy(func, np.array([1.0]), 10)
+        assert points[2][0] == 2 * 1.0 - 1.05
+        assert points[3][0] == cut_step(1.0, 1.05)
+        x, fun, ok = _nelder_mead(func, np.array([1.0]), 3)
+        assert (x[0], fun, ok) == (1.0, func(np.array([1.0])), False)
+        _assert_matches_scipy(func, np.array([1.0]), 3)
+
+    @pytest.mark.parametrize("maxfev", [6, 7])
+    def test_budget_ends_inside_a_shrink(self, maxfev):
+        """A constant objective ties every value, so each step is a
+        reflection, an inside contraction and a shrink of both other
+        vertices; budgets 6 and 7 end the first shrink after one vertex
+        and exactly at its end."""
+        x0 = np.array([1.0, 2.0])
+        points = _assert_matches_scipy(lambda x: 1.0, x0, 20)
+        first = np.array([[1.0, 2.0], [1.05, 2.0], [1.0, 2.1]])
+        assert [p.tolist() for p in points[:3]] == first.tolist()
+        for k in (1, 2):
+            shrunk = first[0] + 0.5 * (first[k] - first[0])
+            assert points[4 + k].tobytes() == shrunk.tobytes()
+        _assert_matches_scipy(lambda x: 1.0, x0, maxfev)
+
+    def test_converged_only_below_the_budget(self):
+        func = _objective("smooth", 2, seed=0)
+        x0 = np.array([0.5, -0.5])
+        points = _assert_matches_scipy(func, x0, 10_000)
+        used = len(points)
+        x, _, ok = _nelder_mead(func, x0, used + 1)
+        assert ok
+        assert np.abs(x - _nelder_mead(func, x0, used)[0]).max() == 0.0
+        assert not _nelder_mead(func, x0, used)[2]
+
+
+def _cubic_problem():
+    """Cubic drift and cubic diffusion: 8 parameters, so a multistart
+    budget of 50 gives each start 6 evaluations, fewer than the 9 of a
+    first simplex."""
+    grid = Grid(-6.0, 8.0, 65)
+    f0 = drift_diffusion_density(grid, 1.0, 0.5, 0.4)
+    targets = tuple(
+        (t, drift_diffusion_density(grid, t, 0.5, 0.4)) for t in (1.5, 2.0)
+    )
+    solver = SolverConfig(
+        integrator="crank_nicolson", dt=0.1, record_times=(1.5, 2.0)
+    )
+    return CalibrationProblem(
+        initial_density=f0,
+        targets=targets,
+        drift_degree=3,
+        diff_degree=3,
+        bounds=((-1.0, 1.0),) * 4 + ((0.05, 1.0),) + ((-0.2, 0.2),) * 3,
+        solver=solver,
+    )
+
+
+@pytest.mark.parametrize(
+    "optimizer, budget, used",
+    [("random_multistart_nelder_mead", 50, 48), ("nelder_mead", 60, 60)],
+)
+def test_calibrate_matches_the_scipy_search(monkeypatch, optimizer, budget, used):
+    problem = _cubic_problem()
+    ours = calibrate(problem, optimizer=optimizer, budget=budget, seed=5)
+    module = importlib.import_module("fprom.calibrate")
+    monkeypatch.setattr(module, "_nelder_mead", _scipy_nelder_mead)
+    theirs = calibrate(problem, optimizer=optimizer, budget=budget, seed=5)
+    assert ours == theirs
+    assert ours.n_evaluations == used

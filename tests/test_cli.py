@@ -1,4 +1,9 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +136,40 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {key} must be an integer, got {value!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("dt", [0.01], "dt must be a number, got [0.01]"),
+            ("horizon", None, "horizon must be a number, got None"),
+            (
+                "drift",
+                {"kind": "constant", "params": [[1.0]]},
+                "drift.params[0] must be a number, got [1.0]",
+            ),
+            (
+                "noise",
+                {"kind": "constant", "params": 1.0},
+                "noise.params must be a list of numbers, got 1.0",
+            ),
+            (
+                "x0",
+                {"kind": "normal", "params": [0.0, "wide"]},
+                "x0.params[1] must be a number, got 'wide'",
+            ),
+        ],
+    )
+    def test_non_numeric_field_exits_2(
+        self, cli_workspace, tmp_path, capsys, key, value, message
+    ):
+        raw = json.loads((cli_workspace / "sim.json").read_text())
+        raw[key] = value
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "ens.csv"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sim.json"
         path.write_text('{"drift": 1, "volatility": 2}')
@@ -259,6 +298,34 @@ class TestTrainAndCalibrate:
         (tmp_path / "bad.json").write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert main(["train", "--config", str(tmp_path / "bad.json"), "--output-dir", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "artifact.json").exists()
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("split", "train_end"), [0.5], "split.train_end must be a number, got [0.5]"),
+            (("split", "truncate_start"), {}, "split.truncate_start must be a number, got {}"),
+            (("solver", "dt"), "fast", "solver.dt must be a number, got 'fast'"),
+            (("grid", "x_min"), None, "grid.x_min must be a number, got None"),
+            (("smoothing_lambda",), [1e-6], "smoothing_lambda must be a number, got [1e-06]"),
+            (("weights",), [[1.0]], "weights[0] must be a number, got [1.0]"),
+            (("weights",), 1.0, "weights must be a list of numbers, got 1.0"),
+            (("fit_window",), [0.0, [0.5]], "fit_window[1] must be a number, got [0.5]"),
+        ],
+    )
+    def test_non_numeric_field_exits_2(
+        self, cli_workspace, tmp_path, capsys, path, value, message
+    ):
+        raw = json.loads((cli_workspace / "run.json").read_text())
+        raw["input"]["path"] = str(cli_workspace / "ensemble.csv")
+        section = raw
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        (tmp_path / "bad.json").write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(tmp_path / "bad.json"), "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "artifact.json").exists()
 
@@ -476,3 +543,51 @@ class TestOracle:
         )
         assert code == 4
         assert "sigma2" in capsys.readouterr().err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_FRESH_PROCESS = """
+import json, sys
+import fprom.cli
+after_import = "scipy.optimize" in sys.modules
+code = fprom.cli.main(["simulate", "--config", sys.argv[1], "--output", sys.argv[2]])
+print(json.dumps([after_import, code, "scipy.optimize" in sys.modules]))
+"""
+
+
+class TestImportCost:
+    """scipy.optimize costs about a fifth of a second to import, and
+    fprom needs none of it."""
+
+    def test_cli_process_never_loads_scipy_optimize(self, cli_workspace, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        out = tmp_path / "ens.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_PROCESS, str(cli_workspace / "sim.json"), str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False, 0, False]
+        assert out.exists()
+
+    def test_no_module_imports_scipy_optimize(self):
+        imported = []
+        for path in sorted((SRC / "fprom").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                imported += [(path.name, n) for n in names if n.startswith("scipy.optimize")]
+        assert imported == []
