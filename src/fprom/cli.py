@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -30,15 +29,18 @@ from .errors import (
     SolverDivergenceError,
     require_float,
     require_floats,
+    require_keys,
 )
-from .estimation import moment_series, regress_time_only_coefficients
 from .grid import Grid
 from .langevin import SdeSpec, SimPlan, simulate, write_ensemble_csv
 from .pipeline import (
+    PUSHFORWARD_SAMPLES,
     RunConfig,
     SolverSettings,
     ingest,
     load_artifact,
+    load_json_object,
+    moment_regression,
     resolve_output_dir,
     run_predict,
     run_train,
@@ -49,63 +51,40 @@ from .pipeline import (
 __all__ = ["main", "build_parser"]
 
 
-def _load_json(path) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputDataError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise InputDataError(f"{path}: config must be a JSON object")
-    return raw
-
-
 def _simulate_inputs(raw: dict, path) -> tuple[SdeSpec, SimPlan]:
-    allowed = (
-        "drift",
-        "noise",
-        "n_trajectories",
-        "dt",
-        "horizon",
-        "stride",
-        "x0",
-        "seed",
-    )
-    unknown = sorted(set(raw) - set(allowed))
-    if unknown:
-        raise InputDataError(f"{path}: unknown key(s): {', '.join(unknown)}")
-    for key in ("drift", "noise", "n_trajectories", "dt", "horizon"):
-        if key not in raw:
-            raise InputDataError(f"{path}: missing key {key!r}")
-    for key in ("drift", "noise"):
-        section = raw[key]
-        if not isinstance(section, dict) or set(section) != {"kind", "params"}:
-            raise InputDataError(
-                f"{path}: {key} must be an object with kind and params"
-            )
-    x0 = raw.get("x0", {"kind": "point", "params": [0.0]})
-    if not isinstance(x0, dict) or set(x0) != {"kind", "params"}:
-        raise InputDataError(f"{path}: x0 must be an object with kind and params")
-    spec = SdeSpec(
-        drift_kind=raw["drift"]["kind"],
-        drift_params=require_floats(raw["drift"]["params"], f"{path}: drift.params"),
-        noise_kind=raw["noise"]["kind"],
-        noise_params=require_floats(raw["noise"]["params"], f"{path}: noise.params"),
-    )
-    plan = SimPlan(
-        n_trajectories=raw["n_trajectories"],
-        dt=require_float(raw["dt"], f"{path}: dt"),
-        horizon=require_float(raw["horizon"], f"{path}: horizon"),
-        stride=raw.get("stride", 1),
-        x0_kind=x0["kind"],
-        x0_params=require_floats(x0["params"], f"{path}: x0.params"),
-        seed=raw.get("seed", 0),
-    )
+    try:
+        require_keys(
+            raw,
+            "config",
+            ("drift", "noise", "n_trajectories", "dt", "horizon"),
+            allowed=("stride", "x0", "seed"),
+        )
+        drift = require_keys(raw["drift"], "drift", ("kind", "params"))
+        noise = require_keys(raw["noise"], "noise", ("kind", "params"))
+        x0 = raw.get("x0", {"kind": "point", "params": [0.0]})
+        require_keys(x0, "x0", ("kind", "params"))
+        spec = SdeSpec(
+            drift_kind=drift["kind"],
+            drift_params=require_floats(drift["params"], "drift.params"),
+            noise_kind=noise["kind"],
+            noise_params=require_floats(noise["params"], "noise.params"),
+        )
+        plan = SimPlan(
+            n_trajectories=raw["n_trajectories"],
+            dt=require_float(raw["dt"], "dt"),
+            horizon=require_float(raw["horizon"], "horizon"),
+            stride=raw.get("stride", 1),
+            x0_kind=x0["kind"],
+            x0_params=require_floats(x0["params"], "x0.params"),
+            seed=raw.get("seed", 0),
+        )
+    except InputDataError as exc:
+        raise InputDataError(f"{path}: {exc}") from None
     return spec, plan
 
 
 def _cmd_simulate(args) -> int:
-    spec, plan = _simulate_inputs(_load_json(args.config), args.config)
+    spec, plan = _simulate_inputs(load_json_object(args.config), args.config)
     if args.seed is not None:
         plan = dataclasses.replace(plan, seed=args.seed)
     ens = simulate(spec, plan)
@@ -125,18 +104,9 @@ def _cmd_estimate(args) -> int:
     if config.input_mode != "ensemble":
         raise InfeasibleConfigError("estimate requires ensemble input")
     training, _ = split(ingest(config), config.train_end, config.truncate_start)
-    series = moment_series(training)
-    window = config.fit_window
-    if window is None:
-        window = (float(series.times[0]), float(series.times[-1]))
-    model = regress_time_only_coefficients(
-        series,
-        fit_window=window,
-        drift_degree=config.drift_degree,
-        diff_degree=config.diff_degree,
-    )
+    model = moment_regression(config, training)
     lines = [f"{k}={v}" for k, v in config.report_items()]
-    lines.append(f"n_training_times={series.times.size}")
+    lines.append(f"n_training_times={training.times.size}")
     lines.append(f"drift_poly={list(model.drift_poly)!r}")
     lines.append(f"diff_poly={list(model.diff_poly)!r}")
     out = resolve_output_dir(args.output_dir, config.output_dir)
@@ -173,15 +143,10 @@ def _cmd_calibrate(args) -> int:
 
 
 def _solver_settings(args, fallback: SolverSettings | None = None) -> SolverSettings:
-    if args.dt is None:
-        if fallback is None:
-            raise InfeasibleConfigError("--dt is required")
-        dt = fallback.dt
-    else:
-        dt = args.dt
-    base = fallback or SolverSettings(dt=dt)
+    """Flags over fallback; predict has no fallback but requires --dt."""
+    base = fallback or SolverSettings(dt=args.dt)
     return SolverSettings(
-        dt=dt,
+        dt=base.dt if args.dt is None else args.dt,
         integrator=args.integrator or base.integrator,
         boundary=args.boundary or base.boundary,
     )
@@ -294,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--integrator", choices=("explicit_rk4", "crank_nicolson"))
     p.add_argument("--boundary", choices=("zero_flux", "zero_dirichlet"))
-    p.add_argument("--pushforward-samples", type=int, default=100_000)
+    p.add_argument("--pushforward-samples", type=int, default=PUSHFORWARD_SAMPLES)
     p.add_argument("--output-dir", help="where to write density CSVs")
     p.set_defaults(handler=_cmd_predict)
 

@@ -34,6 +34,16 @@ def require_integer(value, what: str) -> int:
     return int(value)
 
 
+def require_seed(value) -> int:
+    """The seed as an int, refused unless in [0, 2**63): Philox reads a
+    larger or negative key modulo 2**64 (or overflows), so two seeds
+    would share a stream."""
+    seed = require_integer(value, "seed")
+    if not 0 <= seed < 2**63:
+        raise InfeasibleConfigError("seed must be in [0, 2**63)")
+    return seed
+
+
 def require_float(value, what: str) -> float:
     """value as a float, refused with an InputDataError naming what when
     float() cannot read it (a list, an object, null or a non-numeric
@@ -51,3 +61,20 @@ def require_floats(values, what: str) -> tuple[float, ...]:
     if not isinstance(values, (list, tuple)):
         raise InputDataError(f"{what} must be a list of numbers, got {values!r}")
     return tuple(require_float(v, f"{what}[{i}]") for i, v in enumerate(values))
+
+
+def require_keys(section, where: str, required=(), allowed=()) -> dict:
+    """section itself, refused with an InputDataError unless it is a
+    JSON object (None reads as a missing section) holding every key in
+    required and no key outside required and allowed."""
+    if section is None:
+        raise InputDataError(f"config is missing the {where!r} section")
+    if not isinstance(section, dict):
+        raise InputDataError(f"{where} must be a JSON object")
+    unknown = sorted(set(section) - set(required) - set(allowed))
+    if unknown:
+        raise InputDataError(f"unknown {where} key(s): {', '.join(unknown)}")
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise InputDataError(f"{where} section needs {' and '.join(missing)}")
+    return section

@@ -27,6 +27,7 @@ from .errors import (
     InputDataError,
     SolverDivergenceError,
     require_integer,
+    require_seed,
 )
 from .estimation import TrajectoryEnsemble
 from .grid import Grid
@@ -69,16 +70,6 @@ _DRAW_ROWS = 8
 _DRAW_DOUBLES = 16_000
 
 _ENSEMBLE_DTYPE = np.dtype([("traj_id", np.int64), ("t", float), ("x", float)])
-
-
-def _check_seed(seed) -> int:
-    """The seed as an int, refused unless in [0, 2**63): Philox reads a
-    larger or negative key modulo 2**64 (or overflows), so two seeds
-    would share a stream."""
-    seed = require_integer(seed, "seed")
-    if not 0 <= seed < 2**63:
-        raise InfeasibleConfigError("seed must be in [0, 2**63)")
-    return seed
 
 
 @dataclass(frozen=True)
@@ -163,7 +154,7 @@ class SimPlan:
                 f"x0 kind {self.x0_kind!r} takes {want} finite parameter(s)"
             )
         object.__setattr__(self, "x0_params", params)
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "seed", require_seed(self.seed))
 
     @property
     def n_steps(self) -> int:

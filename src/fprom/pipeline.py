@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,8 @@ from .errors import (
     require_float,
     require_floats,
     require_integer,
+    require_keys,
+    require_seed,
 )
 from .estimation import (
     MomentSeries,
@@ -50,7 +52,7 @@ from .estimation import (
     regress_time_only_coefficients,
 )
 from .grid import Grid
-from .langevin import _check_seed, _read_ensemble_arrays, ensemble_to_densities
+from .langevin import _read_ensemble_arrays, ensemble_to_densities
 from .sampling import TransformSpec, pushforward_density
 from .solver import SolverConfig, solve
 
@@ -81,7 +83,7 @@ _ARTIFACT_FORMAT = "fprom-artifact-v1"
 _DEFAULT_DRIFT_BOUND = (-2.0, 2.0)
 _DEFAULT_DIFF_BOUND = (1e-5, 2.0)
 
-_PUSHFORWARD_SAMPLES = 100_000
+PUSHFORWARD_SAMPLES = 100_000
 
 _TIME_TOL = 1e-9
 
@@ -127,10 +129,18 @@ class SolverSettings:
         )
 
 
-def _require_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise InputDataError(f"unknown {where} key(s): {', '.join(unknown)}")
+def load_json_object(path) -> dict:
+    """The JSON object held in the file at path; invalid JSON (bytes
+    that are not UTF-8 too) or any other JSON value is refused with an
+    InputDataError naming path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputDataError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise InputDataError(f"{path}: not a JSON object")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -203,101 +213,65 @@ class RunConfig:
                 "density-list inputs are taken as already being in model "
                 "coordinates; transform must be identity"
             )
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "seed", require_seed(self.seed))
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path | None = None) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise InputDataError("run config must be a JSON object")
-        top_allowed = (
-            "input",
-            "grid",
-            "split",
-            "solver",
-            "transform",
-            "method",
-            "drift_degree",
-            "diff_degree",
-            "smoothing_lambda",
-            "bounds",
-            "weights",
-            "distance",
-            "optimizer",
-            "budget",
-            "fit_window",
-            "output_dir",
-            "seed",
-        )
-        _require_keys(raw, top_allowed, "config")
-        for key in ("input", "grid", "split", "solver"):
-            if key not in raw:
-                raise InputDataError(f"run config is missing the {key!r} section")
-            if not isinstance(raw[key], dict):
-                raise InputDataError(f"config section {key!r} must be an object")
+        # every field with a default, bar truncate_start (a split key) and
+        # defaulted, is an optional top-level key; absent ones keep it
+        optional = [
+            f
+            for f in fields(cls)
+            if f.default is not MISSING
+            and f.name not in ("truncate_start", "defaulted")
+        ]
+        sections = ("input", "grid", "split", "solver")
+        require_keys(raw, "config", allowed=sections + tuple(f.name for f in optional))
 
-        _require_keys(raw["input"], ("mode", "path"), "input")
-        if "mode" not in raw["input"] or "path" not in raw["input"]:
-            raise InputDataError("input section needs both mode and path")
-        input_mode = raw["input"]["mode"]
-        input_path = str(raw["input"]["path"])
+        section = require_keys(raw.get("input"), "input", ("mode", "path"))
+        input_mode = section["mode"]
+        input_path = str(section["path"])
         if base_dir is not None and not os.path.isabs(input_path):
             input_path = str(Path(base_dir) / input_path)
 
-        _require_keys(raw["grid"], ("x_min", "x_max", "n_points"), "grid")
-        x_min = require_float(raw["grid"].get("x_min", np.nan), "grid.x_min")
-        x_max = require_float(raw["grid"].get("x_max", np.nan), "grid.x_max")
-        grid = Grid(x_min=x_min, x_max=x_max, n_points=raw["grid"].get("n_points", 0))
+        section = require_keys(
+            raw.get("grid"), "grid", allowed=("x_min", "x_max", "n_points")
+        )
+        x_min = require_float(section.get("x_min", np.nan), "grid.x_min")
+        x_max = require_float(section.get("x_max", np.nan), "grid.x_max")
+        grid = Grid(x_min=x_min, x_max=x_max, n_points=section.get("n_points", 0))
 
-        _require_keys(raw["split"], ("train_end", "truncate_start"), "split")
-        if "train_end" not in raw["split"]:
-            raise InputDataError("split section needs train_end")
-        train_end = require_float(raw["split"]["train_end"], "split.train_end")
-        truncate_start = raw["split"].get("truncate_start")
-        if truncate_start is not None:
-            truncate_start = require_float(truncate_start, "split.truncate_start")
-
-        _require_keys(raw["solver"], ("dt", "integrator", "boundary"), "solver")
-        if "dt" not in raw["solver"]:
-            raise InputDataError("solver section needs dt")
         defaulted = []
-        solver_kwargs = {"dt": require_float(raw["solver"]["dt"], "solver.dt")}
+        section = require_keys(
+            raw.get("solver"), "solver", ("dt",), allowed=("integrator", "boundary")
+        )
+        solver_kwargs = {"dt": require_float(section["dt"], "solver.dt")}
         for key in ("integrator", "boundary"):
-            if key in raw["solver"]:
-                solver_kwargs[key] = raw["solver"][key]
+            if key in section:
+                solver_kwargs[key] = section[key]
             else:
                 defaulted.append(f"solver.{key}")
         solver = SolverSettings(**solver_kwargs)
 
-        if "truncate_start" not in raw["split"]:
+        section = require_keys(
+            raw.get("split"), "split", ("train_end",), allowed=("truncate_start",)
+        )
+        train_end = require_float(section["train_end"], "split.train_end")
+        truncate_start = section.get("truncate_start")
+        if truncate_start is not None:
+            truncate_start = require_float(truncate_start, "split.truncate_start")
+        if "truncate_start" not in section:
             defaulted.append("split.truncate_start")
 
-        kwargs = {}
-        optional = {
-            "transform": "identity",
-            "method": "loss_minimization",
-            "drift_degree": 0,
-            "diff_degree": 0,
-            "smoothing_lambda": 1e-6,
-            "bounds": None,
-            "weights": None,
-            "distance": "kl",
-            "optimizer": "random_multistart_nelder_mead",
-            "budget": 500,
-            "fit_window": None,
-            "output_dir": None,
-            "seed": 0,
-        }
-        for key, default in optional.items():
-            if key in raw:
-                kwargs[key] = raw[key]
-            else:
-                kwargs[key] = default
-                defaulted.append(key)
-        kwargs["transform"] = TransformSpec(str(kwargs["transform"]))
-        kwargs["smoothing_lambda"] = require_float(
-            kwargs["smoothing_lambda"], "smoothing_lambda"
-        )
-        if kwargs["bounds"] is not None:
+        kwargs = {f.name: raw[f.name] for f in optional if f.name in raw}
+        defaulted.extend(f.name for f in optional if f.name not in raw)
+        if "transform" in kwargs:
+            kwargs["transform"] = TransformSpec(str(kwargs["transform"]))
+        if "smoothing_lambda" in kwargs:
+            kwargs["smoothing_lambda"] = require_float(
+                kwargs["smoothing_lambda"], "smoothing_lambda"
+            )
+        if kwargs.get("bounds") is not None:
             try:
                 kwargs["bounds"] = tuple(
                     (float(a), float(b)) for a, b in kwargs["bounds"]
@@ -306,9 +280,9 @@ class RunConfig:
                 raise InputDataError(
                     "bounds must be a list of [lower, upper] pairs"
                 ) from exc
-        if kwargs["weights"] is not None:
+        if kwargs.get("weights") is not None:
             kwargs["weights"] = require_floats(kwargs["weights"], "weights")
-        if kwargs["fit_window"] is not None:
+        if kwargs.get("fit_window") is not None:
             window = kwargs["fit_window"]
             if not isinstance(window, (list, tuple)) or len(window) != 2:
                 raise InputDataError("fit_window must be a [lo, hi] pair")
@@ -329,12 +303,7 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         """Load a JSON run config; relative input paths resolve against
         the config file's directory."""
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputDataError(f"{path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(raw, base_dir=Path(path).parent)
+        return cls.from_dict(load_json_object(path), base_dir=Path(path).parent)
 
     def report_items(self) -> list[tuple[str, str]]:
         """Effective settings as ordered key=value material."""
@@ -394,7 +363,7 @@ class RomArtifact:
             raise InfeasibleConfigError(f"unknown calibration method {self.method!r}")
         object.__setattr__(self, "train_window", (first, last))
         object.__setattr__(self, "loss", float(self.loss))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "seed", require_seed(self.seed))
 
 
 def save_artifact(artifact: RomArtifact, path) -> None:
@@ -429,16 +398,13 @@ def save_artifact(artifact: RomArtifact, path) -> None:
 
 
 def load_artifact(path) -> RomArtifact:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputDataError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("format") != _ARTIFACT_FORMAT:
+    payload = load_json_object(path)
+    if payload.get("format") != _ARTIFACT_FORMAT:
         raise InputDataError(f"{path}: not a {_ARTIFACT_FORMAT} file")
-    _require_keys(
+    require_keys(
         payload,
-        (
+        "artifact",
+        allowed=(
             "format",
             "tool_version",
             "grid",
@@ -448,7 +414,6 @@ def load_artifact(path) -> RomArtifact:
             "initial_density",
             "metadata",
         ),
-        "artifact",
     )
     try:
         grid = Grid(**payload["grid"])
@@ -617,6 +582,22 @@ def _train_moment_series(training) -> MomentSeries:
     )
 
 
+def moment_regression(config: RunConfig, training) -> CoefficientModel:
+    """Regress drift and diffusion polynomials on the training side's
+    mean and variance over config.fit_window (default: the whole
+    training span)."""
+    series = _train_moment_series(training)
+    window = config.fit_window
+    if window is None:
+        window = (float(series.times[0]), float(series.times[-1]))
+    return regress_time_only_coefficients(
+        series,
+        fit_window=window,
+        drift_degree=config.drift_degree,
+        diff_degree=config.diff_degree,
+    )
+
+
 def _default_bounds(config: RunConfig) -> tuple[tuple[float, float], ...]:
     return (_DEFAULT_DRIFT_BOUND,) * (config.drift_degree + 1) + (
         _DEFAULT_DIFF_BOUND,
@@ -664,16 +645,7 @@ def run_train(config: RunConfig, output_dir=None):
         extra.append(("n_evaluations", _fmt(result.n_evaluations)))
         extra.append(("converged", _fmt(result.converged)))
     else:
-        series = _train_moment_series(training)
-        window = config.fit_window
-        if window is None:
-            window = (float(series.times[0]), float(series.times[-1]))
-        model = regress_time_only_coefficients(
-            series,
-            fit_window=window,
-            drift_degree=config.drift_degree,
-            diff_degree=config.diff_degree,
-        )
+        model = moment_regression(config, training)
         # score the regressed model with the same loss for comparability
         final_loss = loss(
             problem, np.asarray(model.drift_poly + model.diff_poly)
@@ -713,7 +685,7 @@ def run_predict(
     record_times,
     solver: SolverSettings,
     output_dir=None,
-    pushforward_samples: int = _PUSHFORWARD_SAMPLES,
+    pushforward_samples: int = PUSHFORWARD_SAMPLES,
 ):
     """Propagate the artifact forward and export per-time densities.
 

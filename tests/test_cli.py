@@ -170,6 +170,31 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("horizon", None, "config section needs horizon"),
+            ("volatility", 2.0, "unknown config key(s): volatility"),
+            ("drift", {"kind": "constant"}, "drift section needs params"),
+            ("noise", {"kind": "constant", "params": [1.0], "scale": 2}, "unknown noise key(s): scale"),
+            ("x0", [0.0, 1.0], "x0 must be a JSON object"),
+        ],
+    )
+    def test_key_errors_name_the_file(
+        self, cli_workspace, tmp_path, capsys, key, value, message
+    ):
+        raw = json.loads((cli_workspace / "sim.json").read_text())
+        if value is None:
+            del raw[key]
+        else:
+            raw[key] = value
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "ens.csv"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sim.json"
         path.write_text('{"drift": 1, "volatility": 2}')
@@ -198,6 +223,26 @@ class TestEstimate:
         assert "drift_poly=" in report
         assert "n_training_times=3" in report
         assert "drift_poly=" in capsys.readouterr().out
+
+    def test_matches_moment_regression_train(self, cli_workspace, tmp_path, capsys):
+        """estimate and train with method moment_regression run one fit."""
+        config = str(cli_workspace / "run.json")
+        printed = {}
+        for command, report in (
+            ("estimate", "estimate_report.txt"),
+            ("train", "run_report.txt"),
+        ):
+            out = tmp_path / command
+            assert main([command, "--config", config, "--output-dir", str(out)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            lines += (out / report).read_text().splitlines()
+            printed[command] = [
+                line
+                for line in lines
+                if line.startswith(("drift_poly=", "diff_poly=", "n_training_times="))
+            ]
+        assert len(printed["estimate"]) == 5
+        assert printed["estimate"] == printed["train"]
 
     def test_rejects_density_inputs(self, tmp_path, capsys):
         grid = Grid(-8.0, 8.0, 129)
@@ -543,6 +588,41 @@ class TestOracle:
         )
         assert code == 4
         assert "sigma2" in capsys.readouterr().err
+
+
+class TestJsonInputs:
+    """The simulation config, the run config and the artifact are read
+    by one loader, which names the file it refuses."""
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"{not json", "invalid JSON"),
+            (b"\xff\xfe{}", "invalid JSON"),
+            (b"[1, 2]", "not a JSON object"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "{path}", "--output", "ens.csv"],
+            ["train", "--config", "{path}", "--output-dir", "out"],
+            ["predict", "--artifact", "{path}", "--horizon", "1.0", "--times", "1.0",
+             "--dt", "0.05", "--output-dir", "out"],
+        ],
+        ids=["simulate", "train", "predict"],
+    )
+    def test_bad_json_exits_2_naming_the_file(
+        self, tmp_path, capsys, argv, content, message
+    ):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        assert main([arg.format(path=path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "ens.csv").exists()
+        assert not (tmp_path / "out").exists()
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -101,6 +101,63 @@ class TestRunConfig:
         assert "solver.integrator" in config.defaulted
         assert "budget" not in config.defaulted
 
+    def test_defaulted_follows_field_order(self, workspace):
+        raw = {
+            "input": {"mode": "ensemble", "path": "x.csv"},
+            "grid": {"x_min": -5.0, "x_max": 5.0, "n_points": 129},
+            "split": {"train_end": 0.5},
+            "solver": {"dt": 0.05},
+        }
+        config = RunConfig.from_dict(raw)
+        assert config.defaulted == (
+            "solver.integrator",
+            "solver.boundary",
+            "split.truncate_start",
+            "transform",
+            "method",
+            "drift_degree",
+            "diff_degree",
+            "smoothing_lambda",
+            "bounds",
+            "weights",
+            "distance",
+            "optimizer",
+            "budget",
+            "fit_window",
+            "output_dir",
+            "seed",
+        )
+        assert config == RunConfig(
+            input_mode="ensemble",
+            input_path="x.csv",
+            grid=Grid(-5.0, 5.0, 129),
+            train_end=0.5,
+            solver=SolverSettings(dt=0.05),
+            defaulted=config.defaulted,
+        )
+
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("input", {"mode": "ensemble"}, "input section needs path"),
+            ("input", {}, "input section needs mode and path"),
+            ("split", {}, "split section needs train_end"),
+            ("grid", [1.0], "grid must be a JSON object"),
+            ("split", None, "config is missing the 'split' section"),
+        ],
+    )
+    def test_section_key_errors(self, workspace, section, value, message):
+        raw = {
+            "input": {"mode": "ensemble", "path": "x.csv"},
+            "grid": {"x_min": -5.0, "x_max": 5.0, "n_points": 129},
+            "split": {"train_end": 0.5},
+            "solver": {"dt": 0.05},
+        }
+        raw[section] = value
+        with pytest.raises(InputDataError) as info:
+            RunConfig.from_dict(raw)
+        assert str(info.value) == message
+
     def test_unknown_top_level_key(self, workspace):
         with pytest.raises(InputDataError, match="unknown config key"):
             ensemble_config(workspace, typo_key=1)
