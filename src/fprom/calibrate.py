@@ -23,12 +23,13 @@ so results do not depend on the version of scipy's optimiser.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .coefficients import MAX_DEGREE, CoefficientModel
-from .density import DensityField, kl_divergence
+from .density import DensityField, kl_divergence_rows
 from .errors import InfeasibleConfigError
 from .solver import SolverConfig, solve
 
@@ -153,18 +154,32 @@ class CalibrationProblem:
     def horizon(self) -> tuple[float, float]:
         return self.initial_density.time_stamp, self.targets[-1][0]
 
+    @cached_property
+    def _scored(self) -> tuple[list[int], list[float], np.ndarray]:
+        """Indices and weights of the targets with nonzero weight, and
+        their values stacked as one read-only (m, n) array."""
+        rows = [i for i, w in enumerate(self.weights) if w != 0.0]
+        values = np.stack([self.targets[i][1].values for i in rows])
+        values.flags.writeable = False
+        return rows, [self.weights[i] for i in rows], values
 
-def _l2(p: DensityField, q: DensityField) -> float:
-    diff = p.values - q.values
-    return float(np.sqrt(np.trapezoid(diff * diff, p.grid.nodes)))
+
+def _l2_rows(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> list[float]:
+    """Trapezoidal L2 distance of each row pair of two (m, n) arrays."""
+    diff = p - q
+    return np.sqrt(np.trapezoid(diff * diff, x)).tolist()
 
 
 def loss(problem: CalibrationProblem, params) -> float:
     """Weighted density distance of the forward solve to the targets.
 
-    Negative diffusion anywhere on the horizon returns
-    1e6 + |worst violation|; a diverged solve returns 1e6. The value
-    is deterministic: repeated calls agree bit for bit.
+    One solve records every target time; then all targets with nonzero
+    weight are scored in one pass over ``trace.states`` (KL(target ||
+    predicted) by ``kl_divergence_rows``, or the L2 distance) and the
+    weighted distances are summed in target order. Negative diffusion
+    anywhere on the horizon returns 1e6 + |worst violation|; a
+    diverged solve returns 1e6. The value is deterministic: repeated
+    calls agree bit for bit.
     """
     model = problem.model_from_params(params)
     t0, t_end = problem.horizon()
@@ -174,16 +189,13 @@ def loss(problem: CalibrationProblem, params) -> float:
     trace = solve(problem.initial_density, model, problem.solver)
     if trace.diverged:
         return PENALTY_FLOOR
+    rows, weights, targets = problem._scored
+    distance = kl_divergence_rows if problem.distance == "kl" else _l2_rows
     total = 0.0
-    for w, (_, target), predicted in zip(
-        problem.weights, problem.targets, trace.snapshots
+    for w, d in zip(
+        weights, distance(targets, trace.states[rows], problem.initial_density.grid.nodes)
     ):
-        if w == 0.0:
-            continue
-        if problem.distance == "kl":
-            total += w * kl_divergence(target, predicted)
-        else:
-            total += w * _l2(target, predicted)
+        total += w * d
     return total
 
 

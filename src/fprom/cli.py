@@ -61,22 +61,23 @@ def _simulate_inputs(raw: dict, path) -> tuple[SdeSpec, SimPlan]:
         )
         drift = require_keys(raw["drift"], "drift", ("kind", "params"))
         noise = require_keys(raw["noise"], "noise", ("kind", "params"))
-        x0 = raw.get("x0", {"kind": "point", "params": [0.0]})
-        require_keys(x0, "x0", ("kind", "params"))
+        if "x0" in raw:
+            require_keys(raw["x0"], "x0", ("kind", "params"))
         spec = SdeSpec(
             drift_kind=drift["kind"],
             drift_params=require_floats(drift["params"], "drift.params"),
             noise_kind=noise["kind"],
             noise_params=require_floats(noise["params"], "noise.params"),
         )
+        dt = require_float(raw["dt"], "dt")
+        horizon = require_float(raw["horizon"], "horizon")
+        # keys the config leaves out take SimPlan's defaults
+        optional = {key: raw[key] for key in ("stride", "seed") if key in raw}
+        if "x0" in raw:
+            optional["x0_kind"] = raw["x0"]["kind"]
+            optional["x0_params"] = require_floats(raw["x0"]["params"], "x0.params")
         plan = SimPlan(
-            n_trajectories=raw["n_trajectories"],
-            dt=require_float(raw["dt"], "dt"),
-            horizon=require_float(raw["horizon"], "horizon"),
-            stride=raw.get("stride", 1),
-            x0_kind=x0["kind"],
-            x0_params=require_floats(x0["params"], "x0.params"),
-            seed=raw.get("seed", 0),
+            n_trajectories=raw["n_trajectories"], dt=dt, horizon=horizon, **optional
         )
     except InputDataError as exc:
         raise InputDataError(f"{path}: {exc}") from None

@@ -25,6 +25,7 @@ __all__ = [
     "auto_bandwidth",
     "moments",
     "kl_divergence",
+    "kl_divergence_rows",
     "l1_distance",
     "tikhonov_smooth",
     "write_density_csv",
@@ -234,18 +235,30 @@ def kl_divergence(p: DensityField, q: DensityField) -> float:
 
     Nodes where p <= 1e-12 contribute zero. Both densities must be on
     the same grid and normalized (mass within 1e-3 of 1). The result is
-    clamped at zero so quadrature noise cannot go negative.
+    clamped at zero so quadrature noise cannot go negative. This is one
+    row of kl_divergence_rows, which scores many pairs in one pass.
     """
     _require_comparable(p, q)
-    for f in (p, q):
-        if abs(f.mass - 1.0) > 1e-3:
-            raise ValueError(f"unnormalized density: mass {f.mass!r}")
-    pv = p.values
-    qv = q.values + KL_FLOOR
-    ratio = np.ones_like(pv)
-    np.divide(pv, qv, out=ratio, where=pv > KL_FLOOR)
-    integrand = np.where(pv > KL_FLOOR, pv * np.log(ratio), 0.0)
-    return max(float(np.trapezoid(integrand, p.grid.nodes)), 0.0)
+    return kl_divergence_rows(p.values[None], q.values[None], p.grid.nodes)[0]
+
+
+def kl_divergence_rows(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> list[float]:
+    """KL(p[i] || q[i]) for each row pair of two (m, n) arrays on nodes x.
+
+    Row for row the arithmetic of kl_divergence, which calls it. Before
+    scoring, the trapezoidal mass of every row is checked in order,
+    p's before q's, and the first one off 1 by more than 1e-3 raises
+    ValueError.
+    """
+    for masses in zip(np.trapezoid(p, x).tolist(), np.trapezoid(q, x).tolist()):
+        for mass in masses:
+            if abs(mass - 1.0) > 1e-3:
+                raise ValueError(f"unnormalized density: mass {mass!r}")
+    support = p > KL_FLOOR
+    ratio = np.ones_like(p)
+    np.divide(p, q + KL_FLOOR, out=ratio, where=support)
+    integrand = np.where(support, p * np.log(ratio), 0.0)
+    return [max(v, 0.0) for v in np.trapezoid(integrand, x).tolist()]
 
 
 def l1_distance(p: DensityField, q: DensityField) -> float:

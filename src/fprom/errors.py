@@ -63,6 +63,15 @@ def require_floats(values, what: str) -> tuple[float, ...]:
     return tuple(require_float(v, f"{what}[{i}]") for i, v in enumerate(values))
 
 
+def require_string(value, what: str) -> str:
+    """value itself, refused with an InputDataError naming what unless it
+    is a string, so a list, object or number where a config names a kind
+    exits 2 instead of raising a TypeError."""
+    if not isinstance(value, str):
+        raise InputDataError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def require_keys(section, where: str, required=(), allowed=()) -> dict:
     """section itself, refused with an InputDataError unless it is a
     JSON object (None reads as a missing section) holding every key in

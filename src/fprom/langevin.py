@@ -28,6 +28,7 @@ from .errors import (
     SolverDivergenceError,
     require_integer,
     require_seed,
+    require_string,
 )
 from .estimation import TrajectoryEnsemble
 from .grid import Grid
@@ -86,6 +87,7 @@ class SdeSpec:
             (self.drift_kind, self.drift_params, DRIFT_KINDS, "drift"),
             (self.noise_kind, self.noise_params, NOISE_KINDS, "noise"),
         ):
+            require_string(kind, f"{label}.kind")
             if kind not in registry:
                 raise InfeasibleConfigError(
                     f"unknown {label} kind {kind!r}; known: {sorted(registry)}"
@@ -145,7 +147,7 @@ class SimPlan:
                 f"step count {n_steps} not divisible by stride {self.stride}; "
                 "the final time would go unrecorded"
             )
-        if self.x0_kind not in X0_KINDS:
+        if require_string(self.x0_kind, "x0.kind") not in X0_KINDS:
             raise InfeasibleConfigError(f"unknown x0 kind {self.x0_kind!r}")
         want = 1 if self.x0_kind == "point" else 2
         params = tuple(float(v) for v in self.x0_params)

@@ -12,20 +12,28 @@ are tridiagonal, held in LAPACK band storage, cached per
 
 Two integrators: classical explicit RK4, with hard diffusion and
 advection stability checks, applying A by a tridiagonal matrix-vector
-product; and Crank-Nicolson, solving its left-hand band each step with
-LAPACK ``?gtsv``, fetched once per solve and called directly.
+product; and Crank-Nicolson. D1 and D2 are evaluated once per solve
+for all step times. With constant coefficients the Crank-Nicolson
+left-hand band is factored once by LAPACK ``?gttrf`` and each step
+solves with ``?gttrs``; with time-varying ones each step builds its
+bands in scratch buffers and ``?gtsv`` solves them in place. Both give
+``?gtsv``'s solution bit for bit.
 
 After every step the state is clipped at zero and renormalized; the
 pre-renormalization mass of each step is logged so mass conservation
-stays observable. Non-finite state or collapsed mass sets the
-divergence flag and returns the partial trace instead of raising.
+stays observable. The recorded states go into one preallocated
+(records, n) array, ``SolutionTrace.states``; ``snapshots`` wraps its
+rows as DensityFields only when asked. A non-finite system or state,
+an exactly singular system or collapsed mass sets the divergence flag
+and returns the partial trace instead of raising.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -50,6 +58,9 @@ RK4_IMAG_REACH = 2.0 * math.sqrt(2.0)
 MASS_COLLAPSE = 1e-12
 
 _RECORD_TOL = 1e-9
+
+# steps whose coefficients are evaluated in one array pass
+_COEF_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -77,13 +88,30 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolutionTrace:
-    snapshots: tuple[DensityField, ...]
+    """What one solve recorded.
+
+    ``states`` holds one read-only row per record time reached, in
+    order, and ``times`` their record times; a diverged solve keeps the
+    rows recorded before it stopped. ``snapshots`` wraps the rows as
+    DensityFields on first access.
+    """
+
+    grid: Grid
+    times: tuple[float, ...]
+    states: np.ndarray
     mass_log: np.ndarray
     diverged: bool = False
     diagnostic: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mass_log", np.asarray(self.mass_log, dtype=float))
+
+    @cached_property
+    def snapshots(self) -> tuple[DensityField, ...]:
+        return tuple(
+            DensityField(grid=self.grid, values=v, time_stamp=t)
+            for v, t in zip(self.states, self.times)
+        )
 
 
 @lru_cache(maxsize=32)
@@ -122,19 +150,49 @@ def _closed_bands(grid: Grid, boundary: str) -> tuple[np.ndarray, np.ndarray]:
     return b1, b2
 
 
-def _band_matvec(ab: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Product of the tridiagonal band ab with the vector g."""
-    y = ab[1] * g
-    y[:-1] += ab[0, 1:] * g[1:]
-    y[1:] += ab[2, :-1] * g[:-1]
-    return y
+def _band_matvec(ab: np.ndarray, g: np.ndarray, out=None, work=None) -> np.ndarray:
+    """Product of the tridiagonal band ab with the vector g, written into
+    out when given, with work (n - 1 entries) as scratch."""
+    if out is None:
+        out, work = np.empty_like(g), np.empty(g.size - 1)
+    np.multiply(ab[1], g, out=out)
+    np.multiply(ab[0, 1:], g[1:], out=work)
+    out[:-1] += work
+    np.multiply(ab[2, :-1], g[:-1], out=work)
+    out[1:] += work
+    return out
 
 
-def _identity_plus(a: np.ndarray, c: float) -> np.ndarray:
-    """Band of I + c * A, for A a tridiagonal band."""
-    m = c * a
-    m[1] += 1.0
-    return m
+def _cn_band(b1, b2, d1: float, d2: float, c: float, out, work) -> np.ndarray:
+    """Band of I + c * (-d1 * E1 + d2 * E2) into out; work is (3, n) scratch."""
+    np.multiply(b1, -d1, out=out)
+    np.multiply(b2, d2, out=work)
+    out += work
+    out *= c
+    out[1] += 1.0
+    return out
+
+
+def _coefficient_steps(model: CoefficientModel, t0: float, dt: float, n_steps: int, offsets):
+    """For each step k = 1..n_steps, (D1, D2) at t + o for every offset o,
+    flattened, with t = t0 + (k - 1) * dt.
+
+    The times are formed as the step loop would form them, and D1 and
+    D2 come from CoefficientModel's Horner recurrence applied to arrays
+    of _COEF_CHUNK steps, so every value equals ``model.eval``'s bit
+    for bit while memory stays bounded. Like Python float arithmetic,
+    the recurrence overflows to inf without a warning.
+    """
+    for lo in range(0, n_steps, _COEF_CHUNK):
+        t = t0 + np.arange(lo, min(lo + _COEF_CHUNK, n_steps), dtype=float) * dt
+        columns = []
+        for o in offsets:
+            tt = t + o if o else t
+            if not np.isfinite(tt).all():
+                raise ValueError("t must be finite")
+            with np.errstate(all="ignore"):
+                columns += (model.drift(tt).tolist(), model.diffusion(tt).tolist())
+        yield from zip(*columns)
 
 
 def _record_steps(t0: float, record_times: tuple[float, ...], dt: float) -> list[int]:
@@ -154,12 +212,16 @@ def _record_steps(t0: float, record_times: tuple[float, ...], dt: float) -> list
 
 
 def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> SolutionTrace:
-    """March f0 forward, recording snapshots at config.record_times.
+    """March f0 forward, recording the state at config.record_times.
 
     Record times must lie on the step lattice t0 + k*dt (validated);
-    each recorded snapshot is the clipped, renormalized state. For
+    each recorded row of ``trace.states`` is the clipped, renormalized
+    state, and record times on the same step share its value. For
     explicit_rk4 the diffusion and advection stability bounds are
-    checked up front and violations are errors, not warnings.
+    checked up front and violations are errors, not warnings. Per step
+    the checks run in this order: a non-finite Crank-Nicolson system
+    or right-hand side, a singular system, a non-finite state, then
+    collapsed mass.
     """
     grid = f0.grid
     t0 = f0.time_stamp
@@ -191,80 +253,123 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
     x = grid.nodes
     dx = np.diff(x)
     dt = config.dt
+    n = grid.n_points
+    n_total = max(rec_steps)
 
-    f = np.asarray(f0.values, dtype=float).copy()
+    f = np.array(f0.values, dtype=float)
     if config.boundary == "zero_dirichlet":
         f[0] = 0.0
         f[-1] = 0.0
         f = f / np.trapezoid(f, x)
 
-    def apply_a(t: float, g: np.ndarray) -> np.ndarray:
-        d1, d2 = model.eval(t)
-        return -d1 * _band_matvec(b1, g) + d2 * _band_matvec(b2, g)
+    states = np.empty((len(rec_steps), n))
+    mass_log = np.empty(n_total)
+    n_rec = 0
+    work = np.empty(n - 1)
 
-    (gtsv,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
-    cn_cached = None
-    if config.integrator == "crank_nicolson" and model.is_constant():
-        a = -model.drift(0.0) * b1 + model.diffusion(0.0) * b2
-        cn_cached = (_identity_plus(a, -0.5 * dt), _identity_plus(a, 0.5 * dt))
-
-    snapshots: list[DensityField] = []
-    mass_log: list[float] = []
-    record_lookup = {}
-    for k, tau in zip(rec_steps, config.record_times):
-        record_lookup.setdefault(k, []).append(tau)
-
-    def record(step: int, state: np.ndarray) -> None:
-        for tau in record_lookup.get(step, ()):
-            snapshots.append(DensityField(grid=grid, values=state.copy(), time_stamp=tau))
-
-    def diverged(what: str, step: int) -> SolutionTrace:
+    def trace(steps_logged: int, diagnostic: str = "") -> SolutionTrace:
+        rows = states[:n_rec]
+        rows.flags.writeable = False
         return SolutionTrace(
-            snapshots=tuple(snapshots),
-            mass_log=np.asarray(mass_log),
-            diverged=True,
-            diagnostic=f"{what} at step {step} (t={t0 + step * dt})",
+            grid=grid,
+            times=config.record_times[:n_rec],
+            states=rows,
+            mass_log=mass_log[:steps_logged],
+            diverged=bool(diagnostic),
+            diagnostic=diagnostic,
         )
 
-    record(0, f)
-    n_total = max(rec_steps)
-    for k in range(1, n_total + 1):
-        t = t0 + (k - 1) * dt
-        if config.integrator == "explicit_rk4":
-            k1 = apply_a(t, f)
-            k2 = apply_a(t + 0.5 * dt, f + 0.5 * dt * k1)
-            k3 = apply_a(t + 0.5 * dt, f + 0.5 * dt * k2)
-            k4 = apply_a(t + dt, f + dt * k3)
+    def diverged(what: str, step: int, steps_logged: int) -> SolutionTrace:
+        return trace(steps_logged, f"{what} at step {step} (t={t0 + step * dt})")
+
+    def record(step: int) -> None:
+        nonlocal n_rec
+        while n_rec < len(rec_steps) and rec_steps[n_rec] == step:
+            states[n_rec] = f
+            n_rec += 1
+
+    record(0)
+    if n_rec and not np.isfinite(f).all():
+        # a recorded initial state must be a density, as DensityField
+        # requires when snapshots wraps it
+        raise ValueError("density values must be finite")
+    rk4 = config.integrator == "explicit_rk4"
+    constant = not rk4 and model.is_constant()
+    if rk4:
+        coefficients = _coefficient_steps(model, t0, dt, n_total, (0.0, 0.5 * dt, dt))
+    elif constant:
+        coefficients = itertools.repeat(None)
+    else:
+        coefficients = _coefficient_steps(model, t0, dt, n_total, (0.0, dt))
+
+    if not rk4:
+        # Crank-Nicolson: (I - dt/2 A(t + dt)) f_new = (I + dt/2 A(t)) f
+        lhs, rhs_band, band_work = np.empty((3, n)), np.empty((3, n)), np.empty((3, n))
+        rhs = np.empty(n)
+        if constant:
+            d1, d2 = model.drift(0.0), model.diffusion(0.0)
+            _cn_band(b1, b2, d1, d2, -0.5 * dt, lhs, band_work)
+            _cn_band(b1, b2, d1, d2, 0.5 * dt, rhs_band, band_work)
+            lhs_finite = bool(np.isfinite(lhs).all())
+            # ?gttrf/?gttrs do ?gtsv's elimination, pivots and back
+            # substitution in the same order, so each step's solution is
+            # ?gtsv's bit for bit; a non-finite band stops step 1 before
+            # its factors are used
+            gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.float64)
+            *factors, info = gttrf(
+                lhs[2, :-1], lhs[1], lhs[0, 1:],
+                overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+            )
+        else:
+            (gtsv,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
+
+    def apply_a(d1: float, d2: float, g: np.ndarray) -> np.ndarray:
+        return -d1 * _band_matvec(b1, g) + d2 * _band_matvec(b2, g)
+
+    for k, coef in zip(range(1, n_total + 1), coefficients):
+        if rk4:
+            d1c, d2c, d1h, d2h, d1n, d2n = coef
+            k1 = apply_a(d1c, d2c, f)
+            k2 = apply_a(d1h, d2h, f + 0.5 * dt * k1)
+            k3 = apply_a(d1h, d2h, f + 0.5 * dt * k2)
+            k4 = apply_a(d1n, d2n, f + dt * k3)
             f_new = f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            if cn_cached is not None:
-                m_minus, m_plus = cn_cached
+            if not constant:
+                d1c, d2c, d1n, d2n = coef
+                _cn_band(b1, b2, d1n, d2n, -0.5 * dt, lhs, band_work)
+                _cn_band(b1, b2, d1c, d2c, 0.5 * dt, rhs_band, band_work)
+                lhs_finite = np.isfinite(lhs).all()
+            _band_matvec(rhs_band, f, rhs, work)
+            if not (lhs_finite and np.isfinite(rhs).all()):
+                return diverged("non-finite Crank-Nicolson system", k, k - 1)
+            if constant:
+                f_new, _ = gttrs(*factors, rhs, overwrite_b=True)
             else:
-                d1n, d2n = model.eval(t + dt)
-                d1c, d2c = model.eval(t)
-                m_minus = _identity_plus(-d1n * b1 + d2n * b2, -0.5 * dt)
-                m_plus = _identity_plus(-d1c * b1 + d2c * b2, 0.5 * dt)
-            rhs = _band_matvec(m_plus, f)
-            if not (np.isfinite(m_minus).all() and np.isfinite(rhs).all()):
-                return diverged("non-finite Crank-Nicolson system", k)
-            # as scipy.linalg.solve_banded calls it, minus its validation;
-            # the bands are copied, rhs is overwritten
-            *_, f_new, info = gtsv(
-                m_minus[2, :-1], m_minus[1], m_minus[0, 1:], rhs, overwrite_b=True
-            )
+                # the freshly built bands and rhs are overwritten in place
+                *_, f_new, info = gtsv(
+                    lhs[2, :-1], lhs[1], lhs[0, 1:], rhs,
+                    overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+                    overwrite_b=True,
+                )
             if info > 0:
-                return diverged("singular Crank-Nicolson system", k)
+                return diverged("singular Crank-Nicolson system", k, k - 1)
+            # the old state's buffer takes the next right-hand side
+            rhs = f
 
         if not np.isfinite(f_new).all():
-            return diverged("non-finite state", k)
-        np.clip(f_new, 0.0, None, out=f_new)
+            return diverged("non-finite state", k, k - 1)
+        np.maximum(f_new, 0.0, out=f_new)
         # np.trapezoid's arithmetic, with the spacings taken once per solve
-        mass = float((dx * (f_new[1:] + f_new[:-1]) / 2.0).sum())
-        mass_log.append(mass)
+        np.add(f_new[1:], f_new[:-1], out=work)
+        work *= dx
+        work /= 2.0
+        mass = float(np.add.reduce(work))
+        mass_log[k - 1] = mass
         if mass <= MASS_COLLAPSE:
-            return diverged("density mass collapsed", k)
+            return diverged("density mass collapsed", k, k)
         f_new /= mass
         f = f_new
-        record(k, f)
+        record(k)
 
-    return SolutionTrace(snapshots=tuple(snapshots), mass_log=np.asarray(mass_log))
+    return trace(n_total)

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from fprom import (
     gaussian_density,
     loss,
 )
-from fprom.calibrate import _SIMPLEX_TOL, _nelder_mead
+from fprom.calibrate import _SIMPLEX_TOL, PENALTY_FLOOR, _nelder_mead
 from fprom.errors import InfeasibleConfigError
+from test_density import reference_kl_divergence
+from test_solver import reference_solve
 
 
 def diffusion_problem(distance="kl", weights=None):
@@ -277,6 +280,117 @@ class TestLoss:
             np.sqrt(np.trapezoid(diff * diff, target.grid.nodes))
         )
         assert value == pytest.approx(expected, rel=1e-12)
+
+
+def reference_loss(problem, params):
+    """loss as it was before the one-pass scoring: reference_solve's
+    snapshots, then one KL or L2 per target with nonzero weight."""
+    model = problem.model_from_params(params)
+    t0, t_end = problem.horizon()
+    d2_min, _ = model.diffusion_range(t0, t_end)
+    if d2_min < 0.0:
+        return PENALTY_FLOOR + abs(d2_min)
+    snapshots, _, diverged, _ = reference_solve(problem.initial_density, model, problem.solver)
+    if diverged:
+        return PENALTY_FLOOR
+    total = 0.0
+    for w, (_, target), predicted in zip(problem.weights, problem.targets, snapshots):
+        if w == 0.0:
+            continue
+        if problem.distance == "kl":
+            total += w * reference_kl_divergence(target, predicted)
+        else:
+            diff = target.values - predicted.values
+            total += w * float(np.sqrt(np.trapezoid(diff * diff, target.grid.nodes)))
+    return total
+
+
+def drift_problem(integrator="crank_nicolson", boundary="zero_flux", distance="kl",
+                  weights=None, n_points=129):
+    """Drift a + b t, diffusion D observed 10 times on [-6, 10], as the
+    benchmark's time-varying calibration; the initial density is at t0 = 0."""
+    grid = Grid(-6.0, 10.0, n_points)
+    x = grid.nodes
+
+    def density(t):
+        mean = 0.8 * t + 0.3 * t * t
+        var = 0.25 + 0.5 * t
+        values = np.exp(-0.5 * (x - mean) ** 2 / var)
+        return DensityField.normalized(grid, values, t)
+
+    times = tuple(round(0.1 * k, 10) for k in range(1, 11))
+    dt = 0.025 if integrator == "crank_nicolson" else 0.4 * grid.spacing**2
+    return CalibrationProblem(
+        initial_density=density(0.0),
+        targets=tuple((t, density(t)) for t in times),
+        drift_degree=1,
+        diff_degree=0,
+        bounds=((-1.0, 2.0), (-1.0, 2.0), (0.01, 1.0)),
+        solver=SolverConfig(
+            integrator=integrator, dt=dt, record_times=times, boundary=boundary
+        ),
+        weights=weights,
+        distance=distance,
+    )
+
+
+# one weight per target of drift_problem; zeros first, inside and last
+SOME_ZERO = (0.0, 1.0, 2.5, 0.0, 1.0, 1.0, 0.5, 0.0, 1.0, 0.0)
+
+
+class TestLossMatchesReference:
+    @pytest.mark.parametrize("weights", (None, SOME_ZERO), ids=("unit", "some_zero"))
+    @pytest.mark.parametrize("distance", ("kl", "l2"))
+    @pytest.mark.parametrize(
+        "params", ((0.8, 0.6, 0.25), (0.5, 0.0, 0.3)), ids=("time_varying", "constant")
+    )
+    @pytest.mark.parametrize("boundary", ("zero_flux", "zero_dirichlet"))
+    @pytest.mark.parametrize("integrator", ("explicit_rk4", "crank_nicolson"))
+    def test_bitwise_equal(self, integrator, boundary, params, distance, weights):
+        problem = drift_problem(integrator, boundary, distance, weights)
+        assert loss(problem, params) == reference_loss(problem, params)
+
+    @pytest.mark.parametrize("distance", ("kl", "l2"))
+    def test_penalties_match(self, distance):
+        problem = drift_problem(distance=distance)
+        # negative diffusion, then a drift that overflows the system
+        for params in ((0.8, 0.6, -0.2), (1e308, 1e308, 0.25)):
+            with np.errstate(all="ignore"):
+                assert loss(problem, params) == reference_loss(problem, params)
+
+    def test_scores_every_weighted_target_in_one_pass(self, monkeypatch):
+        calibrate_module = importlib.import_module("fprom.calibrate")
+        passes = []
+        original = calibrate_module.kl_divergence_rows
+
+        def counted(p, q, x):
+            passes.append(p.shape)
+            return original(p, q, x)
+
+        monkeypatch.setattr(calibrate_module, "kl_divergence_rows", counted)
+        problem = drift_problem(weights=SOME_ZERO)
+        loss(problem, (0.8, 0.6, 0.25))
+        assert passes == [(sum(w != 0.0 for w in SOME_ZERO), 129)]
+
+
+class TestLossMemory:
+    def test_peak_is_the_records_plus_linear_scratch(self):
+        # one dense 513 x 513 matrix would take 2.1 MB
+        n = 513
+        problem = drift_problem(n_points=n)
+        params = (0.8, 0.6, 0.25)
+        loss(problem, params)  # the cached bands and target stack
+        record_bytes = len(problem.targets) * n * 8
+        tracemalloc.start()
+        try:
+            loss(problem, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the recorded states and the scoring pass's (m, n) temporaries,
+        # plus the solver's bands, vectors and coefficient chunk
+        assert peak < 10 * record_bytes + 40 * n * 8
+        assert peak < n * n * 8 / 4
 
 
 class TestCalibrate:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from fprom import (
     CoefficientModel,
     Grid,
     RomArtifact,
+    SimPlan,
     TransformSpec,
     drift_diffusion_density,
     gaussian_density,
@@ -21,7 +23,7 @@ from fprom import (
     write_density_csv,
 )
 from fprom._version import __version__
-from fprom.cli import main
+from fprom.cli import _simulate_inputs, main
 from fprom.pipeline import ENV_OUTPUT_DIR
 
 
@@ -194,6 +196,33 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--output", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", (["constant"], {}, 3, None), ids=("list", "object", "number", "null"))
+    @pytest.mark.parametrize("section", ("drift", "noise", "x0"))
+    def test_non_string_kind_exits_2(self, cli_workspace, tmp_path, capsys, section, kind):
+        raw = json.loads((cli_workspace / "sim.json").read_text())
+        raw[section]["kind"] = kind
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "ens.csv"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {section}.kind must be a string, got {kind!r}\n"
+        )
+        assert not out.exists()
+
+    def test_left_out_keys_take_simplan_defaults(self, cli_workspace):
+        raw = json.loads((cli_workspace / "sim.json").read_text())
+        for key in ("stride", "seed", "x0"):
+            del raw[key]
+        _, plan = _simulate_inputs(raw, "sim.json")
+        assert plan == SimPlan(
+            n_trajectories=raw["n_trajectories"], dt=raw["dt"], horizon=raw["horizon"]
+        )
+        defaults = {f.name: f.default for f in dataclasses.fields(SimPlan)}
+        assert (plan.stride, plan.seed, plan.x0_kind, plan.x0_params) == (
+            defaults["stride"], defaults["seed"], defaults["x0_kind"], defaults["x0_params"]
+        )
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sim.json"

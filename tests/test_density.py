@@ -21,6 +21,7 @@ from fprom import (
     tikhonov_smooth,
     write_density_csv,
 )
+from fprom.density import KL_FLOOR, kl_divergence_rows
 from fprom.errors import InputDataError
 
 
@@ -297,6 +298,70 @@ class TestKl:
         p = gaussian_density(grid, m1, v1, 0.0)
         q = gaussian_density(grid, m2, v2, 0.0)
         assert kl_divergence(p, q) >= 0.0
+
+
+def reference_kl_divergence(p, q):
+    """kl_divergence as it was before the row-wise core: one pair, the
+    masses from DensityField.mass."""
+    if p.grid != q.grid:
+        raise ValueError("density grids differ")
+    for f in (p, q):
+        if abs(f.mass - 1.0) > 1e-3:
+            raise ValueError(f"unnormalized density: mass {f.mass!r}")
+    pv = p.values
+    qv = q.values + KL_FLOOR
+    ratio = np.ones_like(pv)
+    np.divide(pv, qv, out=ratio, where=pv > KL_FLOOR)
+    integrand = np.where(pv > KL_FLOOR, pv * np.log(ratio), 0.0)
+    return max(float(np.trapezoid(integrand, p.grid.nodes)), 0.0)
+
+
+def kl_pairs():
+    """Density pairs on one grid: shifted, wider, disjoint, identical,
+    and with values at and around the 1e-12 floor."""
+    grid = Grid(-10.0, 10.0, 513)
+    x = grid.nodes
+    gauss = [gaussian_density(grid, m, v, 0.0) for m, v in ((0.0, 1.0), (1.3, 0.4), (-2.0, 3.0))]
+    left = DensityField.normalized(grid, np.where(x < -1.0, 1.0, 0.0), 0.0)
+    right = DensityField.normalized(grid, np.where(x > 1.0, 1.0, 0.0), 0.0)
+    floor = np.exp(-0.5 * x**2)
+    floor[::7] = KL_FLOOR
+    floor[3::11] = 0.5 * KL_FLOOR
+    floored = DensityField.normalized(grid, floor, 0.0)
+    fields = [*gauss, left, right, floored]
+    return [(p, q) for p in fields for q in fields]
+
+
+class TestKlRowsMatchReference:
+    def test_each_pair_bitwise(self):
+        for p, q in kl_pairs():
+            assert kl_divergence(p, q) == reference_kl_divergence(p, q)
+
+    def test_all_pairs_in_one_pass(self):
+        pairs = kl_pairs()
+        p = np.stack([a.values for a, _ in pairs])
+        q = np.stack([b.values for _, b in pairs])
+        got = kl_divergence_rows(p, q, pairs[0][0].grid.nodes)
+        assert got == [reference_kl_divergence(a, b) for a, b in pairs]
+        assert all(type(v) is float for v in got)
+
+    def test_rows_are_checked_in_order_p_before_q(self, unit_gaussian):
+        good = unit_gaussian.values
+        x = unit_gaussian.grid.nodes
+
+        def refusal(p_scale, q_scale):
+            p = np.stack([good * p_scale[0], good * p_scale[1]])
+            q = np.stack([good * q_scale[0], good * q_scale[1]])
+            with pytest.raises(ValueError) as info:
+                kl_divergence_rows(p, q, x)
+            return str(info.value)
+
+        def message(scale):
+            return f"unnormalized density: mass {float(np.trapezoid(good * scale, x))!r}"
+
+        # q's first row comes before p's second, p's first before q's first
+        assert refusal((1.0, 3.0), (2.0, 1.0)) == message(2.0)
+        assert refusal((3.0, 1.0), (2.0, 1.0)) == message(3.0)
 
 
 class TestL1:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs, solve_banded
 
 from fprom import (
     CoefficientModel,
@@ -20,7 +20,15 @@ from fprom import (
     solve,
 )
 from fprom.errors import InfeasibleConfigError
-from fprom.solver import RK4_IMAG_REACH, STABILITY_SAFETY, _band_matvec, _closed_bands
+from fprom.solver import (
+    _COEF_CHUNK,
+    MASS_COLLAPSE,
+    RK4_IMAG_REACH,
+    STABILITY_SAFETY,
+    _band_matvec,
+    _closed_bands,
+    _record_steps,
+)
 
 
 def wiener_model(diffusion=0.5, drift=0.0):
@@ -771,3 +779,317 @@ class TestLapackStepMatchesSolveBanded:
         assert again[0] is b1 and again[1] is b2
         fresh = _closed_bands.__wrapped__(f0.grid, "zero_flux")
         assert np.array_equal(b1, fresh[0]) and np.array_equal(b2, fresh[1])
+
+
+def reference_solve(f0, model, config):
+    """solve's step loop as it was before the recording array: model.eval
+    per step, ?gtsv on freshly built bands for constant and time-varying
+    coefficients alike, and one DensityField per recorded state. Takes
+    validated inputs only; returns (snapshots, mass_log, diverged,
+    diagnostic)."""
+    grid = f0.grid
+    t0 = f0.time_stamp
+    rec_steps = _record_steps(t0, config.record_times, config.dt)
+    b1, b2 = _closed_bands(grid, config.boundary)
+    x = grid.nodes
+    dx = np.diff(x)
+    dt = config.dt
+
+    def identity_plus(a, c):
+        m = c * a
+        m[1] += 1.0
+        return m
+
+    f = np.asarray(f0.values, dtype=float).copy()
+    if config.boundary == "zero_dirichlet":
+        f[0] = 0.0
+        f[-1] = 0.0
+        f = f / np.trapezoid(f, x)
+
+    def apply_a(t, g):
+        d1, d2 = model.eval(t)
+        return -d1 * _band_matvec(b1, g) + d2 * _band_matvec(b2, g)
+
+    (gtsv,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
+    cn_cached = None
+    if config.integrator == "crank_nicolson" and model.is_constant():
+        a = -model.drift(0.0) * b1 + model.diffusion(0.0) * b2
+        cn_cached = (identity_plus(a, -0.5 * dt), identity_plus(a, 0.5 * dt))
+
+    snapshots, mass_log = [], []
+    record_lookup = {}
+    for k, tau in zip(rec_steps, config.record_times):
+        record_lookup.setdefault(k, []).append(tau)
+
+    def record(step, state):
+        for tau in record_lookup.get(step, ()):
+            snapshots.append(DensityField(grid=grid, values=state.copy(), time_stamp=tau))
+
+    def diverged(what, step):
+        return (
+            tuple(snapshots),
+            np.asarray(mass_log, dtype=float),
+            True,
+            f"{what} at step {step} (t={t0 + step * dt})",
+        )
+
+    record(0, f)
+    for k in range(1, max(rec_steps) + 1):
+        t = t0 + (k - 1) * dt
+        if config.integrator == "explicit_rk4":
+            k1 = apply_a(t, f)
+            k2 = apply_a(t + 0.5 * dt, f + 0.5 * dt * k1)
+            k3 = apply_a(t + 0.5 * dt, f + 0.5 * dt * k2)
+            k4 = apply_a(t + dt, f + dt * k3)
+            f_new = f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            if cn_cached is not None:
+                m_minus, m_plus = cn_cached
+            else:
+                d1n, d2n = model.eval(t + dt)
+                d1c, d2c = model.eval(t)
+                m_minus = identity_plus(-d1n * b1 + d2n * b2, -0.5 * dt)
+                m_plus = identity_plus(-d1c * b1 + d2c * b2, 0.5 * dt)
+            rhs = _band_matvec(m_plus, f)
+            if not (np.isfinite(m_minus).all() and np.isfinite(rhs).all()):
+                return diverged("non-finite Crank-Nicolson system", k)
+            *_, f_new, info = gtsv(
+                m_minus[2, :-1], m_minus[1], m_minus[0, 1:], rhs, overwrite_b=True
+            )
+            if info > 0:
+                return diverged("singular Crank-Nicolson system", k)
+        if not np.isfinite(f_new).all():
+            return diverged("non-finite state", k)
+        np.clip(f_new, 0.0, None, out=f_new)
+        mass = float((dx * (f_new[1:] + f_new[:-1]) / 2.0).sum())
+        mass_log.append(mass)
+        if mass <= MASS_COLLAPSE:
+            return diverged("density mass collapsed", k)
+        f_new /= mass
+        f = f_new
+        record(k, f)
+    return tuple(snapshots), np.asarray(mass_log, dtype=float), False, ""
+
+
+def bits(a):
+    """The bytes of a float array: equal bits, signed zeros and NaNs included."""
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def assert_matches_reference(f0, model, config):
+    """solve and reference_solve agree bit for bit; returns the trace."""
+    with np.errstate(all="ignore"):
+        trace = solve(f0, model, config)
+        snapshots, mass_log, diverged, diagnostic = reference_solve(f0, model, config)
+    assert (trace.diverged, trace.diagnostic) == (diverged, diagnostic)
+    assert bits(trace.mass_log) == bits(mass_log)
+    assert trace.states.shape == (len(snapshots), f0.grid.n_points)
+    assert not trace.states.flags.writeable
+    assert trace.times == tuple(s.time_stamp for s in snapshots)
+    for row, got, want in zip(trace.states, trace.snapshots, snapshots, strict=True):
+        assert bits(row) == bits(want.values)
+        assert bits(got.values) == bits(want.values)
+        assert (got.grid, got.time_stamp) == (want.grid, want.time_stamp)
+    return trace
+
+
+# name -> (drift_poly, diff_poly); the drift-dominated pair makes ?gttrf
+# and ?gtsv swap rows at Crank-Nicolson's dt
+REFERENCE_MODELS = {
+    "constant": ((0.4,), (0.2,)),
+    "time_varying": ((0.4, 0.5, -0.2), (0.2, 0.1)),
+    "drift_dominated": ((6.0,), (0.01,)),
+    "drift_dominated_time_varying": ((-6.0, 2.0), (0.01, 0.005)),
+}
+
+
+def reference_case(integrator, boundary, name, duplicates):
+    grid = Grid(-5.0, 5.0, 129)
+    f0 = gaussian_density(grid, 0.3, 0.8, 0.0)
+    drift, diff = REFERENCE_MODELS[name]
+    model = CoefficientModel(drift_poly=drift, diff_poly=diff)
+    dt = 0.2 if integrator == "crank_nicolson" else 0.5 * grid.spacing**2
+    times = (10 * dt, 25 * dt)
+    if duplicates:
+        # t0 itself, and two record times on one step
+        times = (0.0, 10 * dt, 10 * dt + 1e-12, 25 * dt)
+    config = SolverConfig(
+        integrator=integrator, dt=dt, record_times=times, boundary=boundary
+    )
+    return f0, model, config
+
+
+class TestSolveMatchesReference:
+    @pytest.mark.parametrize("duplicates", (False, True), ids=("plain", "t0_and_duplicates"))
+    @pytest.mark.parametrize("name", tuple(REFERENCE_MODELS))
+    @pytest.mark.parametrize("boundary", ("zero_flux", "zero_dirichlet"))
+    @pytest.mark.parametrize("integrator", ("explicit_rk4", "crank_nicolson"))
+    def test_bitwise_equal(self, integrator, boundary, name, duplicates):
+        f0, model, config = reference_case(integrator, boundary, name, duplicates)
+        trace = assert_matches_reference(f0, model, config)
+        assert not trace.diverged
+        assert len(trace.states) == len(config.record_times)
+        if duplicates:
+            assert bits(trace.states[1]) == bits(trace.states[2])
+
+    @pytest.mark.parametrize("boundary", ("zero_flux", "zero_dirichlet"))
+    def test_drift_dominated_case_pivots(self, boundary):
+        f0, model, config = reference_case("crank_nicolson", boundary, "drift_dominated", False)
+        b1, b2 = _closed_bands(f0.grid, boundary)
+        lhs = -0.5 * config.dt * (-model.drift(0.0) * b1 + model.diffusion(0.0) * b2)
+        lhs[1] += 1.0
+        (gttrf,) = get_lapack_funcs(("gttrf",), dtype=np.float64)
+        *_, ipiv, info = gttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
+        assert info == 0
+        assert (ipiv != np.arange(1, f0.grid.n_points + 1)).any()
+
+    def test_long_solve_spans_several_coefficient_chunks(self):
+        grid = Grid(-5.0, 5.0, 65)
+        f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
+        model = CoefficientModel(drift_poly=(0.1, -0.3, 0.2), diff_poly=(0.1, 0.05))
+        dt = 0.001
+        config = SolverConfig(
+            integrator="crank_nicolson", dt=dt, record_times=(1.1, 1.3)
+        )
+        assert round(1.3 / dt) > 2 * _COEF_CHUNK
+        assert_matches_reference(f0, model, config)
+
+
+def diverging_cases():
+    """(id, f0, model, config, diagnostic, rows recorded before it) for
+    every divergence path."""
+    nine = Grid(0.0, 8.0, 9)
+    f0_nine = gaussian_density(nine, 4.0, 1.0, 0.0)
+    wide = Grid(-4.0, 4.0, 65)
+    f0_wide = gaussian_density(wide, 0.0, 0.5, 0.0)
+    # a spacing whose square underflows: E2 holds inf, and 0 * inf is NaN
+    tiny = Grid(0.0, 1e-159, 9)
+    f0_tiny = DensityField.normalized(tiny, np.ones(9), 0.0)
+    zero = CoefficientModel(drift_poly=(0.0,), diff_poly=(0.0,))
+
+    def cn(times, boundary="zero_flux"):
+        return SolverConfig(
+            integrator="crank_nicolson",
+            dt=1.0,
+            record_times=times,
+            boundary=boundary,
+            allow_negative_diffusion=True,
+        )
+
+    return [
+        # D1 = 1e308 t (t - 1) is 0 at t = 0 and 1 and overflows at t = 2
+        (
+            "non_finite_system_at_step_2",
+            f0_nine,
+            CoefficientModel(drift_poly=(0.0, -1e308, 1e308), diff_poly=(0.1,)),
+            cn((1.0, 2.0, 3.0)),
+            "non-finite Crank-Nicolson system at step 2 (t=2.0)",
+            1,
+        ),
+        (
+            "non_finite_system_constant",
+            gaussian_density(Grid(-8.0, 8.0, 257), 0.0, 1.0, 0.0),
+            CoefficientModel(drift_poly=(1e308,), diff_poly=(0.0,)),
+            cn((2.0,)),
+            "non-finite Crank-Nicolson system at step 1 (t=1.0)",
+            0,
+        ),
+        (
+            "non_finite_system_constant_after_t0",
+            f0_tiny,
+            zero,
+            cn((0.0, 1.0)),
+            "non-finite Crank-Nicolson system at step 1 (t=1.0)",
+            1,
+        ),
+        # D2 = 0.5 - 0.5 t reaches -1 at t = 3, where I - dt/2 A has a
+        # zero diagonal on its odd interior block
+        (
+            "singular_at_step_3",
+            f0_nine,
+            CoefficientModel(drift_poly=(0.0,), diff_poly=(0.5, -0.5)),
+            cn((1.0, 2.0, 3.0, 4.0), "zero_dirichlet"),
+            "singular Crank-Nicolson system at step 3 (t=3.0)",
+            2,
+        ),
+        (
+            "singular_constant",
+            f0_nine,
+            CoefficientModel(drift_poly=(0.0,), diff_poly=(-1.0,)),
+            cn((1.0,), "zero_dirichlet"),
+            "singular Crank-Nicolson system at step 1 (t=1.0)",
+            0,
+        ),
+        (
+            "non_finite_state_after_t0",
+            f0_tiny,
+            zero,
+            SolverConfig(integrator="explicit_rk4", dt=1.0, record_times=(0.0, 1.0)),
+            "non-finite state at step 1 (t=1.0)",
+            1,
+        ),
+        # D2 = 0.1 + 1e16 t (t - 1) jumps at t = 2: CN's factor near -1
+        # flips the state's sign and the clip leaves almost nothing
+        (
+            "mass_collapsed_at_step_2",
+            f0_wide,
+            CoefficientModel(drift_poly=(0.0,), diff_poly=(0.1, -1e16, 1e16)),
+            cn((1.0, 2.0, 3.0), "zero_dirichlet"),
+            "density mass collapsed at step 2 (t=2.0)",
+            1,
+        ),
+    ]
+
+
+class TestDivergenceMatchesReference:
+    @pytest.mark.parametrize(
+        "f0, model, config, diagnostic, rows",
+        [case[1:] for case in diverging_cases()],
+        ids=[case[0] for case in diverging_cases()],
+    )
+    def test_same_diagnostic_and_partial_trace(self, f0, model, config, diagnostic, rows):
+        trace = assert_matches_reference(f0, model, config)
+        assert trace.diverged
+        assert trace.diagnostic == diagnostic
+        assert len(trace.states) == rows
+
+    def test_cases_cover_every_diagnostic_with_rows_recorded(self):
+        kinds = {
+            case[4].split(" at step ")[0] for case in diverging_cases() if case[5] > 0
+        }
+        assert kinds == {
+            "non-finite Crank-Nicolson system",
+            "singular Crank-Nicolson system",
+            "non-finite state",
+            "density mass collapsed",
+        }
+
+
+class TestWallOnlyInitialDensity:
+    """zero_dirichlet empties a density that sits on the two wall nodes,
+    and renormalizing it divides by zero."""
+
+    def setup_method(self):
+        grid = Grid(0.0, 7.0, 8)
+        values = np.zeros(8)
+        values[[0, -1]] = 1.0
+        self.f0 = DensityField.normalized(grid, values, 0.0)
+        self.model = CoefficientModel(drift_poly=(0.0,), diff_poly=(0.1,))
+
+    def config(self, times):
+        return SolverConfig(
+            integrator="crank_nicolson", dt=0.5, record_times=times, boundary="zero_dirichlet"
+        )
+
+    def test_recording_it_raises_as_before(self):
+        config = self.config((0.0, 1.0))
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError) as got:
+                solve(self.f0, self.model, config)
+            with pytest.raises(ValueError) as want:
+                reference_solve(self.f0, self.model, config)
+        assert str(got.value) == str(want.value) == "density values must be finite"
+
+    def test_stepping_it_diverges_as_before(self):
+        trace = assert_matches_reference(self.f0, self.model, self.config((1.0,)))
+        assert trace.diagnostic == "non-finite Crank-Nicolson system at step 1 (t=0.5)"
