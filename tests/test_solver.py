@@ -800,6 +800,12 @@ def reference_solve(f0, model, config):
         m[1] += 1.0
         return m
 
+    def band_matvec(ab, g):
+        y = ab[1] * g
+        y[:-1] += ab[0, 1:] * g[1:]
+        y[1:] += ab[2, :-1] * g[:-1]
+        return y
+
     f = np.asarray(f0.values, dtype=float).copy()
     if config.boundary == "zero_dirichlet":
         f[0] = 0.0
@@ -808,7 +814,7 @@ def reference_solve(f0, model, config):
 
     def apply_a(t, g):
         d1, d2 = model.eval(t)
-        return -d1 * _band_matvec(b1, g) + d2 * _band_matvec(b2, g)
+        return -d1 * band_matvec(b1, g) + d2 * band_matvec(b2, g)
 
     (gtsv,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
     cn_cached = None
@@ -850,7 +856,7 @@ def reference_solve(f0, model, config):
                 d1c, d2c = model.eval(t)
                 m_minus = identity_plus(-d1n * b1 + d2n * b2, -0.5 * dt)
                 m_plus = identity_plus(-d1c * b1 + d2c * b2, 0.5 * dt)
-            rhs = _band_matvec(m_plus, f)
+            rhs = band_matvec(m_plus, f)
             if not (np.isfinite(m_minus).all() and np.isfinite(rhs).all()):
                 return diverged("non-finite Crank-Nicolson system", k)
             *_, f_new, info = gtsv(
