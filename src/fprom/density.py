@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputDataError
 from .grid import Grid
@@ -299,6 +298,8 @@ def tikhonov_smooth(f: DensityField, lam: float = 1e-6) -> DensityField:
             ab[p - s, s:] += e[bw + r, : n - s] * e[bw + r - s, s:]
     ab *= lam
     ab[p] += 1.0
+    import scipy.linalg  # loaded at first use only
+
     try:
         fhat = scipy.linalg.solveh_banded(ab, f.values)
     except scipy.linalg.LinAlgError as exc:  # defensive: SPD by construction

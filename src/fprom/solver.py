@@ -17,7 +17,8 @@ for all step times. With constant coefficients the Crank-Nicolson
 left-hand band is factored once by LAPACK ``?gttrf`` and each step
 solves with ``?gttrs``; with time-varying ones each step builds its
 bands in scratch buffers and ``?gtsv`` solves them in place. Both give
-``?gtsv``'s solution bit for bit.
+``?gtsv``'s solution bit for bit. scipy.linalg, which supplies them, is
+imported at the first Crank-Nicolson solve, not with the module.
 
 After every step the state is clipped at zero and renormalized; the
 pre-renormalization mass of each step is logged so mass conservation
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .coefficients import CoefficientModel
 from .density import DensityField
@@ -218,7 +218,8 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
     each recorded row of ``trace.states`` is the clipped, renormalized
     state, and record times on the same step share its value. For
     explicit_rk4 the diffusion and advection stability bounds are
-    checked up front and violations are errors, not warnings. Per step
+    checked up front and violations are errors, not warnings, as is a
+    zero_dirichlet f0 with no mass inside the walls. Per step
     the checks run in this order: a non-finite Crank-Nicolson system
     or right-hand side, a singular system, a non-finite state, then
     collapsed mass.
@@ -260,7 +261,12 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
     if config.boundary == "zero_dirichlet":
         f[0] = 0.0
         f[-1] = 0.0
-        f = f / np.trapezoid(f, x)
+        mass = np.trapezoid(f, x)
+        if not mass > MASS_COLLAPSE:
+            raise InfeasibleConfigError(
+                f"no mass left inside the zero_dirichlet walls: {float(mass)!r}"
+            )
+        f = f / mass
 
     states = np.empty((len(rec_steps), n))
     mass_log = np.empty(n_total)
@@ -304,6 +310,8 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
 
     if not rk4:
         # Crank-Nicolson: (I - dt/2 A(t + dt)) f_new = (I + dt/2 A(t)) f
+        from scipy.linalg import get_lapack_funcs
+
         lhs, rhs_band, band_work = np.empty((3, n)), np.empty((3, n)), np.empty((3, n))
         rhs = np.empty(n)
         if constant:

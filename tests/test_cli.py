@@ -659,44 +659,93 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 _FRESH_PROCESS = """
 import json, sys
 import fprom.cli
-after_import = "scipy.optimize" in sys.modules
-code = fprom.cli.main(["simulate", "--config", sys.argv[1], "--output", sys.argv[2]])
-print(json.dumps([after_import, code, "scipy.optimize" in sys.modules]))
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+after_import = scipy_modules()
+code = fprom.cli.main(sys.argv[1:])
+print(json.dumps([after_import, code, scipy_modules()]))
 """
 
 
-class TestImportCost:
-    """scipy.optimize costs about a fifth of a second to import, and
-    fprom needs none of it."""
+def _fresh_cli(argv, cwd):
+    """Run ``fprom <argv>`` in a new interpreter; return the scipy modules
+    loaded after ``import fprom.cli``, the exit code and the scipy
+    modules loaded when the command has run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS, *map(str, argv)],
+        env=env,
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
 
-    def test_cli_process_never_loads_scipy_optimize(self, cli_workspace, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p
-        )
-        out = tmp_path / "ens.csv"
-        proc = subprocess.run(
-            [sys.executable, "-c", _FRESH_PROCESS, str(cli_workspace / "sim.json"), str(out)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        assert json.loads(proc.stdout.splitlines()[-1]) == [False, 0, False]
-        assert out.exists()
+
+def _imported_names(nodes):
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def _import_time_nodes(nodes):
+    """The nodes that run when their module is imported: everything but
+    function bodies."""
+    for node in nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            yield from _import_time_nodes(ast.iter_child_nodes(node))
+
+
+class TestImportCost:
+    """Importing scipy.linalg costs about a quarter of a second, more than
+    numpy and fprom together, and scipy.optimize about a fifth; fprom needs
+    no scipy.optimize, and scipy.linalg only where LAPACK runs: the
+    Crank-Nicolson solve and Tikhonov smoothing."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "{ws}/sim.json", "--output", "ens.csv"],
+            ["estimate", "--config", "{ws}/run.json", "--output-dir", "est"],
+            ["oracle", "--kind", "f3", "--time", "2.0", "--mu", "1.0", "--diffusion",
+             "0.5", "--x-min", "-10.0", "--x-max", "20.0", "--n-points", "129",
+             "--output", "f3.csv"],
+        ],
+        ids=["simulate", "estimate", "oracle"],
+    )
+    def test_command_never_loads_scipy(self, cli_workspace, tmp_path, argv):
+        argv = [arg.format(ws=cli_workspace) for arg in argv]
+        assert _fresh_cli(argv, tmp_path) == [[], 0, []]
+        assert any(tmp_path.iterdir())
+
+    def test_train_loads_scipy_linalg_at_its_first_solve(self, cli_workspace, tmp_path):
+        argv = ["train", "--config", cli_workspace / "run.json", "--output-dir", "out"]
+        after_import, code, loaded = _fresh_cli(argv, tmp_path)
+        assert (after_import, code) == ([], 0)
+        assert "scipy.linalg" in loaded
+        assert not any(m.startswith("scipy.optimize") for m in loaded)
+        assert (tmp_path / "out" / "artifact.json").exists()
+
+    def test_no_module_imports_scipy_at_import_time(self):
+        imported = []
+        for path in sorted((SRC / "fprom").glob("*.py")):
+            nodes = _import_time_nodes(ast.parse(path.read_text()).body)
+            names = [n for n in _imported_names(nodes) if n.split(".")[0] == "scipy"]
+            imported += [(path.name, n) for n in names]
+        assert imported == []
 
     def test_no_module_imports_scipy_optimize(self):
         imported = []
         for path in sorted((SRC / "fprom").glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.module:
-                    names = [node.module] + [
-                        f"{node.module}.{alias.name}" for alias in node.names
-                    ]
-                else:
-                    continue
-                imported += [(path.name, n) for n in names if n.startswith("scipy.optimize")]
+            names = _imported_names(ast.walk(ast.parse(path.read_text())))
+            imported += [(path.name, n) for n in names if n.startswith("scipy.optimize")]
         assert imported == []

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1072,8 +1073,9 @@ class TestDivergenceMatchesReference:
 
 
 class TestWallOnlyInitialDensity:
-    """zero_dirichlet empties a density that sits on the two wall nodes,
-    and renormalizing it divides by zero."""
+    """zero_dirichlet empties a density that sits on the two wall nodes;
+    solve refuses it before renormalizing, whether t0 is recorded or
+    not, instead of dividing by zero."""
 
     def setup_method(self):
         grid = Grid(0.0, 7.0, 8)
@@ -1087,15 +1089,10 @@ class TestWallOnlyInitialDensity:
             integrator="crank_nicolson", dt=0.5, record_times=times, boundary="zero_dirichlet"
         )
 
-    def test_recording_it_raises_as_before(self):
-        config = self.config((0.0, 1.0))
-        with np.errstate(all="ignore"):
-            with pytest.raises(ValueError) as got:
-                solve(self.f0, self.model, config)
-            with pytest.raises(ValueError) as want:
-                reference_solve(self.f0, self.model, config)
-        assert str(got.value) == str(want.value) == "density values must be finite"
-
-    def test_stepping_it_diverges_as_before(self):
-        trace = assert_matches_reference(self.f0, self.model, self.config((1.0,)))
-        assert trace.diagnostic == "non-finite Crank-Nicolson system at step 1 (t=0.5)"
+    @pytest.mark.parametrize("times", [(0.0, 1.0), (1.0,)], ids=["recording_t0", "stepping"])
+    def test_it_is_refused_as_infeasible(self, times):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleConfigError) as got:
+                solve(self.f0, self.model, self.config(times))
+        assert str(got.value) == "no mass left inside the zero_dirichlet walls: 0.0"
