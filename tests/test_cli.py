@@ -700,15 +700,15 @@ def _import_time_nodes(nodes):
     """The nodes that run when their module is imported: everything but
     function bodies."""
     for node in nodes:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
             yield from _import_time_nodes(ast.iter_child_nodes(node))
 
 
 class TestImportCost:
-    """Importing scipy.linalg costs about a quarter of a second, more than
-    numpy and fprom together, and scipy.optimize about a fifth; fprom needs
-    no scipy.optimize, and scipy.linalg only where LAPACK runs: the
+    """Importing scipy.linalg costs more than numpy and fprom together,
+    and scipy.optimize about a fifth of a second more; fprom needs no
+    scipy.optimize, and scipy.linalg only where LAPACK runs: the
     Crank-Nicolson solve and Tikhonov smoothing."""
 
     @pytest.mark.parametrize(
