@@ -17,7 +17,7 @@ from .analytic import (
     pure_drift_density,
 )
 from .calibrate import CalibrationProblem, CalibrationResult, calibrate, loss
-from .coefficients import CoefficientModel, stratonovich_to_ito_drift
+from .coefficients import CoefficientModel
 from .density import (
     DensityField,
     MomentSet,
@@ -44,7 +44,6 @@ from .langevin import (
     SdeSpec,
     SimPlan,
     ensemble_to_densities,
-    read_ensemble_csv,
     simulate,
     write_ensemble_csv,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "pure_drift_density",
     "pushforward_density",
     "read_density_csv",
-    "read_ensemble_csv",
     "regress_time_only_coefficients",
     "rejection_sample",
     "run_predict",
@@ -113,7 +111,6 @@ __all__ = [
     "simulate",
     "solve",
     "split",
-    "stratonovich_to_ito_drift",
     "tikhonov_smooth",
     "write_density_csv",
     "write_ensemble_csv",

@@ -32,7 +32,7 @@ from .errors import (
     require_keys,
 )
 from .grid import Grid
-from .langevin import SdeSpec, SimPlan, simulate, write_ensemble_csv
+from .langevin import SdeSpec, SimPlan, simulate, write_ensemble_csv, write_ensemble_sidecar
 from .pipeline import (
     PUSHFORWARD_SAMPLES,
     RunConfig,
@@ -94,6 +94,7 @@ def _cmd_simulate(args) -> int:
     )
     out.parent.mkdir(parents=True, exist_ok=True)
     write_ensemble_csv(ens, out)
+    write_ensemble_sidecar(ens, out)
     print(f"wrote {out} ({ens.n_realizations} trajectories, {ens.n_times} times)")
     return 0
 

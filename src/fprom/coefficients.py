@@ -1,8 +1,7 @@
 """Drift/diffusion coefficient models, polynomial in time.
 
 The forward solver and simulators interpret everything in the Ito
-sense; the Stratonovich mapping is provided as a conversion utility
-for callers whose data came from that convention.
+sense.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CoefficientModel", "stratonovich_to_ito_drift"]
+__all__ = ["CoefficientModel"]
 
 MAX_DEGREE = 3
 
@@ -70,25 +69,19 @@ class CoefficientModel:
 
         Degree <= 3 polynomials vary slowly; 1001 samples plus the
         endpoints bound the range tightly enough for feasibility and
-        stability checks.
+        stability checks. A constant D2 is returned without sampling,
+        which gives the same value.
         """
+        if len(self.diff_poly) == 1:
+            return self.diff_poly[0], self.diff_poly[0]
         ts = np.linspace(t_start, t_end, samples)
         vals = np.polynomial.polynomial.polyval(ts, np.asarray(self.diff_poly))
         return float(np.min(vals)), float(np.max(vals))
 
     def max_abs_drift(self, t_start: float, t_end: float, samples: int = 1001) -> float:
+        if len(self.drift_poly) == 1:
+            return abs(self.drift_poly[0])
         ts = np.linspace(t_start, t_end, samples)
         vals = np.polynomial.polynomial.polyval(ts, np.asarray(self.drift_poly))
         return float(np.max(np.abs(vals)))
 
-
-def stratonovich_to_ito_drift(h_drift: float, g_gradient: float, diffusion: float) -> float:
-    """Map a Stratonovich drift to the Ito drift: h + (dg/dx) * D2.
-
-    All arguments must be finite. For additive noise (g_gradient = 0)
-    the correction vanishes.
-    """
-    vals = (h_drift, g_gradient, diffusion)
-    if not all(np.isfinite(v) for v in vals):
-        raise ValueError("inputs must be finite")
-    return h_drift + g_gradient * diffusion

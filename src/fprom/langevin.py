@@ -8,9 +8,6 @@ Philox stream's whole state is (key, counter), so one Philox re-keyed
 to a fresh state per trajectory replays exactly the stream a new
 Philox(key=[seed, r]) would; seeds are confined to [0, 2**63) so that
 no two seeds share a key.
-
-Stratonovich-calibrated inputs must be converted with
-coefficients.stratonovich_to_ito_drift before simulation.
 """
 
 from __future__ import annotations
@@ -39,7 +36,8 @@ __all__ = [
     "simulate",
     "ensemble_to_densities",
     "write_ensemble_csv",
-    "read_ensemble_csv",
+    "write_ensemble_sidecar",
+    "read_ensemble_sidecar",
 ]
 
 # drift registry: kind -> (parameter names, h(params, x, t)); h and g
@@ -69,6 +67,10 @@ _CHUNK = 8192
 # of the process
 _DRAW_ROWS = 8
 _DRAW_DOUBLES = 16_000
+
+# the sidecar digest reads the CSV through one reused buffer this size,
+# which stays on the heap like the noise draw buffer above
+_DIGEST_CHUNK = 64 * 1024
 
 _ENSEMBLE_DTYPE = np.dtype([("traj_id", np.int64), ("t", float), ("x", float)])
 
@@ -345,10 +347,55 @@ def _read_ensemble_rows(path) -> tuple[np.ndarray, np.ndarray]:
     return axis, samples
 
 
-def read_ensemble_csv(path) -> TrajectoryEnsemble:
-    """Parse the long format back into an ensemble (identity transform)."""
-    times, samples = _read_ensemble_arrays(path)
+def _sha256_hex(path) -> str:
+    """Hex sha256 of the file's bytes, read in _DIGEST_CHUNK pieces."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    buf = bytearray(_DIGEST_CHUNK)
+    view = memoryview(buf)
+    with open(path, "rb") as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
+    return digest.hexdigest()
+
+
+def write_ensemble_sidecar(ens: TrajectoryEnsemble, csv_path) -> None:
+    """Cache the arrays of an ensemble already written to csv_path in
+    `<csv_path>.npz`, keyed by the sha256 of the CSV bytes. The CSV
+    stays the system of record; deleting the sidecar is always safe."""
+    with open(f"{csv_path}.npz", "wb") as fh:
+        np.savez(
+            fh,
+            times=ens.times,
+            samples=ens.samples,
+            sha256=np.array(_sha256_hex(csv_path)),
+        )
+
+
+def read_ensemble_sidecar(csv_path) -> tuple[np.ndarray, np.ndarray] | None:
+    """(times, samples) from `<csv_path>.npz` when its digest matches
+    the CSV bytes and its arrays have the shapes a parse gives; None
+    when the sidecar is missing, unreadable, stale or malformed.
+    write_ensemble_csv's shortest round-trip decimals parse back bit for
+    bit, so a matching sidecar holds exactly what _read_ensemble_arrays
+    would return."""
+    import zipfile
+
     try:
-        return TrajectoryEnsemble(times=times, samples=samples, transform="identity")
-    except ValueError as exc:
-        raise InputDataError(f"{path}: {exc}") from exc
+        with np.load(f"{csv_path}.npz", allow_pickle=False) as npz:
+            if str(npz["sha256"]) != _sha256_hex(csv_path):
+                return None
+            times, samples = npz["times"], npz["samples"]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    if (
+        times.dtype != np.float64
+        or samples.dtype != np.float64
+        or times.ndim != 1
+        or samples.ndim != 2
+        or samples.shape[1] != times.size
+        or samples.size == 0
+    ):
+        return None
+    return times, samples

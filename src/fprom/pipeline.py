@@ -52,7 +52,7 @@ from .estimation import (
     regress_time_only_coefficients,
 )
 from .grid import Grid
-from .langevin import _read_ensemble_arrays, ensemble_to_densities
+from .langevin import _read_ensemble_arrays, ensemble_to_densities, read_ensemble_sidecar
 from .sampling import TransformSpec, pushforward_density
 from .solver import SolverConfig, solve
 
@@ -484,12 +484,15 @@ def ingest(config: RunConfig):
 
     Ensemble mode returns a TrajectoryEnsemble with the configured
     transform already applied (log transforms require positive raw
-    values, and the transformed time axis must come out uniform).
+    values, and the transformed time axis must come out uniform). The
+    CSV is parsed unless the sidecar `simulate` wrote next to it still
+    matches its bytes, in which case the cached arrays are loaded.
     Density mode returns DensityFields in time order, each on the
     configured grid.
     """
     if config.input_mode == "ensemble":
-        times, samples = _read_ensemble_arrays(config.input_path)
+        cached = read_ensemble_sidecar(config.input_path)
+        times, samples = cached or _read_ensemble_arrays(config.input_path)
         tf = config.transform
         times = tf.forward_t(times)
         samples = tf.forward_x(samples)

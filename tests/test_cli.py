@@ -712,20 +712,22 @@ class TestImportCost:
     Crank-Nicolson solve and Tikhonov smoothing."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,written",
         [
-            ["simulate", "--config", "{ws}/sim.json", "--output", "ens.csv"],
-            ["estimate", "--config", "{ws}/run.json", "--output-dir", "est"],
-            ["oracle", "--kind", "f3", "--time", "2.0", "--mu", "1.0", "--diffusion",
-             "0.5", "--x-min", "-10.0", "--x-max", "20.0", "--n-points", "129",
-             "--output", "f3.csv"],
+            (["simulate", "--config", "{ws}/sim.json", "--output", "ens.csv"],
+             ["ens.csv", "ens.csv.npz"]),
+            (["estimate", "--config", "{ws}/run.json", "--output-dir", "est"],
+             ["est/estimate_report.txt"]),
+            (["oracle", "--kind", "f3", "--time", "2.0", "--mu", "1.0", "--diffusion",
+              "0.5", "--x-min", "-10.0", "--x-max", "20.0", "--n-points", "129",
+              "--output", "f3.csv"], ["f3.csv"]),
         ],
         ids=["simulate", "estimate", "oracle"],
     )
-    def test_command_never_loads_scipy(self, cli_workspace, tmp_path, argv):
+    def test_command_never_loads_scipy(self, cli_workspace, tmp_path, argv, written):
         argv = [arg.format(ws=cli_workspace) for arg in argv]
         assert _fresh_cli(argv, tmp_path) == [[], 0, []]
-        assert any(tmp_path.iterdir())
+        assert all((tmp_path / name).stat().st_size > 0 for name in written)
 
     def test_train_loads_scipy_linalg_at_its_first_solve(self, cli_workspace, tmp_path):
         argv = ["train", "--config", cli_workspace / "run.json", "--output-dir", "out"]
@@ -740,6 +742,16 @@ class TestImportCost:
         for path in sorted((SRC / "fprom").glob("*.py")):
             nodes = _import_time_nodes(ast.parse(path.read_text()).body)
             names = [n for n in _imported_names(nodes) if n.split(".")[0] == "scipy"]
+            imported += [(path.name, n) for n in names]
+        assert imported == []
+
+    def test_sidecar_modules_are_imported_where_they_run(self):
+        # numpy.random already loads hashlib (through secrets) and numpy
+        # loads zipfile, but fprom itself must not add them at import time
+        imported = []
+        for path in sorted((SRC / "fprom").glob("*.py")):
+            nodes = _import_time_nodes(ast.parse(path.read_text()).body)
+            names = [n for n in _imported_names(nodes) if n in ("hashlib", "zipfile")]
             imported += [(path.name, n) for n in names]
         assert imported == []
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fprom import CoefficientModel, stratonovich_to_ito_drift
+from fprom import CoefficientModel
 
 
 def test_polynomial_evaluation():
@@ -51,13 +51,29 @@ def test_max_abs_drift():
     assert model.max_abs_drift(0.0, 2.0) == pytest.approx(3.0, abs=1e-6)
 
 
-def test_stratonovich_conversion():
-    # additive noise: gradient term vanishes, drift unchanged
-    assert stratonovich_to_ito_drift(1.5, 0.0, 0.7) == pytest.approx(1.5)
-    # multiplicative: h + g_gradient * diffusion
-    assert stratonovich_to_ito_drift(1.0, 0.5, 0.2) == pytest.approx(1.1)
+def _sampled_range(poly, t_start, t_end):
+    vals = np.polynomial.polynomial.polyval(np.linspace(t_start, t_end, 1001), poly)
+    return float(np.min(vals)), float(np.max(vals)), float(np.max(np.abs(vals)))
 
 
-def test_stratonovich_conversion_rejects_non_finite():
-    with pytest.raises(ValueError):
-        stratonovich_to_ito_drift(np.inf, 0.0, 0.5)
+@pytest.mark.parametrize("value", [0.25, -0.7, 0.0, 1e-300, 3.5e12])
+@pytest.mark.parametrize("span", [(0.0, 2.0), (-1.5, 0.5), (0.3, 0.3)])
+def test_constant_coefficients_skip_sampling_with_the_same_result(
+    monkeypatch, value, span
+):
+    expected = _sampled_range((value,), *span)
+    model = CoefficientModel((value,), (value,))
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a constant coefficient was sampled")
+
+    monkeypatch.setattr(np, "linspace", no_sampling)
+    got = (*model.diffusion_range(*span), model.max_abs_drift(*span))
+    assert [repr(v) for v in got] == [repr(v) for v in expected]
+
+
+def test_time_varying_coefficients_are_still_sampled():
+    model = CoefficientModel((1.0, -2.0), (0.5, -1.0, 1.0))
+    lo, hi, _ = _sampled_range((0.5, -1.0, 1.0), 0.0, 1.0)
+    assert model.diffusion_range(0.0, 1.0) == (lo, hi)
+    assert model.max_abs_drift(0.0, 2.0) == _sampled_range((1.0, -2.0), 0.0, 2.0)[2]

@@ -10,7 +10,6 @@ from fprom import (
     SimPlan,
     TrajectoryEnsemble,
     ensemble_to_densities,
-    read_ensemble_csv,
     simulate,
     write_ensemble_csv,
 )
@@ -19,7 +18,7 @@ from fprom.errors import (
     InputDataError,
     SolverDivergenceError,
 )
-from fprom.langevin import _CHUNK, _DRAW_DOUBLES
+from fprom.langevin import _CHUNK, _DRAW_DOUBLES, _read_ensemble_arrays
 
 
 def constant_spec(mu=1.0, sigma=1.0):
@@ -444,10 +443,9 @@ class TestEnsembleCsv:
         )
         path = tmp_path / "ens.csv"
         write_ensemble_csv(ens, path)
-        back = read_ensemble_csv(path)
-        assert np.array_equal(back.times, ens.times)
-        assert np.array_equal(back.samples, ens.samples)
-        assert back.transform == "identity"
+        times, samples = _read_ensemble_arrays(path)
+        assert np.array_equal(times, ens.times)
+        assert np.array_equal(samples, ens.samples)
 
     def test_row_order_does_not_matter(self, tmp_path):
         ens = simulate(
@@ -458,20 +456,20 @@ class TestEnsembleCsv:
         lines = path.read_text().splitlines()
         shuffled = [lines[0]] + lines[:0:-1]
         path.write_text("\n".join(shuffled) + "\n")
-        back = read_ensemble_csv(path)
-        assert np.array_equal(back.samples, ens.samples)
+        _, samples = _read_ensemble_arrays(path)
+        assert np.array_equal(samples, ens.samples)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,time,value\n0,0.0,1.0\n")
         with pytest.raises(InputDataError, match="traj_id,t,x"):
-            read_ensemble_csv(path)
+            _read_ensemble_arrays(path)
 
     def test_field_count_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("traj_id,t,x\n0,0.0\n")
         with pytest.raises(InputDataError, match=":2: expected 3 fields"):
-            read_ensemble_csv(path)
+            _read_ensemble_arrays(path)
 
     def test_mismatched_axes_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -479,13 +477,13 @@ class TestEnsembleCsv:
             "traj_id,t,x\n0,0.0,1.0\n0,0.1,1.0\n1,0.0,2.0\n1,0.2,2.0\n"
         )
         with pytest.raises(InputDataError, match="common time axis"):
-            read_ensemble_csv(path)
+            _read_ensemble_arrays(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("traj_id,t,x\n")
         with pytest.raises(InputDataError, match="no data rows"):
-            read_ensemble_csv(path)
+            _read_ensemble_arrays(path)
 
 
 def reference_write_ensemble_csv(ens, path):
@@ -600,9 +598,9 @@ class TestEnsembleCsvEdgeCases:
     def test_accepted(self, tmp_path, text, times, samples):
         path = tmp_path / "ens.csv"
         path.write_bytes(text.encode())
-        ens = read_ensemble_csv(path)
-        assert np.array_equal(ens.times, times)
-        assert np.array_equal(ens.samples, samples)
+        got_times, got_samples = _read_ensemble_arrays(path)
+        assert np.array_equal(got_times, times)
+        assert np.array_equal(got_samples, samples)
 
     @pytest.mark.parametrize(
         "text,suffix",
@@ -613,7 +611,7 @@ class TestEnsembleCsvEdgeCases:
         path = tmp_path / "ens.csv"
         path.write_bytes(text.encode())
         with pytest.raises(InputDataError) as info:
-            read_ensemble_csv(path)
+            _read_ensemble_arrays(path)
         assert str(info.value) == f"{path}{suffix}"
 
     def test_shuffled_round_trip_bitwise(self, tmp_path):
@@ -628,7 +626,7 @@ class TestEnsembleCsvEdgeCases:
         body = lines[1:]
         order = np.random.default_rng(3).permutation(len(body))
         path.write_text("\n".join([lines[0]] + [body[i] for i in order]) + "\n")
-        back = read_ensemble_csv(path)
-        assert back.samples.shape == (5000, 21)
-        assert np.array_equal(back.times, ens.times)
-        assert np.array_equal(back.samples, ens.samples)
+        times, samples = _read_ensemble_arrays(path)
+        assert samples.shape == (5000, 21)
+        assert np.array_equal(times, ens.times)
+        assert np.array_equal(samples, ens.samples)

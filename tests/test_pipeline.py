@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 
@@ -29,7 +30,10 @@ from fprom import (
     write_density_csv,
     write_ensemble_csv,
 )
+import fprom.pipeline
+from fprom.cli import main
 from fprom.errors import InfeasibleConfigError, InputDataError
+from fprom.langevin import _read_ensemble_arrays
 from fprom.pipeline import ENV_OUTPUT_DIR, resolve_output_dir
 
 
@@ -704,3 +708,166 @@ class TestRunValidate:
         ]
         with pytest.raises(InfeasibleConfigError, match="time order"):
             run_validate(artifact, testing, SolverSettings(dt=0.05))
+
+
+_SIDECAR_CASES = {
+    # workflow: point start, constant coefficients, identity coordinates
+    "workflow": (
+        {
+            "drift": {"kind": "constant", "params": [1.0]},
+            "noise": {"kind": "constant", "params": [1.0]},
+            "x0": {"kind": "point", "params": [0.0]},
+        },
+        {"transform": "identity", "grid": {"x_min": -6.0, "x_max": 10.0, "n_points": 129}},
+    ),
+    # lognormal: normal start, linear_in_x coefficients, log coordinates
+    "lognormal": (
+        {
+            "drift": {"kind": "linear_in_x", "params": [0.0, 0.3]},
+            "noise": {"kind": "linear_in_x", "params": [0.0, 0.4]},
+            "x0": {"kind": "normal", "params": [1.0, 0.1]},
+        },
+        {"transform": "log_x", "grid": {"x_min": -4.0, "x_max": 4.0, "n_points": 129}},
+    ),
+}
+
+
+@pytest.fixture(params=sorted(_SIDECAR_CASES))
+def simulated(request, tmp_path):
+    """`fprom simulate` output (CSV and sidecar) plus a run config for it."""
+    sim, run = _SIDECAR_CASES[request.param]
+    sim = dict(sim, n_trajectories=300, dt=0.01, horizon=2.0, stride=25, seed=31)
+    (tmp_path / "sim.json").write_text(json.dumps(sim))
+    csv_path = tmp_path / "ensemble.csv"
+    assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                 "--output", str(csv_path)]) == 0
+    run = dict(
+        run,
+        input={"mode": "ensemble", "path": "ensemble.csv"},
+        split={"train_end": 1.0, "truncate_start": 0.5},
+        solver={"dt": 0.05},
+        method="moment_regression",
+        seed=31,
+    )
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    return tmp_path
+
+
+def _npz(path):
+    with np.load(path, allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _parsed(root):
+    """What ingest returns when it parses the CSV itself."""
+    config = RunConfig.from_file(root / "run.json")
+    times, samples = _read_ensemble_arrays(root / "ensemble.csv")
+    tf = config.transform
+    return tf.forward_t(times), tf.forward_x(samples)
+
+
+def _assert_bitwise(ens, times, samples):
+    assert ens.times.dtype == times.dtype and ens.samples.dtype == samples.dtype
+    assert ens.times.tobytes() == times.tobytes()
+    assert ens.samples.tobytes() == samples.tobytes()
+
+
+class TestEnsembleSidecar:
+    def test_sidecar_equals_the_csv_parse_bitwise(self, simulated):
+        csv_path = simulated / "ensemble.csv"
+        cached = _npz(simulated / "ensemble.csv.npz")
+        assert sorted(cached) == ["samples", "sha256", "times"]
+        assert str(cached["sha256"]) == hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        times, samples = _read_ensemble_arrays(csv_path)
+        assert cached["times"].tobytes() == times.tobytes()
+        assert cached["samples"].tobytes() == samples.tobytes()
+        assert cached["samples"].shape == (300, 9)
+        _assert_bitwise(ingest(RunConfig.from_file(simulated / "run.json")),
+                        *_parsed(simulated))
+
+    def test_matching_sidecar_is_loaded_instead_of_parsing(self, simulated, monkeypatch):
+        expected = _parsed(simulated)
+
+        def no_parse(path):
+            raise AssertionError("the CSV was parsed")
+
+        monkeypatch.setattr(fprom.pipeline, "_read_ensemble_arrays", no_parse)
+        _assert_bitwise(ingest(RunConfig.from_file(simulated / "run.json")), *expected)
+
+    def test_edited_csv_is_parsed(self, simulated):
+        csv_path = simulated / "ensemble.csv"
+        sidecar = (simulated / "ensemble.csv.npz").read_bytes()
+        lines = csv_path.read_text().splitlines()
+        traj, t, _ = lines[5].split(",")
+        lines[5] = f"{traj},{t},2.5"
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert _read_ensemble_arrays(csv_path)[1][0, 4] == 2.5
+        _assert_bitwise(ingest(RunConfig.from_file(simulated / "run.json")),
+                        *_parsed(simulated))
+        # ingest reads the sidecar but never rewrites it
+        assert (simulated / "ensemble.csv.npz").read_bytes() == sidecar
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["missing", "empty", "truncated_header", "truncated_half", "truncated_tail",
+         "not_a_zip", "samples_transposed", "samples_flat", "times_2d",
+         "integer_samples", "pickled_samples", "no_digest", "no_samples"],
+    )
+    def test_broken_sidecar_gives_the_csv_parse(self, simulated, damage):
+        path = simulated / "ensemble.csv.npz"
+        raw = path.read_bytes()
+        arrays = _npz(path)
+        if damage == "missing":
+            path.unlink()
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage.startswith("truncated"):
+            cut = {"truncated_header": 20, "truncated_half": len(raw) // 2,
+                   "truncated_tail": len(raw) - 10}[damage]
+            path.write_bytes(raw[:cut])
+        elif damage == "not_a_zip":
+            path.write_bytes(b"traj_id,t,x\n" + raw)
+        else:
+            samples, times = arrays["samples"], arrays["times"]
+            changed = {
+                "samples_transposed": {"samples": np.ascontiguousarray(samples.T)},
+                "samples_flat": {"samples": samples.ravel()},
+                "times_2d": {"times": times[None, :]},
+                "integer_samples": {"samples": samples.astype(np.int64)},
+                "pickled_samples": {"samples": samples.astype(object)},
+                "no_digest": {"sha256": None},
+                "no_samples": {"samples": None},
+            }[damage]
+            arrays.update(changed)
+            with open(path, "wb") as fh:
+                np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
+        _assert_bitwise(ingest(RunConfig.from_file(simulated / "run.json")),
+                        *_parsed(simulated))
+
+    def test_ingest_never_writes_a_sidecar(self, simulated):
+        (simulated / "ensemble.csv.npz").unlink()
+        ingest(RunConfig.from_file(simulated / "run.json"))
+        assert not (simulated / "ensemble.csv.npz").exists()
+
+    # the lognormal predict grid clips its pushforward KDE, as on the
+    # lognormal benchmark workload; both runs clip alike
+    @pytest.mark.filterwarnings("ignore:grid does not cover samples")
+    def test_outputs_are_byte_identical_without_the_sidecar(self, simulated):
+        run = str(simulated / "run.json")
+        for out in ("cached", "parsed"):
+            if out == "parsed":
+                (simulated / "ensemble.csv.npz").unlink()
+            artifact = str(simulated / out / "artifact.json")
+            for argv in (
+                ["train", "--config", run],
+                ["predict", "--artifact", artifact, "--horizon", "2.0",
+                 "--times", "1.5,2.0", "--dt", "0.05", "--pushforward-samples", "2000"],
+                ["validate", "--artifact", artifact, "--config", run],
+            ):
+                assert main([*argv, "--output-dir", str(simulated / out)]) == 0
+        names = sorted(p.name for p in (simulated / "cached").iterdir())
+        assert {"artifact.json", "run_report.txt", "metrics.csv"} <= set(names)
+        assert names == sorted(p.name for p in (simulated / "parsed").iterdir())
+        for name in names:
+            cached = (simulated / "cached" / name).read_bytes()
+            assert cached == (simulated / "parsed" / name).read_bytes()
