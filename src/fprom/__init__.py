@@ -59,7 +59,7 @@ from .pipeline import (
     save_artifact,
     split,
 )
-from .sampling import TransformSpec, pushforward_density, rejection_sample
+from .sampling import TransformSpec, pushforward_density
 from .solver import SolutionTrace, SolverConfig, solve
 
 __all__ = [
@@ -103,7 +103,6 @@ __all__ = [
     "pushforward_density",
     "read_density_csv",
     "regress_time_only_coefficients",
-    "rejection_sample",
     "run_predict",
     "run_train",
     "run_validate",

@@ -34,7 +34,6 @@ from .errors import (
 from .grid import Grid
 from .langevin import SdeSpec, SimPlan, simulate, write_ensemble_csv, write_ensemble_sidecar
 from .pipeline import (
-    PUSHFORWARD_SAMPLES,
     RunConfig,
     SolverSettings,
     ingest,
@@ -165,7 +164,6 @@ def _cmd_predict(args) -> int:
         record_times=times,
         solver=solver,
         output_dir=out,
-        pushforward_samples=args.pushforward_samples,
     )
     print(f"wrote {len(densities)} densities to {out / 'predicted_manifest.csv'}")
     if reconstructed:
@@ -261,7 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--integrator", choices=("explicit_rk4", "crank_nicolson"))
     p.add_argument("--boundary", choices=("zero_flux", "zero_dirichlet"))
-    p.add_argument("--pushforward-samples", type=int, default=PUSHFORWARD_SAMPLES)
+    # accepted and ignored: the reconstruction no longer samples, but the
+    # benchmark's lognormal workload still passes this flag; it goes when
+    # ROADMAP item 6 drops it from the benchmark
+    p.add_argument("--pushforward-samples", help=argparse.SUPPRESS)
     p.add_argument("--output-dir", help="where to write density CSVs")
     p.set_defaults(handler=_cmd_predict)
 

@@ -83,8 +83,6 @@ _ARTIFACT_FORMAT = "fprom-artifact-v1"
 _DEFAULT_DRIFT_BOUND = (-2.0, 2.0)
 _DEFAULT_DIFF_BOUND = (1e-5, 2.0)
 
-PUSHFORWARD_SAMPLES = 100_000
-
 _TIME_TOL = 1e-9
 
 logger = logging.getLogger("fprom.pipeline")
@@ -688,14 +686,15 @@ def run_predict(
     record_times,
     solver: SolverSettings,
     output_dir=None,
-    pushforward_samples: int = PUSHFORWARD_SAMPLES,
 ):
     """Propagate the artifact forward and export per-time densities.
 
     record_times must not exceed horizon, which must lie beyond the
     training window. With a non-identity transform each density is
-    also mapped back to original units by sampled pushforward and
-    exported alongside. Returns (densities, reconstructed densities).
+    also mapped back to original units and exported alongside: cell
+    averages on a uniform grid over the exponentiated domain, which
+    keep the CDF exactly, so no mass is lost or renormalised and no
+    seed is used. Returns (densities, reconstructed densities).
     """
     record_times = tuple(float(t) for t in record_times)
     if not record_times:
@@ -722,10 +721,7 @@ def run_predict(
         hi = float(np.exp(artifact.grid.x_max))
         target = Grid(x_min=lo, x_max=hi, n_points=artifact.grid.n_points)
         reconstructed = [
-            pushforward_density(
-                f, artifact.transform, target, pushforward_samples, artifact.seed
-            )
-            for f in densities
+            pushforward_density(f, artifact.transform, target) for f in densities
         ]
 
     if output_dir is not None or os.environ.get(ENV_OUTPUT_DIR):

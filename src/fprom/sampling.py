@@ -1,10 +1,11 @@
-"""Rejection sampling from tabulated densities and invertible
-coordinate transforms.
+"""Invertible coordinate transforms and the exact pushforward of
+tabulated densities back to original units.
 
 Densities calibrated in transformed coordinates (log grain size, log
-time) are mapped back to original units by sampling: draw from the
-tabulated density, invert the transform pointwise, re-estimate by KDE.
-That avoids Jacobian factors blowing up at grid edges.
+time) are mapped back through the CDF, which a monotone map preserves:
+F_X(x) = F_Y(forward_x(x)). The result is a cell average on the target
+grid, so it needs no Jacobian factor, no sampling and no seed, and its
+mass is the mass of f that falls inside the target grid.
 """
 
 from __future__ import annotations
@@ -12,20 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
-from .density import DensityField, kde_estimate
+from .density import DensityField
 from .errors import InfeasibleConfigError, InputDataError
 from .estimation import TRANSFORM_TAGS
 from .grid import Grid
 
 __all__ = [
     "TransformSpec",
-    "rejection_sample",
     "pushforward_density",
 ]
-
-_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -82,64 +79,28 @@ class TransformSpec:
         return np.exp(t) if self.transforms_t else t.copy()
 
 
-def _rejection_sample_counted(
-    f: DensityField, n: int, seed: int
-) -> tuple[np.ndarray, int]:
-    """rejection_sample plus the number of proposals consumed."""
-    if n < 1:
-        raise InfeasibleConfigError("n must be >= 1")
-    nodes = f.grid.nodes
-    values = f.values
-    f_max = float(np.max(values))
-    if f_max <= 0.0:
-        raise InfeasibleConfigError("cannot sample from an all-zero density")
-    if abs(f.mass - 1.0) > 1e-3:
-        raise InfeasibleConfigError(
-            f"density mass {f.mass:.6f} is not 1 within 1e-3; normalize first"
-        )
-    # envelope height with head-room so acceptance at the peak stays < 1
-    height = f_max * (1.0 + 1e-9)
-    lo, hi = f.grid.x_min, f.grid.x_max
-    gen = Generator(Philox(key=[seed, 0]))
-    out = np.empty(n)
-    filled = 0
-    proposed = 0
-    while filled < n:
-        x = gen.uniform(lo, hi, _BATCH)
-        u = gen.uniform(0.0, 1.0, _BATCH)
-        proposed += _BATCH
-        keep = x[u * height < np.interp(x, nodes, values)]
-        take = min(keep.size, n - filled)
-        out[filled : filled + take] = keep[:take]
-        filled += take
-    return out, proposed
-
-
-def rejection_sample(f: DensityField, n: int, seed: int) -> np.ndarray:
-    """Draw n samples from the piecewise-linear density with a uniform
-    proposal under the global-max envelope. Deterministic per seed."""
-    return _rejection_sample_counted(f, n, seed)[0]
-
-
 def pushforward_density(
-    f: DensityField,
-    transform: TransformSpec,
-    target_grid: Grid,
-    n_samples: int,
-    seed: int,
+    f: DensityField, transform: TransformSpec, target_grid: Grid
 ) -> DensityField:
-    """Map a density through the inverse state transform by resampling.
+    """Map a density through the inverse state transform by CDF differencing.
 
-    Samples drawn from f are pushed through inverse_x and re-estimated
-    by auto-bandwidth KDE on target_grid; the time stamp is mapped to
-    original units through inverse_t.
+    Each target node gets the mass of f between its cell faces (half
+    cells at the ends, as in the solver's operator), read off the
+    cumulative trapezoid of f at forward_x of the faces, divided by the
+    cell width. Mass outside the target grid is dropped, not
+    renormalised back, so it shows in the result's ``mass``. The time
+    stamp is mapped to original units through inverse_t.
     """
-    samples = rejection_sample(f, n_samples, seed)
-    mapped = transform.inverse_x(samples)
-    if not np.all(np.isfinite(mapped)):
-        raise InfeasibleConfigError(
-            f"inverse of transform {transform.kind!r} is not finite on the "
-            "sampled support"
-        )
-    t_out = float(transform.inverse_t(f.time_stamp))
-    return kde_estimate(mapped, target_grid, bandwidth="auto", time_stamp=t_out)
+    y = f.grid.nodes
+    cell_mass = 0.5 * np.diff(y) * (f.values[1:] + f.values[:-1])
+    cdf = np.concatenate(([0.0], np.cumsum(cell_mass)))
+    x = target_grid.nodes
+    faces = np.concatenate(([x[0]], 0.5 * (x[1:] + x[:-1]), [x[-1]]))
+    # np.interp can round one ulp past a node's value just below it; a
+    # decreasing CDF would give a negative cell, which DensityField refuses
+    at_faces = np.maximum.accumulate(np.interp(transform.forward_x(faces), y, cdf))
+    return DensityField(
+        grid=target_grid,
+        values=np.diff(at_faces) / np.diff(faces),
+        time_stamp=float(transform.inverse_t(f.time_stamp)),
+    )

@@ -21,6 +21,7 @@ from fprom import (
     SdeSpec,
     SimPlan,
     SolverConfig,
+    TransformSpec,
     calibrate,
     drift_diffusion_density,
     gaussian_density,
@@ -33,6 +34,7 @@ from fprom import (
     pure_diffusion_density,
     pure_drift_density,
     regress_time_only_coefficients,
+    pushforward_density,
     simulate,
     solve,
     tikhonov_smooth,
@@ -280,6 +282,25 @@ def test_reflecting_stationary_density_second_order():
     assert errors[-1] <= 5e-3
     assert errors[0] / errors[1] >= 3.5
     assert errors[1] / errors[2] >= 3.5
+
+
+@pytest.mark.criterion(13, "log-coordinate predictions map back to original units exactly")
+def test_log_coordinates_map_back_exactly():
+    # log X ~ N(0.44, 0.33) on [-4, 4], mapped onto [e^-4, e^4] and
+    # compared with the closed-form log-normal density
+    mean, var = 0.44, 0.33
+    errors = []
+    for n_points in (257, 513, 1025):
+        f = gaussian_density(Grid(-4.0, 4.0, n_points), mean, var, 2.0)
+        target = Grid(float(np.exp(-4.0)), float(np.exp(4.0)), n_points)
+        out = pushforward_density(f, TransformSpec("log_x"), target)
+        assert abs(out.mass - 1.0) <= 1e-12
+        x = target.nodes
+        exact = np.exp(-((np.log(x) - mean) ** 2) / (2.0 * var)) / (x * np.sqrt(2.0 * np.pi * var))
+        errors.append(l1_distance(out, DensityField(target, exact, 2.0)))
+    assert errors[1] <= 5e-3
+    assert errors[0] / errors[1] >= 3.0
+    assert errors[1] / errors[2] >= 3.0
 
 
 def _write_small_workflow_inputs(root):

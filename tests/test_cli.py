@@ -520,6 +520,31 @@ class TestPredictAndValidate:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
+    def test_pushforward_samples_flag_is_accepted_and_ignored(self, tmp_path):
+        grid = Grid(-3.0, 3.0, 129)
+        artifact = RomArtifact(
+            grid=grid,
+            model=CoefficientModel(drift_poly=(0.1,), diff_poly=(0.05,)),
+            transform=TransformSpec("log_x"),
+            initial_density=gaussian_density(grid, 0.0, 0.25, 1.0),
+            train_window=(0.5, 1.0),
+            method="loss_minimization",
+            loss=0.0,
+            seed=0,
+        )
+        save_artifact(artifact, tmp_path / "artifact.json")
+        predict = ["predict", "--artifact", str(tmp_path / "artifact.json"),
+                   "--horizon", "2.0", "--times", "1.5,2.0", "--dt", "0.05"]
+        assert main([*predict, "--output-dir", str(tmp_path / "plain")]) == 0
+        assert main([*predict, "--pushforward-samples", "7",
+                     "--output-dir", str(tmp_path / "flag")]) == 0
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert "reconstructed_0001.csv" in names and "predicted_0001.csv" in names
+        assert names == sorted(p.name for p in (tmp_path / "flag").iterdir())
+        for name in names:
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert plain == (tmp_path / "flag" / name).read_bytes()
+
     def test_validate_writes_metrics(self, trained, cli_workspace, tmp_path, capsys):
         out = tmp_path / "metrics"
         code = main(

@@ -627,17 +627,15 @@ class TestRunPredict:
             loss=0.0,
             seed=1,
         )
-        with pytest.warns(UserWarning, match="truncated"):
-            densities, reconstructed = run_predict(
-                artifact, horizon=1.5, record_times=(1.5,),
-                solver=SolverSettings(dt=0.05), output_dir=tmp_path,
-                pushforward_samples=20_000,
-            )
+        densities, reconstructed = run_predict(
+            artifact, horizon=1.5, record_times=(1.5,),
+            solver=SolverSettings(dt=0.05), output_dir=tmp_path,
+        )
         assert len(reconstructed) == 1
         rec = reconstructed[0]
         assert rec.grid.x_min == pytest.approx(np.exp(-3.0))
         assert rec.grid.x_max == pytest.approx(np.exp(3.0))
-        assert rec.mass == pytest.approx(1.0, abs=1e-6)
+        assert rec.mass == pytest.approx(1.0, abs=1e-12)
         assert (tmp_path / "reconstructed_manifest.csv").exists()
         assert (tmp_path / "reconstructed_0000.csv").exists()
 
@@ -849,9 +847,6 @@ class TestEnsembleSidecar:
         ingest(RunConfig.from_file(simulated / "run.json"))
         assert not (simulated / "ensemble.csv.npz").exists()
 
-    # the lognormal predict grid clips its pushforward KDE, as on the
-    # lognormal benchmark workload; both runs clip alike
-    @pytest.mark.filterwarnings("ignore:grid does not cover samples")
     def test_outputs_are_byte_identical_without_the_sidecar(self, simulated):
         run = str(simulated / "run.json")
         for out in ("cached", "parsed"):
@@ -861,7 +856,7 @@ class TestEnsembleSidecar:
             for argv in (
                 ["train", "--config", run],
                 ["predict", "--artifact", artifact, "--horizon", "2.0",
-                 "--times", "1.5,2.0", "--dt", "0.05", "--pushforward-samples", "2000"],
+                 "--times", "1.5,2.0", "--dt", "0.05"],
                 ["validate", "--artifact", artifact, "--config", run],
             ):
                 assert main([*argv, "--output-dir", str(simulated / out)]) == 0

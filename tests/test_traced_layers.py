@@ -12,8 +12,9 @@ from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "fprombench" / "tracer.py"
 
-# deleted with the general stencil machinery; the benchmark still lists it
-ALREADY_GONE = {("grid", "derivative_matrix")}
+# deleted with the general stencil machinery and with the sampled
+# pushforward; the benchmark still lists them
+ALREADY_GONE = {("grid", "derivative_matrix"), ("sampling", "rejection_sample")}
 
 
 def traced_layers():
