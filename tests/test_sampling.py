@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fprom import (
+    DensityField,
     Grid,
     TransformSpec,
     gaussian_density,
@@ -100,3 +101,44 @@ class TestPushforward:
         f = gaussian_density(grid, 0.0, 1.0, 0.0)
         out = pushforward_density(f, TransformSpec("identity"), Grid(-1.0, 1.0, 129))
         assert out.mass == pytest.approx(math.erf(1.0 / math.sqrt(2.0)), abs=1e-4)
+
+    def test_cdf_matches_the_lognormal_closed_form(self):
+        # a monotone map preserves the CDF: the cumulative mass of the
+        # result at every target cell face is Phi(log(x) / 0.5)
+        log_grid = Grid(-3.0, 3.0, 513)
+        f = gaussian_density(log_grid, 0.0, 0.25, 0.0)
+        x = Grid(np.exp(-3.0), np.exp(3.0), 513).nodes
+        out = pushforward_density(f, TransformSpec("log_x"), Grid(x[0], x[-1], 513))
+        faces = np.concatenate(([x[0]], 0.5 * (x[1:] + x[:-1]), [x[-1]]))
+        cdf = np.concatenate(([0.0], np.cumsum(out.values * np.diff(faces))))
+        exact = [0.5 * (1.0 + math.erf(math.log(u) / (0.5 * math.sqrt(2.0)))) for u in faces]
+        assert np.max(np.abs(cdf - exact)) <= 1e-4
+
+    def test_target_cells_beyond_the_source_grid_get_no_mass(self):
+        # uniform on [0, 1] in log coordinates lands on [1, e]; a wider
+        # target grid keeps all of it and leaves the outer cells empty
+        grid = Grid(0.0, 1.0, 129)
+        f = DensityField(grid=grid, values=np.ones(129), time_stamp=0.0)
+        out = pushforward_density(f, TransformSpec("log_x"), Grid(0.5, 4.0, 129))
+        x = out.grid.nodes
+        h = out.grid.spacing
+        assert np.all(out.values[x < 1.0 - h / 2] == 0.0)
+        assert np.all(out.values[x > np.e + h / 2] == 0.0)
+        assert abs(out.mass - 1.0) <= 1e-12
+
+    def test_all_zero_density_maps_to_zero(self):
+        grid = Grid(-1.0, 1.0, 65)
+        f = DensityField(grid=grid, values=np.zeros(65), time_stamp=0.0)
+        out = pushforward_density(f, TransformSpec("identity"), grid)
+        assert np.all(out.values == 0.0)
+        assert out.mass == 0.0
+
+    def test_unnormalized_density_is_not_renormalised(self):
+        grid = Grid(-6.0, 6.0, 129)
+        ref = gaussian_density(grid, 0.0, 1.0, 0.0)
+        f = DensityField(grid=grid, values=ref.values * 2.0, time_stamp=0.0)
+        target = Grid(-4.0, 4.0, 97)
+        one = pushforward_density(ref, TransformSpec("identity"), target)
+        two = pushforward_density(f, TransformSpec("identity"), target)
+        assert np.allclose(two.values, 2.0 * one.values, rtol=1e-14, atol=0.0)
+        assert two.mass == pytest.approx(2.0 * one.mass, rel=1e-14)
