@@ -4,113 +4,47 @@ Calibrate drift and diffusion coefficients of a density-evolution
 equation from ensemble time-series, then propagate the probability
 density beyond the training horizon. Includes a synthetic Langevin
 ensemble generator, closed-form oracle densities, coefficient
-estimation (conditional moments and moment regression),
-loss-minimization calibration, and a CLI pipeline with persistent
-artifacts.
+estimation by moment regression, loss-minimization calibration, and a
+CLI pipeline with persistent artifacts.
 """
 
 from ._version import __version__
-from .analytic import (
-    drift_diffusion_density,
-    gaussian_density,
-    pure_diffusion_density,
-    pure_drift_density,
-)
-from .calibrate import CalibrationProblem, CalibrationResult, calibrate, loss
+from .calibrate import CalibrationProblem, calibrate
 from .coefficients import CoefficientModel
-from .density import (
-    DensityField,
-    MomentSet,
-    auto_bandwidth,
-    kde_estimate,
-    kl_divergence,
-    l1_distance,
-    moments,
-    read_density_csv,
-    tikhonov_smooth,
-    write_density_csv,
-)
+from .density import DensityField, kde_estimate, kl_divergence, tikhonov_smooth
 from .errors import InfeasibleConfigError, InputDataError, SolverDivergenceError
-from .estimation import (
-    KmTable,
-    MomentSeries,
-    TrajectoryEnsemble,
-    conditional_km_coefficient,
-    moment_series,
-    regress_time_only_coefficients,
-)
+from .estimation import TrajectoryEnsemble, regress_time_only_coefficients
 from .grid import Grid
-from .langevin import (
-    SdeSpec,
-    SimPlan,
-    ensemble_to_densities,
-    simulate,
-    write_ensemble_csv,
-)
-from .pipeline import (
-    RomArtifact,
-    RunConfig,
-    SolverSettings,
-    ingest,
-    load_artifact,
-    run_predict,
-    run_train,
-    run_validate,
-    save_artifact,
-    split,
-)
-from .sampling import TransformSpec, pushforward_density
-from .solver import SolutionTrace, SolverConfig, solve
+from .langevin import SdeSpec, SimPlan, ensemble_to_densities, simulate
+from .pipeline import RomArtifact, RunConfig, run_predict, run_train, run_validate
+from .sampling import pushforward_density
+from .solver import SolverConfig, solve
 
 __all__ = [
     "__version__",
     "CalibrationProblem",
-    "CalibrationResult",
     "CoefficientModel",
     "DensityField",
     "Grid",
     "InfeasibleConfigError",
     "InputDataError",
-    "KmTable",
-    "MomentSeries",
-    "MomentSet",
     "RomArtifact",
     "RunConfig",
     "SdeSpec",
     "SimPlan",
-    "SolutionTrace",
     "SolverConfig",
     "SolverDivergenceError",
-    "SolverSettings",
     "TrajectoryEnsemble",
-    "TransformSpec",
-    "auto_bandwidth",
     "calibrate",
-    "conditional_km_coefficient",
-    "drift_diffusion_density",
     "ensemble_to_densities",
-    "gaussian_density",
-    "ingest",
     "kde_estimate",
     "kl_divergence",
-    "l1_distance",
-    "load_artifact",
-    "loss",
-    "moment_series",
-    "moments",
-    "pure_diffusion_density",
-    "pure_drift_density",
     "pushforward_density",
-    "read_density_csv",
     "regress_time_only_coefficients",
     "run_predict",
     "run_train",
     "run_validate",
-    "save_artifact",
     "simulate",
     "solve",
-    "split",
     "tikhonov_smooth",
-    "write_density_csv",
-    "write_ensemble_csv",
 ]

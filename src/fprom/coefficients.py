@@ -22,6 +22,20 @@ def _horner(coeffs: tuple[float, ...], t: float) -> float:
     return acc
 
 
+def _sampled_range(poly: tuple[float, ...], t_start: float, t_end: float) -> tuple[float, float]:
+    """(min, max) of a polynomial over [t_start, t_end].
+
+    Degree <= 3 polynomials vary slowly; 1001 samples plus the
+    endpoints bound the range tightly enough for feasibility and
+    stability checks. A constant is returned without sampling, which
+    gives the same value.
+    """
+    if len(poly) == 1:
+        return poly[0], poly[0]
+    vals = np.polynomial.polynomial.polyval(np.linspace(t_start, t_end, 1001), np.asarray(poly))
+    return float(np.min(vals)), float(np.max(vals))
+
+
 @dataclass(frozen=True)
 class CoefficientModel:
     """Time-only coefficients: drift D1(t) and diffusion D2(t).
@@ -64,24 +78,10 @@ class CoefficientModel:
             c == 0.0 for c in self.diff_poly[1:]
         )
 
-    def diffusion_range(self, t_start: float, t_end: float, samples: int = 1001) -> tuple[float, float]:
-        """(min, max) of D2 over [t_start, t_end] by dense sampling.
+    def diffusion_range(self, t_start: float, t_end: float) -> tuple[float, float]:
+        """(min, max) of D2 over [t_start, t_end] by dense sampling."""
+        return _sampled_range(self.diff_poly, t_start, t_end)
 
-        Degree <= 3 polynomials vary slowly; 1001 samples plus the
-        endpoints bound the range tightly enough for feasibility and
-        stability checks. A constant D2 is returned without sampling,
-        which gives the same value.
-        """
-        if len(self.diff_poly) == 1:
-            return self.diff_poly[0], self.diff_poly[0]
-        ts = np.linspace(t_start, t_end, samples)
-        vals = np.polynomial.polynomial.polyval(ts, np.asarray(self.diff_poly))
-        return float(np.min(vals)), float(np.max(vals))
-
-    def max_abs_drift(self, t_start: float, t_end: float, samples: int = 1001) -> float:
-        if len(self.drift_poly) == 1:
-            return abs(self.drift_poly[0])
-        ts = np.linspace(t_start, t_end, samples)
-        vals = np.polynomial.polynomial.polyval(ts, np.asarray(self.drift_poly))
-        return float(np.max(np.abs(vals)))
-
+    def max_abs_drift(self, t_start: float, t_end: float) -> float:
+        lo, hi = _sampled_range(self.drift_poly, t_start, t_end)
+        return max(abs(lo), abs(hi))

@@ -1,17 +1,12 @@
-"""Coefficient estimation from ensemble time-series.
+"""Coefficient estimation from ensemble time-series by moment regression.
 
-Two routes to the same coefficients:
-
-* conditional estimates, binned in x per time level, from the scaled
-  increment moments mean([x(t+dt) - x(t)]^n) / (n! dt);
-* moment regression, fitting polynomials to the ensemble mean and
-  variance and differentiating (drift = d mean/dt, diffusion = half
-  d variance/dt), valid when the coefficients depend on time only.
+Polynomials are fitted to the ensemble mean and variance and
+differentiated (drift = d mean/dt, diffusion = half d variance/dt),
+which is valid when the coefficients depend on time only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,16 +17,11 @@ from .errors import InfeasibleConfigError
 __all__ = [
     "TrajectoryEnsemble",
     "MomentSeries",
-    "KmTable",
-    "conditional_km_coefficient",
     "moment_series",
     "regress_time_only_coefficients",
 ]
 
 TRANSFORM_TAGS = ("identity", "log_x", "log_x_log_t")
-
-MIN_REALIZATIONS_KM = 30
-MIN_CELL_COUNT = 20
 
 
 @dataclass(frozen=True)
@@ -105,102 +95,6 @@ class MomentSeries:
         for arr, name in ((t, "times"), (m, "mean"), (v, "variance")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
-class KmTable:
-    """Binned conditional coefficient estimates D(n)(x, t).
-
-    Rows index the K-1 increment times, columns the x bins at that
-    time. Cells with fewer than the minimum sample count hold NaN in
-    ``estimates`` and are excluded from every aggregate.
-    """
-
-    order: int
-    times: np.ndarray
-    centers: np.ndarray
-    estimates: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def populated(self) -> np.ndarray:
-        return ~np.isnan(self.estimates)
-
-    def pooled_estimate(self) -> float:
-        """Count-weighted average over every populated cell."""
-        mask = self.populated
-        if not mask.any():
-            raise ValueError("no populated cells")
-        w = self.counts[mask].astype(float)
-        return float(np.sum(self.estimates[mask] * w) / np.sum(w))
-
-    def pooled_by_time(self) -> np.ndarray:
-        """Count-weighted average over populated cells, per time level.
-
-        Times with no populated cell yield NaN.
-        """
-        out = np.full(self.times.shape, np.nan)
-        for i in range(self.times.size):
-            mask = self.populated[i]
-            if mask.any():
-                w = self.counts[i, mask].astype(float)
-                out[i] = np.sum(self.estimates[i, mask] * w) / np.sum(w)
-        return out
-
-
-def conditional_km_coefficient(
-    ens: TrajectoryEnsemble, order: int, n_bins: int, min_count: int = MIN_CELL_COUNT
-) -> KmTable:
-    """Binned conditional estimates of the order-n coefficient.
-
-    At each time level the sample range is cut into n_bins equal-width
-    bins; within each bin the estimate is the conditional increment
-    moment mean([x(t+dt)-x(t)]^n) / (n! dt). A degenerate range (all
-    samples equal) collapses to a single bin. Cells under min_count
-    samples are marked empty (NaN).
-    """
-    if order not in (1, 2, 3, 4):
-        raise ValueError("order must be in {1, 2, 3, 4}")
-    if n_bins < 4:
-        raise ValueError("n_bins must be >= 4")
-    if ens.n_realizations < MIN_REALIZATIONS_KM:
-        raise ValueError(
-            f"too few realizations for conditional estimation: "
-            f"{ens.n_realizations} < {MIN_REALIZATIONS_KM}"
-        )
-    dt = ens.dt
-    scale = 1.0 / (math.factorial(order) * dt)
-    n_t = ens.n_times - 1
-    centers = np.full((n_t, n_bins), np.nan)
-    estimates = np.full((n_t, n_bins), np.nan)
-    counts = np.zeros((n_t, n_bins), dtype=np.int64)
-    for k in range(n_t):
-        xk = ens.samples[:, k]
-        inc = ens.samples[:, k + 1] - xk
-        lo, hi = float(xk.min()), float(xk.max())
-        if hi == lo:
-            # degenerate range: one bin holding everything
-            centers[k, 0] = lo
-            counts[k, 0] = xk.size
-            if xk.size >= min_count:
-                estimates[k, 0] = np.mean(inc**order) * scale
-            continue
-        edges = np.linspace(lo, hi, n_bins + 1)
-        centers[k, :] = 0.5 * (edges[:-1] + edges[1:])
-        idx = np.minimum(((xk - lo) / (hi - lo) * n_bins).astype(np.int64), n_bins - 1)
-        for b in range(n_bins):
-            sel = idx == b
-            cnt = int(sel.sum())
-            counts[k, b] = cnt
-            if cnt >= min_count:
-                estimates[k, b] = np.mean(inc[sel] ** order) * scale
-    return KmTable(
-        order=order,
-        times=ens.times[:-1].copy(),
-        centers=centers,
-        estimates=estimates,
-        counts=counts,
-    )
 
 
 def moment_series(ens: TrajectoryEnsemble) -> MomentSeries:

@@ -60,10 +60,6 @@ class TransformSpec:
             )
         return np.log(x)
 
-    def inverse_x(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.exp(y) if self.transforms_x else y.copy()
-
     def forward_t(self, t):
         t = np.asarray(t, dtype=float)
         if not self.transforms_t:

@@ -8,7 +8,8 @@ number, aggregating when several tests back one criterion.
 import numpy as np
 import pytest
 
-from fprom import Grid, gaussian_density
+from fprom import Grid
+from fprom.analytic import gaussian_density
 
 _results: dict[int, tuple[str, bool]] = {}
 

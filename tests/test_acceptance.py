@@ -17,31 +17,30 @@ from fprom import (
     CoefficientModel,
     DensityField,
     Grid,
-    MomentSeries,
     SdeSpec,
     SimPlan,
     SolverConfig,
-    TransformSpec,
     calibrate,
-    drift_diffusion_density,
-    gaussian_density,
     kde_estimate,
     kl_divergence,
-    l1_distance,
-    load_artifact,
-    moment_series,
-    moments,
-    pure_diffusion_density,
-    pure_drift_density,
     regress_time_only_coefficients,
     pushforward_density,
     simulate,
     solve,
     tikhonov_smooth,
 )
+from fprom.analytic import (
+    drift_diffusion_density,
+    gaussian_density,
+    pure_diffusion_density,
+    pure_drift_density,
+)
+from fprom.density import l1_distance, moments
+from fprom.estimation import MomentSeries, moment_series
+from fprom.sampling import TransformSpec
 from fprom.cli import main
 from fprom.errors import InfeasibleConfigError
-from fprom.pipeline import ENV_OUTPUT_DIR
+from fprom.pipeline import ENV_OUTPUT_DIR, load_artifact
 
 
 @pytest.fixture(autouse=True)

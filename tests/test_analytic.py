@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from fprom import (
-    Grid,
+from fprom import Grid
+from fprom.analytic import (
     drift_diffusion_density,
     gaussian_density,
-    moments,
     pure_diffusion_density,
     pure_drift_density,
 )
+from fprom.density import moments
 
 
 def test_gaussian_density_moments():

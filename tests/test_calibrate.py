@@ -5,17 +5,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from fprom import (
-    CalibrationProblem,
-    DensityField,
-    Grid,
-    SolverConfig,
-    calibrate,
-    drift_diffusion_density,
-    gaussian_density,
-    loss,
-)
-from fprom.calibrate import _SIMPLEX_TOL, PENALTY_FLOOR, _nelder_mead
+from fprom import CalibrationProblem, DensityField, Grid, SolverConfig, calibrate
+from fprom.analytic import drift_diffusion_density, gaussian_density
+from fprom.calibrate import _SIMPLEX_TOL, PENALTY_FLOOR, _nelder_mead, loss
 from fprom.errors import InfeasibleConfigError
 from test_density import reference_kl_divergence
 from test_solver import reference_solve

@@ -9,22 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fprom import (
-    CoefficientModel,
-    Grid,
-    RomArtifact,
-    SimPlan,
-    TransformSpec,
-    drift_diffusion_density,
-    gaussian_density,
-    load_artifact,
-    read_density_csv,
-    save_artifact,
-    write_density_csv,
-)
+from fprom import CoefficientModel, Grid, RomArtifact, SimPlan
+from fprom.analytic import drift_diffusion_density, gaussian_density
+from fprom.density import read_density_csv, write_density_csv
+from fprom.sampling import TransformSpec
 from fprom._version import __version__
 from fprom.cli import _simulate_inputs, main
-from fprom.pipeline import ENV_OUTPUT_DIR
+from fprom.pipeline import ENV_OUTPUT_DIR, load_artifact, save_artifact
 
 
 @pytest.fixture(autouse=True)
@@ -786,3 +777,45 @@ class TestImportCost:
             names = _imported_names(ast.walk(ast.parse(path.read_text())))
             imported += [(path.name, n) for n in names if n.startswith("scipy.optimize")]
         assert imported == []
+
+
+class TestPublicApi:
+    """The top-level package exports what the README's Python API section
+    names, the three error classes every public function raises, and
+    the version; everything else is imported from its submodule."""
+
+    DOCUMENTED = {
+        "__version__",
+        "CalibrationProblem",
+        "CoefficientModel",
+        "DensityField",
+        "Grid",
+        "InfeasibleConfigError",
+        "InputDataError",
+        "RomArtifact",
+        "RunConfig",
+        "SdeSpec",
+        "SimPlan",
+        "SolverConfig",
+        "SolverDivergenceError",
+        "TrajectoryEnsemble",
+        "calibrate",
+        "ensemble_to_densities",
+        "kde_estimate",
+        "kl_divergence",
+        "pushforward_density",
+        "regress_time_only_coefficients",
+        "run_predict",
+        "run_train",
+        "run_validate",
+        "simulate",
+        "solve",
+        "tikhonov_smooth",
+    }
+
+    def test_all_holds_exactly_the_documented_names(self):
+        import fprom
+
+        assert sorted(fprom.__all__) == sorted(self.DOCUMENTED)
+        for name in fprom.__all__:
+            assert getattr(fprom, name) is not None

@@ -7,21 +7,18 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fprom import (
-    DensityField,
-    Grid,
+from fprom import DensityField, Grid, kde_estimate, kl_divergence, tikhonov_smooth
+from fprom.analytic import gaussian_density
+from fprom.density import (
+    KL_FLOOR,
     MomentSet,
     auto_bandwidth,
-    gaussian_density,
-    kde_estimate,
-    kl_divergence,
+    kl_divergence_rows,
     l1_distance,
     moments,
     read_density_csv,
-    tikhonov_smooth,
     write_density_csv,
 )
-from fprom.density import KL_FLOOR, kl_divergence_rows
 from fprom.errors import InputDataError
 
 

@@ -1,29 +1,9 @@
 import numpy as np
 import pytest
 
-from fprom import (
-    KmTable,
-    MomentSeries,
-    TrajectoryEnsemble,
-    conditional_km_coefficient,
-    moment_series,
-    regress_time_only_coefficients,
-)
+from fprom import TrajectoryEnsemble, regress_time_only_coefficients
+from fprom.estimation import MomentSeries, moment_series
 from fprom.errors import InfeasibleConfigError
-
-
-def _philox(seed):
-    return np.random.Generator(np.random.Philox(key=[seed, 0]))
-
-
-def wiener_ensemble(n_real, n_times, dt, diffusion, seed):
-    rng = _philox(seed)
-    inc = rng.standard_normal((n_real, n_times - 1)) * np.sqrt(2.0 * diffusion * dt)
-    x = np.concatenate(
-        [np.zeros((n_real, 1)), np.cumsum(inc, axis=1)], axis=1
-    )
-    times = np.arange(n_times) * dt
-    return TrajectoryEnsemble(times=times, samples=x)
 
 
 class TestTrajectoryEnsemble:
@@ -95,95 +75,6 @@ class TestMomentSeries:
                 mean=np.zeros(2),
                 variance=np.array([1.0, -0.1]),
             )
-
-
-class TestConditionalEstimates:
-    def test_factorial_scaling_on_deterministic_increments(self):
-        # every realization advances by exactly c per step, so the
-        # order-n estimate must equal c**n / (n! dt) to rounding
-        dt, c, n_real, n_times = 0.05, 0.02, 30, 4
-        times = np.arange(n_times) * dt
-        path = c * np.arange(n_times)
-        samples = np.tile(path, (n_real, 1))
-        ens = TrajectoryEnsemble(times=times, samples=samples)
-        expected = {
-            1: c / dt,
-            2: c**2 / (2 * dt),
-            3: c**3 / (6 * dt),
-            4: c**4 / (24 * dt),
-        }
-        for order, value in expected.items():
-            table = conditional_km_coefficient(ens, order, n_bins=4)
-            pooled = table.pooled_estimate()
-            assert pooled == pytest.approx(value, rel=1e-12)
-
-    def test_state_dependent_drift_resolved_per_bin(self):
-        # x' = -x with no noise: the binned drift estimate recovers
-        # -center bin by bin
-        dt = 0.1
-        x0 = np.linspace(-2.0, 2.0, 1000)
-        x1 = x0 - x0 * dt
-        ens = TrajectoryEnsemble(
-            times=[0.0, dt], samples=np.column_stack([x0, x1])
-        )
-        table = conditional_km_coefficient(ens, 1, n_bins=8)
-        mask = table.populated[0]
-        assert mask.all()
-        assert np.allclose(
-            table.estimates[0, mask], -table.centers[0, mask], atol=0.01
-        )
-
-    def test_wiener_drift_and_diffusion(self):
-        ens = wiener_ensemble(20_000, 11, 0.1, 0.5, seed=21)
-        d1 = conditional_km_coefficient(ens, 1, n_bins=12)
-        assert abs(d1.pooled_estimate()) < 0.05
-        d2 = conditional_km_coefficient(ens, 2, n_bins=12)
-        per_time = d2.pooled_by_time()
-        assert not np.any(np.isnan(per_time))
-        assert np.all(np.abs(per_time - 0.5) < 0.05)
-        assert d2.pooled_estimate() == pytest.approx(0.5, rel=0.02)
-
-    def test_sparse_cells_masked_and_counts_complete(self):
-        ens = wiener_ensemble(60, 3, 0.1, 0.5, seed=4)
-        table = conditional_km_coefficient(ens, 1, n_bins=6)
-        assert np.any(~table.populated)
-        assert np.all(table.counts.sum(axis=1) == 60)
-        assert np.all(np.isnan(table.estimates[~table.populated]))
-
-    def test_degenerate_range_collapses_to_one_bin(self):
-        samples = np.zeros((40, 2))
-        samples[:, 1] = 0.3
-        ens = TrajectoryEnsemble(times=[0.0, 0.1], samples=samples)
-        table = conditional_km_coefficient(ens, 1, n_bins=8)
-        assert table.counts[0, 0] == 40
-        assert table.estimates[0, 0] == pytest.approx(3.0, rel=1e-12)
-        assert np.all(table.counts[0, 1:] == 0)
-
-    def test_order_validation(self):
-        ens = wiener_ensemble(40, 3, 0.1, 0.5, seed=1)
-        with pytest.raises(ValueError, match="order"):
-            conditional_km_coefficient(ens, 5, n_bins=8)
-
-    def test_min_bins(self):
-        ens = wiener_ensemble(40, 3, 0.1, 0.5, seed=1)
-        with pytest.raises(ValueError, match="n_bins"):
-            conditional_km_coefficient(ens, 1, n_bins=3)
-
-    def test_too_few_realizations(self):
-        ens = wiener_ensemble(20, 3, 0.1, 0.5, seed=1)
-        with pytest.raises(ValueError, match="too few realizations"):
-            conditional_km_coefficient(ens, 1, n_bins=8)
-
-    def test_pooled_estimate_requires_populated_cell(self):
-        table = KmTable(
-            order=1,
-            times=np.array([0.0]),
-            centers=np.full((1, 4), np.nan),
-            estimates=np.full((1, 4), np.nan),
-            counts=np.zeros((1, 4), dtype=np.int64),
-        )
-        with pytest.raises(ValueError, match="no populated cells"):
-            table.pooled_estimate()
 
 
 class TestMomentRegression:
@@ -269,3 +160,132 @@ class TestMomentRegression:
             regress_time_only_coefficients(
                 series, (0.0, 1.0), drift_degree=1, diff_degree=1
             )
+
+    def test_negative_degree_rejected(self):
+        series = MomentSeries(
+            times=np.linspace(0.0, 1.0, 11),
+            mean=np.zeros(11),
+            variance=np.ones(11),
+        )
+        with pytest.raises(InfeasibleConfigError, match="drift degree must be in 0..3"):
+            regress_time_only_coefficients(
+                series, (0.0, 1.0), drift_degree=-1, diff_degree=0
+            )
+
+    def test_diffusion_degree_checked_on_its_own(self):
+        series = MomentSeries(
+            times=np.linspace(0.0, 1.0, 11),
+            mean=np.zeros(11),
+            variance=np.ones(11),
+        )
+        with pytest.raises(
+            InfeasibleConfigError, match="diffusion degree must be in 0..3"
+        ):
+            regress_time_only_coefficients(
+                series, (0.0, 1.0), drift_degree=0, diff_degree=4
+            )
+        # 3 points in [0, 0.2] fit a drift of degree 1 but not a
+        # diffusion of degree 2
+        with pytest.raises(InfeasibleConfigError, match="diffusion degree 2"):
+            regress_time_only_coefficients(
+                series, (0.0, 0.2), drift_degree=1, diff_degree=2
+            )
+
+    def test_window_bounds_inclusive_to_relative_tolerance(self):
+        # the window ends a few ulps inside the first and last levels,
+        # which must still count: 2 points are enough for degree 0
+        times = np.array([0.0, 0.1, 0.2])
+        series = MomentSeries(
+            times=times, mean=3.0 * times, variance=np.ones(3)
+        )
+        model = regress_time_only_coefficients(
+            series, (0.1 * (1 + 1e-12), 0.2 * (1 - 1e-12))
+        )
+        assert model.drift_poly[0] == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_polynomial_lengths_follow_the_requested_degrees(self, degree):
+        times = np.linspace(0.0, 1.0, 11)
+        series = MomentSeries(
+            times=times, mean=np.sin(times), variance=1.0 + times**2
+        )
+        model = regress_time_only_coefficients(
+            series, (0.0, 1.0), drift_degree=degree, diff_degree=3 - degree
+        )
+        assert len(model.drift_poly) == degree + 1
+        assert len(model.diff_poly) == 4 - degree
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(key=[seed, 0]))
+
+
+def _wiener_ensemble(n_real, n_times, dt, drift, diffusion, seed):
+    rng = _philox(seed)
+    inc = drift * dt + rng.standard_normal((n_real, n_times - 1)) * np.sqrt(
+        2.0 * diffusion * dt
+    )
+    x = np.concatenate([np.zeros((n_real, 1)), np.cumsum(inc, axis=1)], axis=1)
+    return TrajectoryEnsemble(times=np.arange(n_times) * dt, samples=x)
+
+
+class TestRegressionOnEnsembles:
+    """moment_series followed by regress_time_only_coefficients, as the
+    pipeline's estimate step runs them."""
+
+    def test_deterministic_increments_give_exact_drift(self):
+        # every realization advances by c per step from its own start:
+        # the mean moves by c / dt per unit time, the variance not at all
+        dt, c, n_real, n_times = 0.05, 0.02, 30, 6
+        times = np.arange(n_times) * dt
+        starts = np.linspace(-1.0, 1.0, n_real)[:, None]
+        ens = TrajectoryEnsemble(
+            times=times, samples=starts + c * np.arange(n_times)
+        )
+        model = regress_time_only_coefficients(
+            moment_series(ens), (times[0], times[-1])
+        )
+        assert model.drift_poly[0] == pytest.approx(c / dt, rel=1e-12)
+        assert model.diff_poly[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_identical_realizations_give_zero_diffusion(self):
+        times = np.linspace(0.0, 1.0, 11)
+        ens = TrajectoryEnsemble(
+            times=times, samples=np.tile(np.exp(-times), (40, 1))
+        )
+        series = moment_series(ens)
+        # the mean of 40 equal values can round one ulp off them
+        assert np.all(series.variance <= 1e-30)
+        model = regress_time_only_coefficients(
+            series, (0.0, 1.0), drift_degree=2, diff_degree=2
+        )
+        assert np.allclose(model.diff_poly, 0.0, rtol=0, atol=1e-12)
+
+    def test_wiener_drift_and_diffusion(self):
+        ens = _wiener_ensemble(20_000, 11, 0.1, 0.3, 0.5, seed=21)
+        model = regress_time_only_coefficients(moment_series(ens), (0.0, 1.0))
+        assert model.drift_poly[0] == pytest.approx(0.3, abs=0.02)
+        assert model.diff_poly[0] == pytest.approx(0.5, rel=0.03)
+
+    def test_shift_leaves_coefficients_unchanged(self):
+        ens = _wiener_ensemble(500, 11, 0.1, -0.2, 0.4, seed=5)
+        shifted = TrajectoryEnsemble(times=ens.times, samples=ens.samples + 7.5)
+        base = regress_time_only_coefficients(moment_series(ens), (0.0, 1.0), 1, 1)
+        moved = regress_time_only_coefficients(
+            moment_series(shifted), (0.0, 1.0), 1, 1
+        )
+        assert np.allclose(moved.drift_poly, base.drift_poly, rtol=0, atol=1e-12)
+        assert np.allclose(moved.diff_poly, base.diff_poly, rtol=0, atol=1e-12)
+
+    def test_two_realizations_are_enough(self):
+        ens = TrajectoryEnsemble(
+            times=[0.0, 0.5, 1.0],
+            samples=np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 4.0]]),
+        )
+        # mean 0, 1.5, 3 and variance 0, 0.5, 2 (ddof=1)
+        model = regress_time_only_coefficients(
+            moment_series(ens), (0.0, 1.0), drift_degree=0, diff_degree=1
+        )
+        assert model.drift_poly[0] == pytest.approx(3.0, rel=1e-12)
+        assert model.diff_poly[0] == pytest.approx(0.0, abs=1e-12)
+        assert model.diff_poly[1] == pytest.approx(2.0, rel=1e-12)

@@ -11,8 +11,8 @@ from fprom import (
     TrajectoryEnsemble,
     ensemble_to_densities,
     simulate,
-    write_ensemble_csv,
 )
+from fprom.langevin import write_ensemble_csv
 from fprom.errors import (
     InfeasibleConfigError,
     InputDataError,
@@ -414,7 +414,7 @@ class TestEnsembleToDensities:
         assert [f.time_stamp for f in fields] == [0.5, 1.0]
         for f, t in zip(fields, (0.5, 1.0)):
             assert f.mass == pytest.approx(1.0, abs=1e-12)
-            from fprom import moments
+            from fprom.density import moments
 
             assert moments(f).mean == pytest.approx(t, abs=0.1)
 

@@ -12,29 +12,28 @@ from fprom import (
     RunConfig,
     SdeSpec,
     SimPlan,
-    SolverSettings,
     TrajectoryEnsemble,
-    TransformSpec,
-    drift_diffusion_density,
-    gaussian_density,
-    ingest,
-    l1_distance,
-    load_artifact,
-    read_density_csv,
     run_predict,
     run_train,
     run_validate,
-    save_artifact,
     simulate,
-    split,
-    write_density_csv,
-    write_ensemble_csv,
 )
+from fprom.analytic import drift_diffusion_density, gaussian_density
+from fprom.density import l1_distance, read_density_csv, write_density_csv
+from fprom.sampling import TransformSpec
 import fprom.pipeline
 from fprom.cli import main
 from fprom.errors import InfeasibleConfigError, InputDataError
-from fprom.langevin import _read_ensemble_arrays
-from fprom.pipeline import ENV_OUTPUT_DIR, resolve_output_dir
+from fprom.langevin import _read_ensemble_arrays, write_ensemble_csv
+from fprom.pipeline import (
+    ENV_OUTPUT_DIR,
+    SolverSettings,
+    ingest,
+    load_artifact,
+    resolve_output_dir,
+    save_artifact,
+    split,
+)
 
 
 @pytest.fixture(scope="module")

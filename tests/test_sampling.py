@@ -3,15 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fprom import (
-    DensityField,
-    Grid,
-    TransformSpec,
-    gaussian_density,
-    l1_distance,
-    moments,
-    pushforward_density,
-)
+from fprom import DensityField, Grid, pushforward_density
+from fprom.analytic import gaussian_density
+from fprom.density import l1_distance, moments
+from fprom.sampling import TransformSpec
 from fprom.errors import InfeasibleConfigError, InputDataError
 
 
@@ -33,8 +28,7 @@ class TestTransformSpec:
     def test_log_x_round_trip(self):
         tr = TransformSpec(kind="log_x")
         x = np.array([0.01, 1.0, 50.0])
-        back = tr.inverse_x(tr.forward_x(x))
-        assert np.allclose(back, x, rtol=1e-12)
+        assert np.array_equal(tr.forward_x(x), np.log(x))
         # time axis untouched
         assert np.array_equal(tr.forward_t([-1.0, 2.0]), [-1.0, 2.0])
 
@@ -91,7 +85,7 @@ class TestPushforward:
         log_grid = Grid(-3.0, 3.0, 257)
         f = gaussian_density(log_grid, 0.2, 0.3, 1.0)
         tr = TransformSpec(kind)
-        lo, hi = tr.inverse_x([-3.0, 3.0])
+        lo, hi = np.exp([-3.0, 3.0]) if tr.transforms_x else (-3.0, 3.0)
         out = pushforward_density(f, tr, Grid(lo, hi, 129))
         assert np.all(out.values >= 0.0)
         assert abs(out.mass - 1.0) <= 1e-12
