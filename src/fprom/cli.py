@@ -46,6 +46,7 @@ from .pipeline import (
     run_validate,
     split,
 )
+from .solver import BOUNDARIES, INTEGRATORS
 
 __all__ = ["main", "build_parser"]
 
@@ -257,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--times", required=True, help="comma-separated record times")
     p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--integrator", choices=("explicit_rk4", "crank_nicolson"))
-    p.add_argument("--boundary", choices=("zero_flux", "zero_dirichlet"))
+    p.add_argument("--integrator", choices=INTEGRATORS)
+    p.add_argument("--boundary", choices=BOUNDARIES)
     # accepted and ignored: the reconstruction no longer samples, but the
     # benchmark's lognormal workload still passes this flag; it goes when
     # ROADMAP item 6 drops it from the benchmark
@@ -270,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--artifact", required=True, help="artifact.json path")
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--dt", type=float, help="solver dt (default: config value)")
-    p.add_argument("--integrator", choices=("explicit_rk4", "crank_nicolson"))
-    p.add_argument("--boundary", choices=("zero_flux", "zero_dirichlet"))
+    p.add_argument("--integrator", choices=INTEGRATORS)
+    p.add_argument("--boundary", choices=BOUNDARIES)
     p.add_argument("--output-dir", help="where to write metrics.csv")
     p.set_defaults(handler=_cmd_validate)
 
@@ -295,19 +296,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except InputDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SolverDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InfeasibleConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

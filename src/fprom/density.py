@@ -84,21 +84,14 @@ class DensityField:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Mean, variance, and central moments of one density.
-
-    central_moments[n] is the n-th central moment; entry 0 is the mass,
-    entry 1 is zero by construction, entry 2 equals the variance.
-    """
+    """Mean and variance of one density."""
 
     mean: float
     variance: float
-    central_moments: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if not self.variance >= 0.0:
             raise ValueError(f"variance must be >= 0, got {self.variance!r}")
-        if len(self.central_moments) < 3:
-            raise ValueError("need central moments of orders 0, 1 and 2")
 
 
 def auto_bandwidth(samples: np.ndarray) -> float:
@@ -202,26 +195,19 @@ def kde_estimate(
     return DensityField.normalized(grid, smooth[pad : size - pad : refine], time_stamp)
 
 
-def moments(f: DensityField, max_order: int = 2) -> MomentSet:
-    """Trapezoidal mean, variance, and central moments up to max_order.
+def moments(f: DensityField) -> MomentSet:
+    """Trapezoidal mean and variance.
 
     The input must be normalized: mass deviating from 1 by more than
     1e-3 is rejected.
     """
-    if max_order < 2:
-        max_order = 2
     m = f.mass
     if abs(m - 1.0) > 1e-3:
         raise ValueError(f"unnormalized density: mass {m!r}")
     x = f.grid.nodes
     mean = float(np.trapezoid(x * f.values, x))
-    cm = [1.0, 0.0]
-    d = x - mean
-    for order in range(2, max_order + 1):
-        cm.append(float(np.trapezoid(d**order * f.values, x)))
-    variance = max(cm[2], 0.0)
-    cm[2] = variance
-    return MomentSet(mean=mean, variance=variance, central_moments=tuple(cm))
+    variance = float(np.trapezoid((x - mean) ** 2 * f.values, x))
+    return MomentSet(mean=mean, variance=max(variance, 0.0))
 
 
 def _require_comparable(p: DensityField, q: DensityField) -> None:
@@ -322,7 +308,7 @@ def _load_csv_table(path, dtype: np.dtype) -> np.ndarray | None:
     field names of ``dtype``, whose body lines all hold that many
     unquoted fields parsing as the field types, and whose float fields
     are finite. Any other file, including one without data rows,
-    returns None, and the caller hands it to its row-by-row parser,
+    returns None, and _read_csv_columns hands it to _read_csv_rows,
     which accepts or rejects it with a message naming the line.
     """
     try:
@@ -345,46 +331,63 @@ def _load_csv_table(path, dtype: np.dtype) -> np.ndarray | None:
 _DENSITY_DTYPE = np.dtype([("x", float), ("f", float)])
 
 
-def _read_density_rows(path) -> tuple[list[float], list[float]]:
-    """Row-by-row parse for files the array parse does not take."""
-    xs: list[float] = []
-    fs: list[float] = []
+def _read_csv_rows(path, dtype: np.dtype) -> list[np.ndarray]:
+    """Row-by-row parse for files the array parse does not take.
+
+    Returns one array per field of ``dtype``. Integer fields are read
+    by ``int`` at any size (an object array once a value leaves int64),
+    float fields by ``float`` and must be finite. Blank rows are
+    skipped; errors name the file and line.
+    """
+    names = list(dtype.names)
+    readers = [float if dtype[name].kind == "f" else int for name in names]
+    columns: list[list] = [[] for _ in names]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["x", "f"]:
-            raise InputDataError(f"{path}: expected header 'x,f'")
+        if header is None or [c.strip() for c in header] != names:
+            raise InputDataError(f"{path}: expected header '{','.join(names)}'")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 2:
-                raise InputDataError(f"{path}:{lineno}: expected 2 fields")
+            if len(row) != len(names):
+                raise InputDataError(f"{path}:{lineno}: expected {len(names)} fields")
             try:
-                xv, fv = float(row[0]), float(row[1])
+                values = [read(field) for read, field in zip(readers, row)]
             except ValueError as exc:
                 raise InputDataError(f"{path}:{lineno}: {exc}") from exc
-            if not (np.isfinite(xv) and np.isfinite(fv)):
+            if not all(np.isfinite(v) for read, v in zip(readers, values) if read is float):
                 raise InputDataError(f"{path}:{lineno}: non-finite value")
-            xs.append(xv)
-            fs.append(fv)
-    return xs, fs
+            for column, value in zip(columns, values):
+                column.append(value)
+    arrays = []
+    for name, column in zip(names, columns):
+        try:
+            arrays.append(np.array(column, dtype=dtype[name]))
+        except OverflowError:
+            arrays.append(np.array(column, dtype=object))
+    return arrays
+
+
+def _read_csv_columns(path, dtype: np.dtype) -> list[np.ndarray]:
+    """One array per field of ``dtype``: the array parse's columns when
+    it takes the file, the row parser's otherwise."""
+    table = _load_csv_table(path, dtype)
+    if table is None:
+        return _read_csv_rows(path, dtype)
+    return [table[name] for name in dtype.names]
 
 
 def read_density_csv(path, time_stamp: float = 0.0) -> DensityField:
     """Read the `x,f` format back; the x column must be uniform."""
-    table = _load_csv_table(path, _DENSITY_DTYPE)
-    if table is None:
-        xs, fs = _read_density_rows(path)
-    else:
-        xs, fs = table["x"], table["f"]
-    if len(xs) < 8:
+    x, f = _read_csv_columns(path, _DENSITY_DTYPE)
+    if x.size < 8:
         raise InputDataError(f"{path}: fewer than 8 rows")
-    x = np.asarray(xs)
     steps = np.diff(x)
     if np.any(steps <= 0) or np.max(np.abs(steps - steps.mean())) > 1e-9 * abs(steps.mean()):
         raise InputDataError(f"{path}: x column is not a uniform increasing grid")
     grid = Grid(x[0], x[-1], len(x))
     try:
-        return DensityField(grid=grid, values=np.asarray(fs), time_stamp=time_stamp)
+        return DensityField(grid=grid, values=f, time_stamp=time_stamp)
     except ValueError as exc:
         raise InputDataError(f"{path}: {exc}") from exc

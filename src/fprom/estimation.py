@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientModel
+from .coefficients import MAX_DEGREE, CoefficientModel
 from .errors import InfeasibleConfigError
 
 __all__ = [
@@ -60,10 +60,6 @@ class TrajectoryEnsemble:
         x.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "samples", x)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
     @property
     def n_realizations(self) -> int:
@@ -154,8 +150,8 @@ def regress_time_only_coefficients(
     sel = (series.times >= lo - 1e-9 * span) & (series.times <= hi + 1e-9 * span)
     times = series.times[sel]
     for degree, label in ((drift_degree, "drift"), (diff_degree, "diffusion")):
-        if degree < 0 or degree > 3:
-            raise InfeasibleConfigError(f"{label} degree must be in 0..3")
+        if not (0 <= degree <= MAX_DEGREE):
+            raise InfeasibleConfigError(f"{label} degree must be in 0..{MAX_DEGREE}")
         if times.size < degree + 2:
             raise InfeasibleConfigError(
                 f"fit window holds {times.size} points; {label} degree "

@@ -12,13 +12,12 @@ no two seeds share a key.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .density import DensityField, _load_csv_table, kde_estimate
+from .density import DensityField, _read_csv_columns, kde_estimate
 from .errors import (
     InfeasibleConfigError,
     InputDataError,
@@ -287,64 +286,28 @@ def _read_ensemble_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse the long format into (times, samples) without building the
     ensemble, so callers may transform coordinates first.
 
-    All trajectories must share one time axis; rows may arrive in any
-    order. Errors name the file and line.
+    All trajectories must share one time axis, that of the lowest id;
+    rows may arrive in any order. Errors name the file and line.
     """
-    table = _load_csv_table(path, _ENSEMBLE_DTYPE)
-    if table is None:
-        return _read_ensemble_rows(path)
-    order = np.lexsort((table["t"], table["traj_id"]))
-    ids, t, x = table["traj_id"][order], table["t"][order], table["x"][order]
-    traj, counts = np.unique(ids, return_counts=True)
-    repeated = (ids[1:] == ids[:-1]) & (t[1:] == t[:-1])
-    if np.any(counts != counts[0]) or np.any(repeated):
-        # ragged or repeated times: the row parser orders ties and words the error
-        return _read_ensemble_rows(path)
-    t = t.reshape(traj.size, counts[0])
-    off_axis = np.flatnonzero(np.any(t != t[0], axis=1))
-    if off_axis.size:
-        raise InputDataError(
-            f"{path}: trajectory {int(traj[off_axis[0]])} does not share the common time axis"
-        )
-    return t[0].copy(), x.reshape(traj.size, counts[0])
-
-
-def _read_ensemble_rows(path) -> tuple[np.ndarray, np.ndarray]:
-    """Row-by-row parse for files the array parse does not take."""
-    by_traj: dict[int, list[tuple[float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["traj_id", "t", "x"]:
-            raise InputDataError(f"{path}: expected header 'traj_id,t,x'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InputDataError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                traj = int(row[0])
-                t = float(row[1])
-                x = float(row[2])
-            except ValueError as exc:
-                raise InputDataError(f"{path}:{lineno}: {exc}") from exc
-            if not (np.isfinite(t) and np.isfinite(x)):
-                raise InputDataError(f"{path}:{lineno}: non-finite value")
-            by_traj.setdefault(traj, []).append((t, x))
-    if not by_traj:
+    ids, t, x = _read_csv_columns(path, _ENSEMBLE_DTYPE)
+    if ids.size == 0:
         raise InputDataError(f"{path}: no data rows")
-    ids = sorted(by_traj)
-    first = sorted(by_traj[ids[0]])
-    axis = np.asarray([t for t, _ in first])
-    samples = np.empty((len(ids), axis.size))
-    for i, traj in enumerate(ids):
-        rows = sorted(by_traj[traj])
-        if len(rows) != axis.size or any(t != axis[j] for j, (t, _) in enumerate(rows)):
-            raise InputDataError(
-                f"{path}: trajectory {traj} does not share the common time axis"
-            )
-        samples[i, :] = [x for _, x in rows]
-    return axis, samples
+    order = np.lexsort((t, ids))
+    ids, t, x = ids[order], t[order], x[order]
+    traj, counts = np.unique(ids, return_counts=True)
+    # row k is row pos[k] of its trajectory; a trajectory is off the
+    # axis when its count, or any of its first n times, differs
+    n = counts[0]
+    starts = np.cumsum(counts) - counts
+    pos = np.arange(t.size)
+    pos -= np.repeat(starts, counts)
+    off = t != t[np.minimum(pos, n - 1, out=pos)]
+    bad = (counts != n) | np.logical_or.reduceat(off, starts)
+    if bad.any():
+        raise InputDataError(
+            f"{path}: trajectory {int(traj[np.argmax(bad)])} does not share the common time axis"
+        )
+    return t[:n].copy(), x.reshape(traj.size, n)
 
 
 def _sha256_hex(path) -> str:

@@ -1,8 +1,10 @@
 """The array CSV parse and the row-by-row parse agree on every file.
 
-Ensemble and density CSVs are parsed with numpy first; files that the
-array parse refuses go to the row parser. Forcing the row parser on the same bytes
-must give the same arrays, or the same error message.
+Ensemble and density CSVs are parsed with numpy first
+(``density._load_csv_table``); files that the array parse refuses go to
+the row parser. Forcing the row parser on the same bytes, by patching
+``density._load_csv_table`` for both formats, must give the same arrays,
+or the same error message.
 """
 
 import numpy as np
@@ -30,10 +32,10 @@ def _outcome(read, path):
     return ("ok", result.grid, result.values.tobytes())
 
 
-def _same_with_row_parser(module, read, path):
+def _same_with_row_parser(read, path):
     fast = _outcome(read, path)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(module, "_load_csv_table", lambda path, dtype: None)
+        m.setattr(density, "_load_csv_table", lambda path, dtype: None)
         rows = _outcome(read, path)
     assert fast == rows
 
@@ -72,7 +74,7 @@ def _csv_text(draw, header, make_rows):
 def test_ensemble_array_parse_matches_row_parse(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("ens") / "e.csv"
     path.write_bytes(text.encode())
-    _same_with_row_parser(langevin, langevin._read_ensemble_arrays, path)
+    _same_with_row_parser(langevin._read_ensemble_arrays, path)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -80,7 +82,7 @@ def test_ensemble_array_parse_matches_row_parse(tmp_path_factory, text):
 def test_density_array_parse_matches_row_parse(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("den") / "f.csv"
     path.write_bytes(text.encode())
-    _same_with_row_parser(density, read_density_csv, path)
+    _same_with_row_parser(read_density_csv, path)
 
 
 def test_well_formed_files_take_the_array_parse(tmp_path):
@@ -103,4 +105,4 @@ def test_well_formed_files_take_the_array_parse(tmp_path):
 def test_ensemble_ties_and_ragged_axes_match_row_parse(tmp_path, text):
     path = tmp_path / "e.csv"
     path.write_text(text)
-    _same_with_row_parser(langevin, langevin._read_ensemble_arrays, path)
+    _same_with_row_parser(langevin._read_ensemble_arrays, path)

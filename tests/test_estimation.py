@@ -11,7 +11,6 @@ class TestTrajectoryEnsemble:
         ens = TrajectoryEnsemble(
             times=[0.0, 0.5, 1.0], samples=np.zeros((4, 3))
         )
-        assert ens.dt == 0.5
         assert ens.n_realizations == 4
         assert ens.n_times == 3
 

@@ -553,6 +553,13 @@ _ENSEMBLE_ACCEPTED = [
         [0.0, 0.5],
         [[2.0, 4.0], [1.0, 3.0]],
     ),
+    (
+        "ids_beyond_int64",
+        f"traj_id,t,x\n{2**70},0.0,3.0\n{-(2**70)},0.0,1.0\n"
+        f"{2**70},0.5,4.0\n{-(2**70)},0.5,2.0\n",
+        [0.0, 0.5],
+        [[1.0, 2.0], [3.0, 4.0]],
+    ),
 ]
 
 _ENSEMBLE_REJECTED = [
@@ -585,6 +592,16 @@ _ENSEMBLE_REJECTED = [
         "ragged_trajectory_named",
         "traj_id,t,x\n0,0.0,1.0\n0,0.5,1.0\n5,0.0,2.0\n",
         ": trajectory 5 does not share the common time axis",
+    ),
+    (
+        "off_axis_before_ragged",
+        "traj_id,t,x\n0,0.0,1.0\n0,0.5,1.0\n3,0.0,2.0\n3,0.7,2.0\n5,0.0,3.0\n",
+        ": trajectory 3 does not share the common time axis",
+    ),
+    (
+        "shortest_trajectory_first",
+        "traj_id,t,x\n0,0.0,1.0\n1,0.0,2.0\n1,0.5,3.0\n",
+        ": trajectory 1 does not share the common time axis",
     ),
 ]
 
