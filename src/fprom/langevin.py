@@ -7,7 +7,10 @@ ensemble is bit-identical regardless of chunking or scheduling. A
 Philox stream's whole state is (key, counter), so one Philox re-keyed
 to a fresh state per trajectory replays exactly the stream a new
 Philox(key=[seed, r]) would; seeds are confined to [0, 2**63) so that
-no two seeds share a key.
+no two seeds share a key. The march updates the state in place: h and
+g that do not depend on x are one float per step, applied as scalars,
+and the others are written into two buffers reused from step to step,
+always in the operation order (x + h dt) + (g sqrt(dt)) xi.
 """
 
 from __future__ import annotations
@@ -39,36 +42,45 @@ __all__ = [
     "read_ensemble_sidecar",
 ]
 
-# drift registry: kind -> (parameter names, h(params, x, t)); h and g
-# return fresh arrays, which simulate scales in place
+
+def _linear_in_x(p, x, t, out):
+    """a + b x into out: p[1] * x first, then p[0] added."""
+    return np.add(np.multiply(x, p[1], out=out), p[0], out=out)
+
+
+# drift registry: kind -> (parameter names, h(params, x, t, out)); kinds
+# that do not depend on x return one float, the others write h into out
+# and return it
 DRIFT_KINDS = {
-    "constant": (("value",), lambda p, x, t: np.full_like(x, p[0])),
-    "linear_in_t": (("a", "b"), lambda p, x, t: np.full_like(x, p[0] + p[1] * t)),
-    "linear_in_x": (("a", "b"), lambda p, x, t: p[0] + p[1] * x),
-    "ornstein_uhlenbeck": (("theta", "mean"), lambda p, x, t: -p[0] * (x - p[1])),
+    "constant": (("value",), lambda p, x, t, out: p[0]),
+    "linear_in_t": (("a", "b"), lambda p, x, t, out: p[0] + p[1] * t),
+    "linear_in_x": (("a", "b"), _linear_in_x),
+    "ornstein_uhlenbeck": (
+        ("theta", "mean"),
+        lambda p, x, t, out: np.multiply(np.subtract(x, p[1], out=out), -p[0], out=out),
+    ),
 }
 
-# noise registry: kind -> (parameter names, g(params, x, t))
+# noise registry: kind -> (parameter names, g(params, x, t, out)), with
+# the same float-or-out convention
 NOISE_KINDS = {
-    "constant": (("sigma",), lambda p, x, t: np.full_like(x, p[0])),
-    "linear_in_x": (("a", "b"), lambda p, x, t: p[0] + p[1] * x),
+    "constant": (("sigma",), lambda p, x, t, out: p[0]),
+    "linear_in_x": (("a", "b"), _linear_in_x),
 }
 
 X0_KINDS = ("point", "normal")
 
 _CHUNK = 8192
 
-# noise is drawn trajectory by trajectory into a reused buffer of at
-# most _DRAW_ROWS rows and _DRAW_DOUBLES values, then transposed into
-# the step-major noise array; 125 KiB stays under glibc's default
-# 128 KiB mmap threshold, so the buffer comes from the heap and freeing
-# it does not raise the allocator's dynamic mmap threshold for the rest
-# of the process
-_DRAW_ROWS = 8
-_DRAW_DOUBLES = 16_000
+# noise is drawn trajectory by trajectory into a draw tile of at most
+# _DRAW_ROWS rows and _DRAW_DOUBLES values (500 KiB), then transposed
+# into the step-major noise array; the tile is carved from the same
+# allocation as that array, so it is never freed on its own
+_DRAW_ROWS = 32
+_DRAW_DOUBLES = 64_000
 
 # the sidecar digest reads the CSV through one reused buffer this size,
-# which stays on the heap like the noise draw buffer above
+# which stays below glibc's default 128 KiB mmap threshold
 _DIGEST_CHUNK = 64 * 1024
 
 _ENSEMBLE_DTYPE = np.dtype([("traj_id", np.int64), ("t", float), ("x", float)])
@@ -104,11 +116,13 @@ class SdeSpec:
                 raise InfeasibleConfigError(f"{label} parameters must be finite")
             object.__setattr__(self, f"{label}_params", vals)
 
-    def drift(self, x: np.ndarray, t: float) -> np.ndarray:
-        return DRIFT_KINDS[self.drift_kind][1](self.drift_params, x, t)
+    def drift(self, x: np.ndarray, t: float, out: np.ndarray):
+        """h(x, t): a float for x-free kinds, else written into out."""
+        return DRIFT_KINDS[self.drift_kind][1](self.drift_params, x, t, out)
 
-    def noise(self, x: np.ndarray, t: float) -> np.ndarray:
-        return NOISE_KINDS[self.noise_kind][1](self.noise_params, x, t)
+    def noise(self, x: np.ndarray, t: float, out: np.ndarray):
+        """g(x, t): a float for x-free kinds, else written into out."""
+        return NOISE_KINDS[self.noise_kind][1](self.noise_params, x, t, out)
 
 
 @dataclass(frozen=True)
@@ -175,7 +189,7 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
     stream unchanged. The increments are held step-major, n_steps x
     min(n_trajectories, 8192) float64, so each step reads one
     contiguous row; trajectories beyond 8192 reuse that array chunk by
-    chunk.
+    chunk. The same allocation ends in the draw tile.
 
     Raises SolverDivergenceError on non-finite state and
     InfeasibleConfigError if the noise amplitude evaluates negative.
@@ -190,14 +204,18 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
     bits = Philox(key=[plan.seed, 0])
     fresh = bits.state
     gen = Generator(bits)
-    noise = np.empty((n_steps, min(plan.n_trajectories, _CHUNK)))
+    cols = min(plan.n_trajectories, _CHUNK)
     seg = min(n_steps, _DRAW_DOUBLES)
-    rows = min(_DRAW_ROWS, _DRAW_DOUBLES // seg, noise.shape[1])
-    buf = np.empty((rows, seg))
+    rows = min(_DRAW_ROWS, _DRAW_DOUBLES // seg, cols)
+    store = np.empty(n_steps * cols + rows * seg)
+    noise = store[: n_steps * cols].reshape(n_steps, cols)
+    buf = store[n_steps * cols :].reshape(rows, seg)
     for lo in range(0, plan.n_trajectories, _CHUNK):
         hi = min(lo + _CHUNK, plan.n_trajectories)
         m = hi - lo
         x = np.empty(m)
+        h_buf = np.empty(m)
+        g_buf = np.empty(m)
         # rows > 1 only when one segment holds all n_steps; with longer
         # paths each block is one trajectory, whose stream simply goes on
         # from segment to segment
@@ -222,19 +240,27 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
         col = 1
         for k in range(n_steps):
             t = k * dt
-            g = spec.noise(x, t)
-            if (g < 0.0).any():
+            g = spec.noise(x, t, g_buf)
+            scalar_g = isinstance(g, float)
+            if g < 0.0 if scalar_g else _any_negative(g):
+                g = np.broadcast_to(g, x.shape)
                 bad = int(np.argmax(g < 0.0))
                 raise InfeasibleConfigError(
                     f"noise amplitude negative ({g[bad]}) at t={t}, x={x[bad]}"
                 )
             # (x + h dt) + (g sqrt(dt)) xi, the same operations in place
-            step = spec.drift(x, t)
-            step *= dt
-            g *= sqrt_dt
-            g *= noise[k, :m]
-            x += step
-            x += g
+            h = spec.drift(x, t, h_buf)
+            if isinstance(h, float):
+                x += h * dt
+            else:
+                h *= dt
+                x += h
+            if scalar_g:
+                x += np.multiply(noise[k, :m], g * sqrt_dt, out=g_buf)
+            else:
+                g *= sqrt_dt
+                g *= noise[k, :m]
+                x += g
             if not np.isfinite(x).all():
                 bad = int(np.argmax(~np.isfinite(x)))
                 raise SolverDivergenceError(
@@ -245,6 +271,13 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
                 out[lo:hi, col] = x
                 col += 1
     return TrajectoryEnsemble(times=times, samples=out, transform="identity")
+
+
+def _any_negative(g: np.ndarray) -> bool:
+    """(g < 0.0).any() without the boolean temporary: fmin skips NaN,
+    so the least non-NaN amplitude decides, and an all-NaN g is not
+    negative."""
+    return bool(np.fmin.reduce(g) < 0.0)
 
 
 def ensemble_to_densities(
@@ -274,26 +307,36 @@ def ensemble_to_densities(
 
 def write_ensemble_csv(ens: TrajectoryEnsemble, path) -> None:
     """Long format `traj_id,t,x`, trajectory-major, shortest round-trip
-    decimals. The transform tag is not stored; files carry raw columns."""
-    heads = [f",{float(t)!r}," for t in ens.times]
+    decimals. The transform tag is not stored; files carry raw columns.
+
+    One trajectory's rows are a `%r` template built once, with `#` as
+    the id placeholder; no float repr contains that character."""
+    rows = "".join([f"#,{t!r},%r\n" for t in ens.times.tolist()])
     with open(path, "w", newline="") as fh:
         fh.write("traj_id,t,x\n")
         for r, row in enumerate(ens.samples.tolist()):
-            fh.write("".join([f"{r}{head}{x!r}\n" for head, x in zip(heads, row)]))
+            fh.write(rows.replace("#", str(r)) % tuple(row))
 
 
 def _read_ensemble_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse the long format into (times, samples) without building the
     ensemble, so callers may transform coordinates first.
 
-    All trajectories must share one time axis, that of the lowest id;
-    rows may arrive in any order. Errors name the file and line.
+    All trajectories must share one time axis, that of the lowest id,
+    and none may repeat a time; rows may arrive in any order. Errors
+    name the file and the line, or the trajectory.
     """
     ids, t, x = _read_csv_columns(path, _ENSEMBLE_DTYPE)
     if ids.size == 0:
         raise InputDataError(f"{path}: no data rows")
     order = np.lexsort((t, ids))
     ids, t, x = ids[order], t[order], x[order]
+    repeat = (ids[1:] == ids[:-1]) & (t[1:] == t[:-1])
+    if repeat.any():
+        k = int(np.argmax(repeat))
+        raise InputDataError(
+            f"{path}: trajectory {int(ids[k])} repeats time {float(t[k])!r}"
+        )
     traj, counts = np.unique(ids, return_counts=True)
     # row k is row pos[k] of its trajectory; a trajectory is off the
     # axis when its count, or any of its first n times, differs

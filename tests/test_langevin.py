@@ -18,7 +18,14 @@ from fprom.errors import (
     InputDataError,
     SolverDivergenceError,
 )
-from fprom.langevin import _CHUNK, _DRAW_DOUBLES, _read_ensemble_arrays
+from fprom.langevin import (
+    NOISE_KINDS,
+    _CHUNK,
+    _DRAW_DOUBLES,
+    _DRAW_ROWS,
+    _any_negative,
+    _read_ensemble_arrays,
+)
 
 
 def constant_spec(mu=1.0, sigma=1.0):
@@ -249,6 +256,19 @@ class TestSimulate:
                 simulate(spec, plan)
 
 
+# the coefficient formulas as first written, each returning a fresh array
+_REFERENCE_DRIFTS = {
+    "constant": lambda p, x, t: np.full_like(x, p[0]),
+    "linear_in_t": lambda p, x, t: np.full_like(x, p[0] + p[1] * t),
+    "linear_in_x": lambda p, x, t: p[0] + p[1] * x,
+    "ornstein_uhlenbeck": lambda p, x, t: -p[0] * (x - p[1]),
+}
+_REFERENCE_NOISES = {
+    "constant": lambda p, x, t: np.full_like(x, p[0]),
+    "linear_in_x": lambda p, x, t: p[0] + p[1] * x,
+}
+
+
 def reference_simulate(spec, plan):
     """The Euler-Maruyama loop as first written: a fresh Generator per
     trajectory, trajectory-major noise and out-of-place updates."""
@@ -258,6 +278,8 @@ def reference_simulate(spec, plan):
     times = np.arange(0, n_steps + 1, plan.stride) * plan.dt
     sqrt_dt = np.sqrt(plan.dt)
     normal_x0 = plan.x0_kind == "normal"
+    h_of = _REFERENCE_DRIFTS[spec.drift_kind]
+    g_of = _REFERENCE_NOISES[spec.noise_kind]
     for lo in range(0, plan.n_trajectories, _CHUNK):
         hi = min(lo + _CHUNK, plan.n_trajectories)
         m = hi - lo
@@ -275,13 +297,14 @@ def reference_simulate(spec, plan):
         col = 1
         for k in range(n_steps):
             t = k * plan.dt
-            g = spec.noise(x, t)
+            g = g_of(spec.noise_params, x, t)
             if np.any(g < 0.0):
                 bad = int(np.argmax(g < 0.0))
                 raise InfeasibleConfigError(
                     f"noise amplitude negative ({g[bad]}) at t={t}, x={x[bad]}"
                 )
-            x = x + spec.drift(x, t) * plan.dt + g * sqrt_dt * noise[:, k]
+            h = h_of(spec.drift_params, x, t)
+            x = x + h * plan.dt + g * sqrt_dt * noise[:, k]
             if not np.all(np.isfinite(x)):
                 bad = int(np.argmax(~np.isfinite(x)))
                 raise SolverDivergenceError(
@@ -302,12 +325,20 @@ _DRIFTS = [
 ]
 _NOISES = [("constant", (0.7,)), ("linear_in_x", (0.5, 0.05))]
 _X0S = [("point", (0.25,)), ("normal", (0.2, 0.3))]
-# (trajectories, steps, stride): 9 is not a multiple of the 8-row draw
-# block and _CHUNK + 3 spills into a second chunk
+# a path length whose draw tile holds fewer than _DRAW_ROWS trajectories
+_CAPPED_STEPS = 2_500
+# (trajectories, steps, stride): _DRAW_ROWS + 1 trajectories leave a
+# partial draw tile, at _CAPPED_STEPS steps as well, and _CHUNK + 3
+# spills into a second chunk
 _SHAPES = [
     (m, n, s) for m in (1, 9) for n, strides in ((1, (1,)), (5, (1, 5)), (40, (1, 8)))
     for s in strides
-] + [(_CHUNK + 3, 1, 1), (_CHUNK + 3, 5, 5)]
+] + [
+    (_DRAW_ROWS + 1, 5, 1),
+    (_DRAW_ROWS + 1, _CAPPED_STEPS, 100),
+    (_CHUNK + 3, 1, 1),
+    (_CHUNK + 3, 5, 5),
+]
 
 
 def _plan(shape, x0, seed=23, dt=0.01):
@@ -337,11 +368,23 @@ class TestSimulateMatchesReference:
     @pytest.mark.parametrize("drift", _DRIFTS, ids=lambda d: d[0])
     def test_bitwise_equal(self, drift, noise, x0, shape):
         spec = SdeSpec(drift[0], drift[1], noise[0], noise[1])
-        plan = _plan(shape, x0)
+        # a horizon of at most 1 keeps every linear_in_x amplitude positive
+        plan = _plan(shape, x0, dt=min(0.01, 1.0 / shape[1]))
         ens = simulate(spec, plan)
         ref = reference_simulate(spec, plan)
         assert np.array_equal(ens.times, ref.times)
         assert np.array_equal(ens.samples, ref.samples)
+
+    def test_capped_steps_cap_the_tile(self):
+        assert 1 < _DRAW_DOUBLES // _CAPPED_STEPS < _DRAW_ROWS
+
+    def test_finite_states_whose_sum_overflows(self):
+        # 1e308 + 1e308 is inf, but every state is finite
+        spec = SdeSpec("constant", (0.0,), "constant", (0.0,))
+        plan = _plan((2, 5, 1), ("point", (1e308,)))
+        ens = simulate(spec, plan)
+        assert np.array_equal(ens.samples, reference_simulate(spec, plan).samples)
+        assert np.all(ens.samples == 1e308)
 
     @pytest.mark.parametrize("x0", _X0S, ids=lambda x: x[0])
     def test_paths_longer_than_one_draw_are_bitwise_equal(self, x0):
@@ -378,6 +421,24 @@ class TestSimulateMatchesReference:
     )
     def test_refusals_match_exactly(self, spec, plan):
         assert _raised(simulate, spec, plan) == _raised(reference_simulate, spec, plan)
+
+
+_AMPLITUDE_STATES = np.array(
+    [-np.inf, -1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e308, np.inf, np.nan]
+)
+
+
+class TestNegativeAmplitudeCheck:
+    @pytest.mark.parametrize("params", [(0.1, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.0, 0.0)])
+    def test_matches_the_comparison_on_every_registry_amplitude(self, params):
+        # linear_in_x is the only x-dependent noise kind; b = 0 turns an
+        # infinite state into a NaN amplitude
+        g_of = NOISE_KINDS["linear_in_x"][1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            g = g_of(params, _AMPLITUDE_STATES, 0.0, np.empty(_AMPLITUDE_STATES.size))
+        for lo in range(g.size):
+            for hi in range(lo + 1, g.size + 1):
+                assert _any_negative(g[lo:hi]) == bool((g[lo:hi] < 0.0).any())
 
 
 class TestSimulateMemory:
@@ -597,6 +658,21 @@ _ENSEMBLE_REJECTED = [
         "off_axis_before_ragged",
         "traj_id,t,x\n0,0.0,1.0\n0,0.5,1.0\n3,0.0,2.0\n3,0.7,2.0\n5,0.0,3.0\n",
         ": trajectory 3 does not share the common time axis",
+    ),
+    (
+        "repeated_time_named",
+        "traj_id,t,x\n0,0.0,1.0\n0,0.5,1.0\n0,0.5,1.0\n1,0.0,2.0\n1,0.5,2.0\n1,0.5,2.0\n",
+        ": trajectory 0 repeats time 0.5",
+    ),
+    (
+        "repeat_found_before_the_axis_check",
+        "traj_id,t,x\n0,0.0,1.0\n0,0.5,1.0\n0,0.5,1.0\n1,0.0,2.0\n1,0.5,2.0\n1,1.0,2.0\n",
+        ": trajectory 0 repeats time 0.5",
+    ),
+    (
+        "repeat_in_a_later_trajectory",
+        "traj_id,t,x\n0,0.0,1.0\n0,0.5,1.0\n4,0.0,2.0\n4,0.0,3.0\n",
+        ": trajectory 4 repeats time 0.0",
     ),
     (
         "shortest_trajectory_first",
