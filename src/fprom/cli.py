@@ -46,7 +46,7 @@ from .pipeline import (
     run_validate,
     split,
 )
-from .solver import BOUNDARIES, INTEGRATORS
+from .solver import INTEGRATORS
 
 __all__ = ["main", "build_parser"]
 
@@ -150,7 +150,6 @@ def _solver_settings(args, fallback: SolverSettings | None = None) -> SolverSett
     return SolverSettings(
         dt=base.dt if args.dt is None else args.dt,
         integrator=args.integrator or base.integrator,
-        boundary=args.boundary or base.boundary,
     )
 
 
@@ -259,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", required=True, help="comma-separated record times")
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--integrator", choices=INTEGRATORS)
-    p.add_argument("--boundary", choices=BOUNDARIES)
     # accepted and ignored: the reconstruction no longer samples, but the
     # benchmark's lognormal workload still passes this flag; it goes when
     # ROADMAP item 6 drops it from the benchmark
@@ -272,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--dt", type=float, help="solver dt (default: config value)")
     p.add_argument("--integrator", choices=INTEGRATORS)
-    p.add_argument("--boundary", choices=BOUNDARIES)
     p.add_argument("--output-dir", help="where to write metrics.csv")
     p.set_defaults(handler=_cmd_validate)
 

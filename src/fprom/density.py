@@ -45,8 +45,9 @@ class DensityField:
     """PDF values at grid nodes, frozen at one model time.
 
     Values are finite, nonnegative, and read-only. Producers in this
-    package always normalize to unit trapezoidal mass; ``mass`` lets
-    consumers check, and is integrated once per field.
+    package normalize to unit trapezoidal mass, except that a solve's
+    rows keep the mass of its initial density; ``mass`` lets consumers
+    check, and is integrated once per field.
     """
 
     grid: Grid

@@ -237,6 +237,7 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
                     gen.standard_normal(out=buf[j - j0, : k1 - k0])
                 noise[k0:k1, j0:j1] = buf[: j1 - j0, : k1 - k0].T
         out[lo:hi, 0] = x
+        _require_finite(x, lo, 0, dt)
         col = 1
         for k in range(n_steps):
             t = k * dt
@@ -261,16 +262,21 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
                 g *= sqrt_dt
                 g *= noise[k, :m]
                 x += g
-            if not np.isfinite(x).all():
-                bad = int(np.argmax(~np.isfinite(x)))
-                raise SolverDivergenceError(
-                    f"trajectory {lo + bad} non-finite at step {k + 1} "
-                    f"(t={(k + 1) * dt})"
-                )
+            _require_finite(x, lo, k + 1, dt)
             if (k + 1) % plan.stride == 0:
                 out[lo:hi, col] = x
                 col += 1
     return TrajectoryEnsemble(times=times, samples=out, transform="identity")
+
+
+def _require_finite(x: np.ndarray, lo: int, step: int, dt: float) -> None:
+    """Refuse the states x of trajectories lo, lo + 1, ... after step
+    (0 for the initial states), naming the first non-finite one."""
+    if not np.isfinite(x).all():
+        bad = int(np.argmax(~np.isfinite(x)))
+        raise SolverDivergenceError(
+            f"trajectory {lo + bad} non-finite at step {step} (t={step * dt})"
+        )
 
 
 def _any_negative(g: np.ndarray) -> bool:

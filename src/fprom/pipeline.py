@@ -112,7 +112,6 @@ class SolverSettings:
 
     dt: float
     integrator: str = "crank_nicolson"
-    boundary: str = "zero_flux"
 
     def __post_init__(self) -> None:
         # delegate range checks to SolverConfig with a throwaway record time
@@ -123,7 +122,6 @@ class SolverSettings:
             integrator=self.integrator,
             dt=self.dt,
             record_times=tuple(record_times),
-            boundary=self.boundary,
         )
 
 
@@ -241,14 +239,13 @@ class RunConfig:
 
         defaulted = []
         section = require_keys(
-            raw.get("solver"), "solver", ("dt",), allowed=("integrator", "boundary")
+            raw.get("solver"), "solver", ("dt",), allowed=("integrator",)
         )
         solver_kwargs = {"dt": require_float(section["dt"], "solver.dt")}
-        for key in ("integrator", "boundary"):
-            if key in section:
-                solver_kwargs[key] = section[key]
-            else:
-                defaulted.append(f"solver.{key}")
+        if "integrator" in section:
+            solver_kwargs["integrator"] = section["integrator"]
+        else:
+            defaulted.append("solver.integrator")
         solver = SolverSettings(**solver_kwargs)
 
         section = require_keys(
@@ -317,7 +314,6 @@ class RunConfig:
             ("diff_degree", self.diff_degree),
             ("solver_integrator", self.solver.integrator),
             ("solver_dt", self.solver.dt),
-            ("solver_boundary", self.solver.boundary),
             ("smoothing_lambda", self.smoothing_lambda),
             ("split_train_end", self.train_end),
             ("split_truncate_start", self.truncate_start),

@@ -4,11 +4,11 @@ The semi-discrete form is df/dt = A(t) f with
 A(t) = -D1(t) * E1 + D2(t) * E2. E1 and E2 make one conservative
 flux-form operator on the grid nodes: each node owns the cell between
 its neighbouring faces, the face flux is D1 times the mean of the two
-node values minus D2 times their difference quotient, and under
-``zero_flux`` no flux crosses a wall, so the trapezoidal mass of A f is
-exactly zero. Interior rows are the centred second-order stencils. Both
-are tridiagonal, held in LAPACK band storage, cached per
-(grid, boundary) and read-only, so memory and work per step are O(n).
+node values minus D2 times their difference quotient, and no flux
+crosses a wall, so the trapezoidal mass of A f is exactly zero. Interior
+rows are the centred second-order stencils. Both are tridiagonal, held
+in LAPACK band storage, cached per grid and read-only, so memory and
+work per step are O(n).
 
 Two integrators: classical explicit RK4, with hard diffusion and
 advection stability checks, applying A by a tridiagonal matrix-vector
@@ -20,13 +20,15 @@ bands in scratch buffers and ``?gtsv`` solves them in place. Both give
 ``?gtsv``'s solution bit for bit. scipy.linalg, which supplies them, is
 imported at the first Crank-Nicolson solve, not with the module.
 
-After every step the state is clipped at zero and renormalized; the
-pre-renormalization mass of each step is logged so mass conservation
-stays observable. The recorded states go into one preallocated
-(records, n) array, ``SolutionTrace.states``; ``snapshots`` wraps its
+The scheme conserves mass by itself, so nothing rescales the state:
+the trapezoidal mass of every step is logged, and a step whose mass
+leaves f0's by more than 1e-10 relative ends the solve. The recorded
+states go into one preallocated (records, n) array,
+``SolutionTrace.states``, with negatives clipped to zero there only,
+because a DensityField holds no negative value; ``snapshots`` wraps its
 rows as DensityFields only when asked. A non-finite system or state,
-an exactly singular system or collapsed mass sets the divergence flag
-and returns the partial trace instead of raising.
+an exactly singular system or a mass that is not conserved sets the
+divergence flag and returns the partial trace instead of raising.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .grid import Grid
 __all__ = ["SolverConfig", "SolutionTrace", "solve"]
 
 INTEGRATORS = ("explicit_rk4", "crank_nicolson")
-BOUNDARIES = ("zero_flux", "zero_dirichlet")
 
 # explicit RK4 stability: dt <= STABILITY_SAFETY * h^2 / max|D2| for
 # diffusion and dt <= STABILITY_SAFETY * RK4_IMAG_REACH * h / max|D1| for
@@ -54,8 +55,9 @@ BOUNDARIES = ("zero_flux", "zero_dirichlet")
 STABILITY_SAFETY = 0.4
 RK4_IMAG_REACH = 2.0 * math.sqrt(2.0)
 
-# mass below this cannot be renormalized; the solve is declared diverged
-MASS_COLLAPSE = 1e-12
+# a step whose mass moves further than this from f0's, relative to it,
+# is declared diverged
+MASS_TOL = 1e-10
 
 _RECORD_TOL = 1e-9
 
@@ -68,14 +70,11 @@ class SolverConfig:
     integrator: str
     dt: float
     record_times: tuple[float, ...]
-    boundary: str = "zero_flux"
     allow_negative_diffusion: bool = False
 
     def __post_init__(self) -> None:
         if self.integrator not in INTEGRATORS:
             raise InfeasibleConfigError(f"unknown integrator {self.integrator!r}")
-        if self.boundary not in BOUNDARIES:
-            raise InfeasibleConfigError(f"unknown boundary {self.boundary!r}")
         if not self.dt > 0.0:
             raise InfeasibleConfigError("dt must be > 0")
         rt = tuple(float(t) for t in self.record_times)
@@ -115,18 +114,16 @@ class SolutionTrace:
 
 
 @lru_cache(maxsize=32)
-def _closed_bands(grid: Grid, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+def _closed_bands(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal E1, E2 in LAPACK band storage, entry (i, j) at [1 + i - j, j].
 
     Interior rows are the centred (-1, 0, 1)/(2h) and (1, -2, 1)/h^2.
-    zero_flux closes the walls in flux form: node i owns the cell
-    between its neighbouring faces (a half cell at a wall), the face
-    flux is F = D1*(f_i + f_i+1)/2 - D2*(f_i+1 - f_i)/h, and no flux
-    crosses a wall. E1's wall rows are then (1, 1)/h and (-1, -1)/h and
-    E2's are (-2, 2)/h^2, so the trapezoidal mass of A f is exactly
-    zero. zero_dirichlet zeroes both wall rows so edge values stay
-    frozen. Results are cached and shared between solves, so both bands
-    are read-only.
+    The walls are closed in flux form: node i owns the cell between its
+    neighbouring faces (a half cell at a wall), the face flux is
+    F = D1*(f_i + f_i+1)/2 - D2*(f_i+1 - f_i)/h, and no flux crosses a
+    wall. E1's wall rows are then (1, 1)/h and (-1, -1)/h and E2's are
+    (-2, 2)/h^2, so the trapezoidal mass of A f is exactly zero. Results
+    are cached and shared between solves, so both bands are read-only.
     """
     n = grid.n_points
     h = grid.spacing
@@ -139,12 +136,8 @@ def _closed_bands(grid: Grid, boundary: str) -> tuple[np.ndarray, np.ndarray]:
     # the slots of wall row 0, (0, 0) and (0, 1), then of row n - 1,
     # (n - 1, n - 2) and (n - 1, n - 1)
     walls = ([1, 0, 2, 1], [0, 1, n - 2, n - 1])
-    if boundary == "zero_flux":
-        b1[walls] = (1.0 / h, 1.0 / h, -1.0 / h, -1.0 / h)
-        b2[walls] = (-2.0 / h**2, 2.0 / h**2, 2.0 / h**2, -2.0 / h**2)
-    else:
-        b1[walls] = 0.0
-        b2[walls] = 0.0
+    b1[walls] = (1.0 / h, 1.0 / h, -1.0 / h, -1.0 / h)
+    b2[walls] = (-2.0 / h**2, 2.0 / h**2, 2.0 / h**2, -2.0 / h**2)
     b1.flags.writeable = False
     b2.flags.writeable = False
     return b1, b2
@@ -215,14 +208,15 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
     """March f0 forward, recording the state at config.record_times.
 
     Record times must lie on the step lattice t0 + k*dt (validated);
-    each recorded row of ``trace.states`` is the clipped, renormalized
-    state, and record times on the same step share its value. For
+    each recorded row of ``trace.states`` is the state with its
+    negatives clipped to zero, and record times on the same step share
+    its value. The state itself is never clipped or rescaled, so the
+    rows keep f0's mass, which may differ from 1 by up to 1e-3. For
     explicit_rk4 the diffusion and advection stability bounds are
-    checked up front and violations are errors, not warnings, as is a
-    zero_dirichlet f0 with no mass inside the walls. Per step
+    checked up front and violations are errors, not warnings. Per step
     the checks run in this order: a non-finite Crank-Nicolson system
-    or right-hand side, a singular system, a non-finite state, then
-    collapsed mass.
+    or right-hand side, a singular system, a non-finite state, then a
+    trapezoidal mass more than MASS_TOL * m0 away from f0's mass m0.
     """
     grid = f0.grid
     t0 = f0.time_stamp
@@ -250,28 +244,26 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
                     f"{STABILITY_SAFETY}*{label} = {STABILITY_SAFETY * scale / dmax:.6e}"
                 )
 
-    b1, b2 = _closed_bands(grid, config.boundary)
-    x = grid.nodes
-    dx = np.diff(x)
+    b1, b2 = _closed_bands(grid)
+    dx = np.diff(grid.nodes)
     dt = config.dt
     n = grid.n_points
     n_total = max(rec_steps)
 
     f = np.array(f0.values, dtype=float)
-    if config.boundary == "zero_dirichlet":
-        f[0] = 0.0
-        f[-1] = 0.0
-        mass = np.trapezoid(f, x)
-        if not mass > MASS_COLLAPSE:
-            raise InfeasibleConfigError(
-                f"no mass left inside the zero_dirichlet walls: {float(mass)!r}"
-            )
-        f = f / mass
-
     states = np.empty((len(rec_steps), n))
     mass_log = np.empty(n_total)
     n_rec = 0
     work = np.empty(n - 1)
+
+    def mass_of(g: np.ndarray) -> float:
+        # np.trapezoid's arithmetic, with the spacings taken once per solve
+        np.add(g[1:], g[:-1], out=work)
+        np.multiply(work, dx, out=work)
+        np.divide(work, 2.0, out=work)
+        return float(np.add.reduce(work))
+
+    m0 = mass_of(f)
 
     def trace(steps_logged: int, diagnostic: str = "") -> SolutionTrace:
         rows = states[:n_rec]
@@ -291,14 +283,10 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
     def record(step: int) -> None:
         nonlocal n_rec
         while n_rec < len(rec_steps) and rec_steps[n_rec] == step:
-            states[n_rec] = f
+            np.maximum(f, 0.0, out=states[n_rec])
             n_rec += 1
 
     record(0)
-    if n_rec and not np.isfinite(f).all():
-        # a recorded initial state must be a density, as DensityField
-        # requires when snapshots wraps it
-        raise ValueError("density values must be finite")
     rk4 = config.integrator == "explicit_rk4"
     constant = not rk4 and model.is_constant()
     if rk4:
@@ -367,16 +355,10 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
 
         if not np.isfinite(f_new).all():
             return diverged("non-finite state", k, k - 1)
-        np.maximum(f_new, 0.0, out=f_new)
-        # np.trapezoid's arithmetic, with the spacings taken once per solve
-        np.add(f_new[1:], f_new[:-1], out=work)
-        work *= dx
-        work /= 2.0
-        mass = float(np.add.reduce(work))
+        mass = mass_of(f_new)
         mass_log[k - 1] = mass
-        if mass <= MASS_COLLAPSE:
-            return diverged("density mass collapsed", k, k)
-        f_new /= mass
+        if abs(mass - m0) > MASS_TOL * m0:
+            return diverged("mass not conserved", k, k)
         f = f_new
         record(k)
 

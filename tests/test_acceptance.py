@@ -214,8 +214,11 @@ def test_regression_fixture_and_negative_diffusion_refusal():
         record_times=(0.1,),
         allow_negative_diffusion=True,
     )
+    # the override runs the ill-posed solve; it blows up in its first
+    # step, and the mass check reports that instead of hiding it
     trace = solve(f0, model, override)
-    assert not trace.diverged
+    assert trace.diverged
+    assert trace.diagnostic == "mass not conserved at step 1 (t=0.05)"
 
 
 @pytest.mark.criterion(8, "density toolbox invariants hold")

@@ -402,6 +402,15 @@ class TestTrainAndCalibrate:
         assert main(["train", "--config", str(path)]) == 2
         assert "unknown solver key(s): accuracy_order" in capsys.readouterr().err
 
+    def test_boundary_is_an_unknown_solver_key(self, cli_workspace, tmp_path, capsys):
+        # zero_flux walls are the only closure; the key that chose one is gone
+        raw = json.loads((cli_workspace / "run.json").read_text())
+        raw["solver"]["boundary"] = "zero_flux"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 2
+        assert "unknown solver key(s): boundary" in capsys.readouterr().err
+
     def test_off_axis_train_end_exits_4(self, cli_workspace, tmp_path, capsys):
         raw = json.loads((cli_workspace / "run.json").read_text())
         raw["split"] = {"train_end": 0.4}
@@ -463,6 +472,15 @@ class TestPredictAndValidate:
         )
         assert code == 4
         assert "beyond" in capsys.readouterr().err
+
+    def test_predict_boundary_flag_exits_2(self, trained, tmp_path, capsys):
+        args = ["predict", "--artifact", str(trained), "--horizon", "1.0", "--times", "1.0",
+                "--dt", "0.05", "--output-dir", str(tmp_path / "pred")]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--boundary", "zero_flux"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --boundary zero_flux" in capsys.readouterr().err
+        assert not (tmp_path / "pred").exists()
 
     def test_predict_missing_artifact_exits_2(self, tmp_path, capsys):
         code = main(

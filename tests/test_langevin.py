@@ -255,6 +255,23 @@ class TestSimulate:
             with pytest.raises(SolverDivergenceError, match="non-finite at step"):
                 simulate(spec, plan)
 
+    @pytest.mark.parametrize(
+        "noise",
+        [("constant", (1.0,)), ("linear_in_x", (1.0, -1.0))],
+        ids=["constant", "linear_in_x"],
+    )
+    def test_non_finite_initial_state_is_refused_at_step_0(self, noise):
+        # trajectory 2's x0 draw overflows to inf; constant noise used to
+        # report it at step 1 and linear_in_x noise as a negative amplitude
+        spec = SdeSpec("constant", (0.0,), *noise)
+        plan = SimPlan(
+            n_trajectories=4, dt=0.1, horizon=0.2, x0_kind="normal", x0_params=(1e308, 1e308)
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverDivergenceError) as got:
+                simulate(spec, plan)
+        assert str(got.value) == "trajectory 2 non-finite at step 0 (t=0.0)"
+
 
 # the coefficient formulas as first written, each returning a fresh array
 _REFERENCE_DRIFTS = {

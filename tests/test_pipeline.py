@@ -114,7 +114,6 @@ class TestRunConfig:
         config = RunConfig.from_dict(raw)
         assert config.defaulted == (
             "solver.integrator",
-            "solver.boundary",
             "split.truncate_start",
             "transform",
             "method",
