@@ -297,9 +297,12 @@ def reference_loss(problem, params):
     return total
 
 
-def drift_problem(integrator="crank_nicolson", distance="kl", weights=None, n_points=129):
+def drift_problem(
+    integrator="crank_nicolson", distance="kl", weights=None, n_points=129, initial_mass=1.0
+):
     """Drift a + b t, diffusion D observed 10 times on [-6, 10], as the
-    benchmark's time-varying calibration; the initial density is at t0 = 0."""
+    benchmark's time-varying calibration; the initial density is at t0 = 0,
+    with its values scaled by initial_mass."""
     grid = Grid(-6.0, 10.0, n_points)
     x = grid.nodes
 
@@ -311,8 +314,9 @@ def drift_problem(integrator="crank_nicolson", distance="kl", weights=None, n_po
 
     times = tuple(round(0.1 * k, 10) for k in range(1, 11))
     dt = 0.025 if integrator == "crank_nicolson" else 0.4 * grid.spacing**2
+    f0 = density(0.0)
     return CalibrationProblem(
-        initial_density=density(0.0),
+        initial_density=DensityField(grid=grid, values=f0.values * initial_mass, time_stamp=0.0),
         targets=tuple((t, density(t)) for t in times),
         drift_degree=1,
         diff_degree=0,
@@ -334,8 +338,11 @@ class TestLossMatchesReference:
         "params", ((0.8, 0.6, 0.25), (0.5, 0.0, 0.3)), ids=("time_varying", "constant")
     )
     @pytest.mark.parametrize("integrator", ("explicit_rk4", "crank_nicolson"))
-    def test_bitwise_equal(self, integrator, params, distance, weights):
-        problem = drift_problem(integrator, distance, weights)
+    @pytest.mark.parametrize(
+        "initial_mass", (1.0, 1.0 + 5e-4), ids=("unit_mass", "off_unit_mass")
+    )
+    def test_bitwise_equal(self, integrator, params, distance, weights, initial_mass):
+        problem = drift_problem(integrator, distance, weights, initial_mass=initial_mass)
         assert loss(problem, params) == reference_loss(problem, params)
 
     @pytest.mark.parametrize("distance", ("kl", "l2"))

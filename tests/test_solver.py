@@ -27,6 +27,22 @@ def wiener_model(diffusion=0.5, drift=0.0):
     return CoefficientModel(drift_poly=(drift,), diff_poly=(diffusion,))
 
 
+# initial masses a solve accepts: exactly 1, and 1 + 5e-4, inside the
+# 1e-3 tolerance, which nothing rescales towards 1
+INITIAL_MASSES = pytest.mark.parametrize(
+    "initial_mass", (1.0, 1.0 + 5e-4), ids=("unit_mass", "off_unit_mass")
+)
+
+
+def with_mass(f0, initial_mass):
+    """f0 with its values scaled by initial_mass."""
+    if initial_mass == 1.0:
+        return f0
+    return DensityField(
+        grid=f0.grid, values=f0.values * initial_mass, time_stamp=f0.time_stamp
+    )
+
+
 class TestSolverConfig:
     def test_unknown_integrator(self):
         with pytest.raises(InfeasibleConfigError, match="integrator"):
@@ -417,8 +433,12 @@ def band_to_dense(ab):
     return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
 
 
+# an even and an odd node count, and a spacing that is not a power of two
+GRIDS = (Grid(-3.0, 3.0, 65), Grid(-1.3, 2.7, 50), Grid(0.0, 7.0, 31))
+
+
 class TestFluxFormOperator:
-    @pytest.mark.parametrize("grid", (Grid(-3.0, 3.0, 65), Grid(-1.3, 2.7, 50)))
+    @pytest.mark.parametrize("grid", GRIDS)
     def test_bands_match_face_flux_definition(self, grid):
         b1, b2 = _closed_bands(grid)
         assert b1.shape == b2.shape == (3, grid.n_points)
@@ -448,8 +468,7 @@ class TestFluxFormOperator:
             column_mass = weights @ band_to_dense(band)
             assert np.max(np.abs(column_mass)) <= 1e-12 * np.max(np.abs(band))
 
-
-    @pytest.mark.parametrize("grid", (Grid(-3.0, 3.0, 65), Grid(-1.3, 2.7, 50)))
+    @pytest.mark.parametrize("grid", GRIDS)
     def test_interior_stencils_are_classic_central_weights(self, grid):
         b1, b2 = _closed_bands(grid)
         h = grid.spacing
@@ -462,8 +481,8 @@ class TestFluxFormOperator:
         assert np.all(b2[1, 1:-1] == -2.0 / h**2)
         assert np.all(b2[0, 2:] == 1.0 / h**2)
 
-    def test_wall_rows(self):
-        grid = Grid(-1.3, 2.7, 50)
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_wall_rows(self, grid):
         h = grid.spacing
         e1, e2 = (band_to_dense(b) for b in _closed_bands(grid))
         want1 = ((1.0 / h, 1.0 / h), (-1.0 / h, -1.0 / h))
@@ -551,11 +570,12 @@ class TestBandedOperatorMatchesDense:
         "integrator, time_varying",
         list(itertools.product(("explicit_rk4", "crank_nicolson"), (False, True))),
     )
-    def test_solve_matches_dense_reference(self, integrator, time_varying):
+    @INITIAL_MASSES
+    def test_solve_matches_dense_reference(self, integrator, time_varying, initial_mass):
         # a spacing that is not a power of two, so node rounding differs row to row
         grid = Grid(-5.0, 5.0, 61)
         # wide enough that the wall rows act on non-negligible values
-        f0 = gaussian_density(grid, 0.3, 4.0, 0.0)
+        f0 = with_mass(gaussian_density(grid, 0.3, 4.0, 0.0), initial_mass)
         if time_varying:
             model = CoefficientModel(drift_poly=(0.4, 0.5), diff_poly=(0.2, 0.1))
         else:
@@ -571,15 +591,18 @@ class TestBandedOperatorMatchesDense:
         for got, want in zip(trace.snapshots, snapshots):
             assert np.max(np.abs(got.values - want)) <= 1e-12
         assert np.max(np.abs(trace.mass_log - masses)) <= 1e-12
-
+        assert np.max(np.abs(masses - initial_mass)) <= 1e-12
 
     @pytest.mark.parametrize("integrator", ("explicit_rk4", "crank_nicolson"))
     @pytest.mark.parametrize("sign", (-1.0, 1.0))
-    def test_drift_toward_each_wall_matches_dense_reference(self, integrator, sign):
+    @INITIAL_MASSES
+    def test_drift_toward_each_wall_matches_dense_reference(
+        self, integrator, sign, initial_mass
+    ):
         # the drift piles mass against one wall, so E1's wall rows carry
         # most of the flux balance there
         grid = Grid(-5.0, 5.0, 61)
-        f0 = gaussian_density(grid, sign * 3.5, 1.0, 0.0)
+        f0 = with_mass(gaussian_density(grid, sign * 3.5, 1.0, 0.0), initial_mass)
         model = CoefficientModel(drift_poly=(sign * 0.8,), diff_poly=(0.2,))
         dt = 0.5 * grid.spacing**2
         config = SolverConfig(integrator=integrator, dt=dt, record_times=(40 * dt,))
@@ -588,7 +611,7 @@ class TestBandedOperatorMatchesDense:
         assert not trace.diverged
         assert np.max(np.abs(trace.snapshots[0].values - snapshots[0])) <= 1e-12
         assert np.max(np.abs(trace.mass_log - masses)) <= 1e-12
-        assert np.max(np.abs(masses - 1.0)) <= 1e-12
+        assert np.max(np.abs(masses - initial_mass)) <= 1e-12
 
 
 class TestMemory:
@@ -673,8 +696,10 @@ class TestLapackStepMatchesSolveBanded:
             itertools.product(("explicit_rk4", "crank_nicolson"), (False, True), (129, 301))
         ),
     )
-    def test_bitwise_equal(self, integrator, time_varying, n_points):
+    @INITIAL_MASSES
+    def test_bitwise_equal(self, integrator, time_varying, n_points, initial_mass):
         f0, model, config = matrix_config(integrator, time_varying, n_points)
+        f0 = with_mass(f0, initial_mass)
         trace = solve(f0, model, config)
         snapshots, masses = banded_reference_solve(f0, model, config)
         assert not trace.diverged
@@ -687,9 +712,10 @@ class TestLapackStepMatchesSolveBanded:
         "integrator, sign",
         list(itertools.product(("explicit_rk4", "crank_nicolson"), (-1.0, 1.0))),
     )
-    def test_bitwise_equal_with_drift_toward_each_wall(self, integrator, sign):
+    @INITIAL_MASSES
+    def test_bitwise_equal_with_drift_toward_each_wall(self, integrator, sign, initial_mass):
         grid = Grid(-5.0, 5.0, 129)
-        f0 = gaussian_density(grid, sign * 3.0, 1.0, 0.0)
+        f0 = with_mass(gaussian_density(grid, sign * 3.0, 1.0, 0.0), initial_mass)
         model = CoefficientModel(drift_poly=(sign * 0.8, 0.3), diff_poly=(0.2,))
         dt = 0.5 * grid.spacing**2
         config = SolverConfig(
@@ -852,9 +878,9 @@ REFERENCE_MODELS = {
 }
 
 
-def reference_case(integrator, name, duplicates):
+def reference_case(integrator, name, duplicates, initial_mass=1.0):
     grid = Grid(-5.0, 5.0, 129)
-    f0 = gaussian_density(grid, 0.3, 0.8, 0.0)
+    f0 = with_mass(gaussian_density(grid, 0.3, 0.8, 0.0), initial_mass)
     drift, diff = REFERENCE_MODELS[name]
     model = CoefficientModel(drift_poly=drift, diff_poly=diff)
     dt = 0.2 if integrator == "crank_nicolson" else 0.5 * grid.spacing**2
@@ -870,16 +896,18 @@ class TestSolveMatchesReference:
     @pytest.mark.parametrize("duplicates", (False, True), ids=("plain", "t0_and_duplicates"))
     @pytest.mark.parametrize("name", tuple(REFERENCE_MODELS))
     @pytest.mark.parametrize("integrator", ("explicit_rk4", "crank_nicolson"))
-    def test_bitwise_equal(self, integrator, name, duplicates):
-        f0, model, config = reference_case(integrator, name, duplicates)
+    @INITIAL_MASSES
+    def test_bitwise_equal(self, integrator, name, duplicates, initial_mass):
+        f0, model, config = reference_case(integrator, name, duplicates, initial_mass)
         trace = assert_matches_reference(f0, model, config)
         assert not trace.diverged
         assert len(trace.states) == len(config.record_times)
         if duplicates:
             assert bits(trace.states[1]) == bits(trace.states[2])
 
-    def test_drift_dominated_case_pivots(self):
-        f0, model, config = reference_case("crank_nicolson", "drift_dominated", False)
+    @pytest.mark.parametrize("name", ("drift_dominated", "drift_dominated_time_varying"))
+    def test_drift_dominated_case_pivots(self, name):
+        f0, model, config = reference_case("crank_nicolson", name, False)
         b1, b2 = _closed_bands(f0.grid)
         lhs = -0.5 * config.dt * (-model.drift(0.0) * b1 + model.diffusion(0.0) * b2)
         lhs[1] += 1.0
