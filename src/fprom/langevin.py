@@ -1,14 +1,12 @@
 """Euler-Maruyama ensemble simulation of scalar Ito SDEs.
 
 Synthetic ground-truth generator: dx = h(x,t) dt + g(x,t) dW with h
-and g picked from small registries. Every trajectory draws from its
-own counter-based RNG stream keyed by (seed, trajectory index), so the
-ensemble is bit-identical regardless of chunking or scheduling. A
-Philox stream's whole state is (key, counter), so one Philox re-keyed
-to a fresh state per trajectory replays exactly the stream a new
-Philox(key=[seed, r]) would; seeds are confined to [0, 2**63) so that
-no two seeds share a key. The march updates the state in place: h and
-g that do not depend on x are one float per step, applied as scalars,
+and g picked from small registries. One call draws from one
+counter-based RNG stream, Philox keyed (seed, 0), and marches all
+trajectories together step by step, so identical inputs give a
+bit-identical ensemble; seeds are confined to [0, 2**63) so that no
+two seeds share a key. The march updates the state in place: h and g
+that do not depend on x are one float per step, applied as scalars,
 and the others are written into two buffers reused from step to step,
 always in the operation order (x + h dt) + (g sqrt(dt)) xi.
 """
@@ -69,15 +67,6 @@ NOISE_KINDS = {
 }
 
 X0_KINDS = ("point", "normal")
-
-_CHUNK = 8192
-
-# noise is drawn trajectory by trajectory into a draw tile of at most
-# _DRAW_ROWS rows and _DRAW_DOUBLES values (500 KiB), then transposed
-# into the step-major noise array; the tile is carved from the same
-# allocation as that array, so it is never freed on its own
-_DRAW_ROWS = 32
-_DRAW_DOUBLES = 64_000
 
 # the sidecar digest reads the CSV through one reused buffer this size,
 # which stays below glibc's default 128 KiB mmap threshold
@@ -183,99 +172,74 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
     stride lattice. Identical (spec, plan) inputs give bit-identical
     ensembles.
 
-    Trajectory r draws from the Philox stream keyed [seed, r]: first x0
-    when x0 is "normal", then one increment per step, whatever the
-    stride. One Philox is re-keyed per trajectory, which leaves every
-    stream unchanged. The increments are held step-major, n_steps x
-    min(n_trajectories, 8192) float64, so each step reads one
-    contiguous row; trajectories beyond 8192 reuse that array chunk by
-    chunk. The same allocation ends in the draw tile.
+    The Philox stream keyed [seed, 0] gives first the n_trajectories
+    starting values when x0 is "normal", then n_trajectories increments
+    per step, whatever the stride. A trajectory's path therefore depends
+    on how many trajectories are simulated. Besides the output the march
+    holds four arrays of n_trajectories floats, however many steps.
 
     Raises SolverDivergenceError on non-finite state and
     InfeasibleConfigError if the noise amplitude evaluates negative.
     """
     n_steps = plan.n_steps
-    n_rec = n_steps // plan.stride + 1
-    out = np.empty((plan.n_trajectories, n_rec))
+    m = plan.n_trajectories
+    out = np.empty((m, n_steps // plan.stride + 1))
     times = np.arange(0, n_steps + 1, plan.stride) * plan.dt
     dt = plan.dt
     sqrt_dt = np.sqrt(dt)
-    normal_x0 = plan.x0_kind == "normal"
-    bits = Philox(key=[plan.seed, 0])
-    fresh = bits.state
-    gen = Generator(bits)
-    cols = min(plan.n_trajectories, _CHUNK)
-    seg = min(n_steps, _DRAW_DOUBLES)
-    rows = min(_DRAW_ROWS, _DRAW_DOUBLES // seg, cols)
-    store = np.empty(n_steps * cols + rows * seg)
-    noise = store[: n_steps * cols].reshape(n_steps, cols)
-    buf = store[n_steps * cols :].reshape(rows, seg)
-    for lo in range(0, plan.n_trajectories, _CHUNK):
-        hi = min(lo + _CHUNK, plan.n_trajectories)
-        m = hi - lo
-        x = np.empty(m)
-        h_buf = np.empty(m)
-        g_buf = np.empty(m)
-        # rows > 1 only when one segment holds all n_steps; with longer
-        # paths each block is one trajectory, whose stream simply goes on
-        # from segment to segment
-        for j0 in range(0, m, rows):
-            j1 = min(j0 + rows, m)
-            for k0 in range(0, n_steps, seg):
-                k1 = min(k0 + seg, n_steps)
-                for j in range(j0, j1):
-                    if k0 == 0:
-                        fresh["state"]["key"] = np.array(
-                            [plan.seed, lo + j], dtype=np.uint64
-                        )
-                        bits.state = fresh
-                        if normal_x0:
-                            mu0, sigma0 = plan.x0_params
-                            x[j] = mu0 + sigma0 * gen.standard_normal()
-                        else:
-                            x[j] = plan.x0_params[0]
-                    gen.standard_normal(out=buf[j - j0, : k1 - k0])
-                noise[k0:k1, j0:j1] = buf[: j1 - j0, : k1 - k0].T
-        out[lo:hi, 0] = x
-        _require_finite(x, lo, 0, dt)
-        col = 1
-        for k in range(n_steps):
-            t = k * dt
-            g = spec.noise(x, t, g_buf)
-            scalar_g = isinstance(g, float)
-            if g < 0.0 if scalar_g else _any_negative(g):
-                g = np.broadcast_to(g, x.shape)
-                bad = int(np.argmax(g < 0.0))
-                raise InfeasibleConfigError(
-                    f"noise amplitude negative ({g[bad]}) at t={t}, x={x[bad]}"
-                )
-            # (x + h dt) + (g sqrt(dt)) xi, the same operations in place
-            h = spec.drift(x, t, h_buf)
-            if isinstance(h, float):
-                x += h * dt
-            else:
-                h *= dt
-                x += h
-            if scalar_g:
-                x += np.multiply(noise[k, :m], g * sqrt_dt, out=g_buf)
-            else:
-                g *= sqrt_dt
-                g *= noise[k, :m]
-                x += g
-            _require_finite(x, lo, k + 1, dt)
-            if (k + 1) % plan.stride == 0:
-                out[lo:hi, col] = x
-                col += 1
+    gen = Generator(Philox(key=[plan.seed, 0]))
+    if plan.x0_kind == "normal":
+        mu0, sigma0 = plan.x0_params
+        x = gen.standard_normal(m)
+        x *= sigma0
+        x += mu0
+    else:
+        x = np.full(m, plan.x0_params[0])
+    xi = np.empty(m)
+    h_buf = np.empty(m)
+    g_buf = np.empty(m)
+    out[:, 0] = x
+    _require_finite(x, 0, dt)
+    col = 1
+    for k in range(n_steps):
+        t = k * dt
+        g = spec.noise(x, t, g_buf)
+        scalar_g = isinstance(g, float)
+        if g < 0.0 if scalar_g else _any_negative(g):
+            g = np.broadcast_to(g, x.shape)
+            bad = int(np.argmax(g < 0.0))
+            raise InfeasibleConfigError(
+                f"noise amplitude negative ({g[bad]}) at t={t}, x={x[bad]}"
+            )
+        # (x + h dt) + (g sqrt(dt)) xi, the same operations in place
+        h = spec.drift(x, t, h_buf)
+        if isinstance(h, float):
+            x += h * dt
+        else:
+            h *= dt
+            x += h
+        gen.standard_normal(out=xi)
+        if scalar_g:
+            xi *= g * sqrt_dt
+            x += xi
+        else:
+            g *= sqrt_dt
+            g *= xi
+            x += g
+        _require_finite(x, k + 1, dt)
+        if (k + 1) % plan.stride == 0:
+            out[:, col] = x
+            col += 1
     return TrajectoryEnsemble(times=times, samples=out, transform="identity")
 
 
-def _require_finite(x: np.ndarray, lo: int, step: int, dt: float) -> None:
-    """Refuse the states x of trajectories lo, lo + 1, ... after step
-    (0 for the initial states), naming the first non-finite one."""
+def _require_finite(x: np.ndarray, step: int, dt: float) -> None:
+    """Refuse the states x after step (0 for the initial states), naming
+    the first non-finite trajectory."""
     if not np.isfinite(x).all():
         bad = int(np.argmax(~np.isfinite(x)))
         raise SolverDivergenceError(
-            f"trajectory {lo + bad} non-finite at step {step} (t={step * dt})"
+            f"trajectory {bad} non-finite at step {step} (t={step * dt})"
         )
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .calibrate import CalibrationProblem, calibrate, loss
+from .calibrate import DISTANCES, OPTIMIZERS, CalibrationProblem, calibrate, loss
 from .coefficients import MAX_DEGREE, CoefficientModel
 from .density import (
     DensityField,
@@ -176,10 +176,15 @@ class RunConfig:
             raise InfeasibleConfigError(
                 f"input mode must be one of {INPUT_MODES}, got {self.input_mode!r}"
             )
-        if self.method not in METHODS:
-            raise InfeasibleConfigError(
-                f"method must be one of {METHODS}, got {self.method!r}"
-            )
+        for name, known in (
+            ("method", METHODS),
+            ("optimizer", OPTIMIZERS),
+            ("distance", DISTANCES),
+        ):
+            if getattr(self, name) not in known:
+                raise InfeasibleConfigError(
+                    f"{name} must be one of {known}, got {getattr(self, name)!r}"
+                )
         for label, degree in (
             ("drift_degree", self.drift_degree),
             ("diff_degree", self.diff_degree),
@@ -195,8 +200,8 @@ class RunConfig:
                 raise InfeasibleConfigError(
                     "split.truncate_start must precede split.train_end"
                 )
-        if not (np.isfinite(self.smoothing_lambda) and self.smoothing_lambda >= 0.0):
-            raise InfeasibleConfigError("smoothing_lambda must be finite and >= 0")
+        if not (np.isfinite(self.smoothing_lambda) and self.smoothing_lambda > 0.0):
+            raise InfeasibleConfigError("smoothing_lambda must be finite and > 0")
         if self.budget < 50:
             raise InfeasibleConfigError("budget must be >= 50")
         if self.fit_window is not None:

@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 
 from fprom import CalibrationProblem, DensityField, Grid, SolverConfig, calibrate
 from fprom.analytic import drift_diffusion_density, gaussian_density
-from fprom.calibrate import _SIMPLEX_TOL, PENALTY_FLOOR, _nelder_mead, loss
+from fprom.calibrate import _SIMPLEX_TOL, _VALUE_TOL, PENALTY_FLOOR, _nelder_mead, loss
 from fprom.errors import InfeasibleConfigError
 from test_density import reference_kl_divergence
 from test_solver import reference_solve
@@ -468,7 +468,7 @@ def _scipy_nelder_mead(func, x0, maxfev):
         func,
         x0,
         method="Nelder-Mead",
-        options=dict(xatol=_SIMPLEX_TOL, fatol=1e-14, maxfev=maxfev),
+        options=dict(xatol=_SIMPLEX_TOL, fatol=_VALUE_TOL, maxfev=maxfev),
     )
     return res.x, res.fun, res.success
 

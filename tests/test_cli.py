@@ -366,6 +366,36 @@ class TestTrainAndCalibrate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "artifact.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "estimate"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            # tikhonov_smooth refuses 0, but only after ingest and the KDE
+            ("smoothing_lambda", 0.0, "smoothing_lambda must be finite and > 0"),
+            (
+                "optimizer",
+                "nelder_meed",
+                "optimizer must be one of ('nelder_mead', "
+                "'random_multistart_nelder_mead'), got 'nelder_meed'",
+            ),
+            ("distance", "kll", "distance must be one of ('kl', 'l2'), got 'kll'"),
+        ],
+        ids=["smoothing_lambda", "optimizer", "distance"],
+    )
+    def test_setting_outside_its_domain_exits_4(
+        self, cli_workspace, tmp_path, capsys, command, key, value, message
+    ):
+        # moment regression uses neither optimizer nor distance, yet a
+        # typo in them is refused rather than echoed into the report
+        raw = json.loads((cli_workspace / "run.json").read_text())
+        raw["input"]["path"] = str(cli_workspace / "ensemble.csv")
+        raw[key] = value
+        (tmp_path / "bad.json").write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(tmp_path / "bad.json"), "--output-dir", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "path, value, message",
         [

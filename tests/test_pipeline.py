@@ -523,6 +523,30 @@ class TestRunTrain:
         loaded = load_artifact(out / "artifact.json")
         assert loaded.model.drift_poly == artifact.model.drift_poly
 
+    def test_workflow_train_converges_below_its_budget(self, tmp_path):
+        # the loss at 513 nodes carries ~1e-13 of rounding noise, which a
+        # value tolerance below it never lets the search stop on
+        ens = simulate(
+            SdeSpec("constant", (1.0,), "constant", (1.0,)),
+            SimPlan(n_trajectories=2000, dt=0.01, horizon=2.0, stride=10, seed=31),
+        )
+        write_ensemble_csv(ens, tmp_path / "ensemble.csv")
+        config = RunConfig.from_dict({
+            "input": {"mode": "ensemble", "path": str(tmp_path / "ensemble.csv")},
+            "grid": {"x_min": -6.0, "x_max": 10.0, "n_points": 513},
+            "split": {"train_end": 1.0, "truncate_start": 0.5},
+            "solver": {"dt": 0.05},
+            "optimizer": "nelder_mead",
+            "budget": 200,
+            "bounds": [[-2.0, 2.0], [1e-4, 2.0]],
+        })
+        artifact, report = run_train(config, output_dir=tmp_path / "out")
+        items = dict(line.split("=", 1) for line in report.splitlines() if "=" in line)
+        assert items["converged"] == "True"
+        assert int(items["n_evaluations"]) < 200
+        assert abs(artifact.model.drift_poly[0] - 1.0) < 0.1
+        assert abs(artifact.model.diff_poly[0] - 0.5) < 0.1
+
     def test_moment_regression_branch(self, workspace, tmp_path):
         config = ensemble_config(workspace, method="moment_regression")
         artifact, report = run_train(config, output_dir=tmp_path / "mr")
