@@ -328,11 +328,13 @@ _DRIFTS = [
 ]
 _NOISES = [("constant", (0.7,)), ("linear_in_x", (0.5, 0.05))]
 _X0S = [("point", (0.25,)), ("normal", (0.2, 0.3))]
-# (trajectories, steps, stride)
+# (trajectories, steps, stride): 2,500 steps run one draw buffer through
+# many reuses and record 26 columns, and 8,195 trajectories are recorded
+# at several strides as well as at the end alone
 _SHAPES = [
     (m, n, s) for m in (1, 9) for n, strides in ((1, (1,)), (5, (1, 5)), (40, (1, 8)))
     for s in strides
-] + [(8195, 1, 1), (8195, 5, 5)]
+] + [(9, 2500, 100), (8195, 1, 1), (8195, 5, 5), (8195, 40, 8)]
 
 
 def _plan(shape, x0, seed=23, dt=0.01):
