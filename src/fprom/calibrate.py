@@ -23,7 +23,7 @@ so results do not depend on the version of scipy's optimiser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -60,8 +60,9 @@ class CalibrationProblem:
 
     The parameter vector is the drift coefficients (degree low to
     high) followed by the diffusion coefficients; bounds holds one
-    (lower, upper) pair per entry. solver.record_times must equal the
-    target times.
+    (lower, upper) pair per entry. The target times are the solver's
+    record times: solver must leave record_times unset, and the problem
+    holds a copy of it with them filled in.
     """
 
     initial_density: DensityField
@@ -123,14 +124,12 @@ class CalibrationProblem:
             raise InfeasibleConfigError("weights must be finite and >= 0")
         if sum(weights) <= 0.0:
             raise InfeasibleConfigError("weights must not all vanish")
-        rec = self.solver.record_times
-        want = tuple(tau for tau, _ in targets)
-        if len(rec) != len(want) or any(
-            abs(a - b) > 1e-9 * max(1.0, abs(b)) for a, b in zip(rec, want)
-        ):
+        if self.solver.record_times:
             raise InfeasibleConfigError(
-                f"solver record_times {rec} must equal the target times {want}"
+                "solver record_times come from the target times; leave them unset"
             )
+        solver = replace(self.solver, record_times=tuple(tau for tau, _ in targets))
+        object.__setattr__(self, "solver", solver)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "weights", weights)
@@ -177,10 +176,12 @@ def loss(problem: CalibrationProblem, params) -> float:
     One solve records every target time; then all targets with nonzero
     weight are scored in one pass over ``trace.states`` (KL(target ||
     predicted) by ``kl_divergence_rows``, or the L2 distance) and the
-    weighted distances are summed in target order. Negative diffusion
-    anywhere on the horizon returns 1e6 + |worst violation|; a
-    diverged solve returns 1e6. The value is deterministic: repeated
-    calls agree bit for bit.
+    weighted distances are summed in target order. The KL rows are not
+    clamped at zero, so an initial density whose mass is off 1 shifts
+    the loss by about the same amount at every parameter vector.
+    Negative diffusion anywhere on the horizon returns 1e6 + |worst
+    violation|; a diverged solve returns 1e6. The value is
+    deterministic: repeated calls agree bit for bit.
     """
     model = problem.model_from_params(params)
     t0, t_end = problem.horizon()
@@ -294,14 +295,12 @@ def _nelder_mead(func, x0, maxfev: int) -> tuple[np.ndarray, float, bool]:
 class CalibrationResult:
     """Best model found plus bookkeeping.
 
-    history is the best-so-far loss after each evaluation, so it is
-    non-increasing; final_loss re-evaluates the returned model and
-    matches loss(problem, best params) bit for bit.
+    final_loss re-evaluates the returned model and matches
+    loss(problem, best params) bit for bit.
     """
 
     model: CoefficientModel
     final_loss: float
-    history: tuple[float, ...]
     n_evaluations: int
     converged: bool
 
@@ -328,16 +327,12 @@ def calibrate(
     hi = np.asarray([b for _, b in problem.bounds])
 
     n_evals = 0
-    history: list[float] = []
 
     def objective(p: np.ndarray) -> float:
         nonlocal n_evals
         pc = np.clip(p, lo, hi)
-        value = loss(problem, pc) + _EXCURSION_WEIGHT * float(np.sum((p - pc) ** 2))
         n_evals += 1
-        best = value if not history else min(history[-1], value)
-        history.append(best)
-        return value
+        return loss(problem, pc) + _EXCURSION_WEIGHT * float(np.sum((p - pc) ** 2))
 
     if optimizer == "nelder_mead":
         starts = [0.5 * (lo + hi)]
@@ -362,7 +357,6 @@ def calibrate(
     return CalibrationResult(
         model=final_model,
         final_loss=final_loss,
-        history=tuple(history),
         n_evaluations=n_evals,
         converged=converged,
     )

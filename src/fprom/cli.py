@@ -35,7 +35,6 @@ from .grid import Grid
 from .langevin import SdeSpec, SimPlan, simulate, write_ensemble_csv, write_ensemble_sidecar
 from .pipeline import (
     RunConfig,
-    SolverSettings,
     ingest,
     load_artifact,
     load_json_object,
@@ -46,7 +45,7 @@ from .pipeline import (
     run_validate,
     split,
 )
-from .solver import INTEGRATORS
+from .solver import INTEGRATORS, SolverConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -144,10 +143,10 @@ def _cmd_calibrate(args) -> int:
     return _run_train_command(args, forced_method="loss_minimization")
 
 
-def _solver_settings(args, fallback: SolverSettings | None = None) -> SolverSettings:
+def _solver_settings(args, fallback: SolverConfig | None = None) -> SolverConfig:
     """Flags over fallback; predict has no fallback but requires --dt."""
-    base = fallback or SolverSettings(dt=args.dt)
-    return SolverSettings(
+    base = fallback or SolverConfig(dt=args.dt)
+    return SolverConfig(
         dt=base.dt if args.dt is None else args.dt,
         integrator=args.integrator or base.integrator,
     )

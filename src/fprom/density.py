@@ -221,20 +221,23 @@ def kl_divergence(p: DensityField, q: DensityField) -> float:
 
     Nodes where p <= 1e-12 contribute zero. Both densities must be on
     the same grid and normalized (mass within 1e-3 of 1). The result is
-    clamped at zero so quadrature noise cannot go negative. This is one
-    row of kl_divergence_rows, which scores many pairs in one pass.
+    one row of kl_divergence_rows, which scores many pairs in one pass,
+    clamped at zero so that the reported score is never negative.
     """
     _require_comparable(p, q)
-    return kl_divergence_rows(p.values[None], q.values[None], p.grid.nodes)[0]
+    return max(kl_divergence_rows(p.values[None], q.values[None], p.grid.nodes)[0], 0.0)
 
 
 def kl_divergence_rows(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> list[float]:
     """KL(p[i] || q[i]) for each row pair of two (m, n) arrays on nodes x.
 
-    Row for row the arithmetic of kl_divergence, which calls it. Before
-    scoring, the trapezoidal mass of every row is checked in order,
-    p's before q's, and the first one off 1 by more than 1e-3 raises
-    ValueError.
+    Row for row the arithmetic of kl_divergence, which calls it, but
+    not clamped at zero: a q that carries more mass than p (a solve
+    keeps its initial density's mass, up to 1e-3 off 1) lowers every
+    row by about that excess and may take it below zero, and clamping
+    would make such rows tie. Before scoring, the trapezoidal mass of
+    every row is checked in order, p's before q's, and the first one
+    off 1 by more than 1e-3 raises ValueError.
     """
     for masses in zip(np.trapezoid(p, x).tolist(), np.trapezoid(q, x).tolist()):
         for mass in masses:
@@ -244,7 +247,7 @@ def kl_divergence_rows(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> list[floa
     ratio = np.ones_like(p)
     np.divide(p, q + KL_FLOOR, out=ratio, where=support)
     integrand = np.where(support, p * np.log(ratio), 0.0)
-    return [max(v, 0.0) for v in np.trapezoid(integrand, x).tolist()]
+    return np.trapezoid(integrand, x).tolist()
 
 
 def l1_distance(p: DensityField, q: DensityField) -> float:

@@ -21,21 +21,16 @@ __all__ = [
     "regress_time_only_coefficients",
 ]
 
-TRANSFORM_TAGS = ("identity", "log_x", "log_x_log_t")
-
-
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
     """Realizations of a scalar process on a shared uniform time axis.
 
-    samples[r, k] is realization r at times[k]. The transform tag
-    records which variable transform has already been applied to the
-    stored samples (and, for log_x_log_t, to the time axis).
+    samples[r, k] is realization r at times[k], in whatever coordinates
+    the caller chose; the ensemble does not record them.
     """
 
     times: np.ndarray
     samples: np.ndarray
-    transform: str = "identity"
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -54,8 +49,6 @@ class TrajectoryEnsemble:
             raise ValueError("time axis must be strictly increasing")
         if np.max(np.abs(steps - mean_step)) > 1e-9 * mean_step:
             raise ValueError("time axis must be uniform to 1e-9 relative")
-        if self.transform not in TRANSFORM_TAGS:
-            raise ValueError(f"unknown transform tag {self.transform!r}")
         t.flags.writeable = False
         x.flags.writeable = False
         object.__setattr__(self, "times", t)

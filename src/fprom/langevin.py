@@ -230,7 +230,7 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
         if (k + 1) % plan.stride == 0:
             out[:, col] = x
             col += 1
-    return TrajectoryEnsemble(times=times, samples=out, transform="identity")
+    return TrajectoryEnsemble(times=times, samples=out)
 
 
 def _require_finite(x: np.ndarray, step: int, dt: float) -> None:
@@ -277,7 +277,7 @@ def ensemble_to_densities(
 
 def write_ensemble_csv(ens: TrajectoryEnsemble, path) -> None:
     """Long format `traj_id,t,x`, trajectory-major, shortest round-trip
-    decimals. The transform tag is not stored; files carry raw columns.
+    decimals.
 
     One trajectory's rows are a `%r` template built once, with `#` as
     the id placeholder; no float repr contains that character."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,6 @@ from .solver import SolverConfig, solve
 
 __all__ = [
     "ENV_OUTPUT_DIR",
-    "SolverSettings",
     "RunConfig",
     "RomArtifact",
     "save_artifact",
@@ -106,25 +105,6 @@ def resolve_output_dir(explicit=None, configured=None) -> Path:
     return Path(".")
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Integrator choice shared by training, prediction, validation."""
-
-    dt: float
-    integrator: str = "crank_nicolson"
-
-    def __post_init__(self) -> None:
-        # delegate range checks to SolverConfig with a throwaway record time
-        self.to_config((float(self.dt),))
-
-    def to_config(self, record_times) -> SolverConfig:
-        return SolverConfig(
-            integrator=self.integrator,
-            dt=self.dt,
-            record_times=tuple(record_times),
-        )
-
-
 def load_json_object(path) -> dict:
     """The JSON object held in the file at path; invalid JSON (bytes
     that are not UTF-8 too) or any other JSON value is refused with an
@@ -145,14 +125,16 @@ class RunConfig:
 
     defaulted lists the dotted config keys that were absent from the
     source file and filled from defaults; run reports echo it so every
-    effective setting is on the record.
+    effective setting is on the record. solver leaves record_times
+    unset: training takes them from its targets, prediction and
+    validation from their own times.
     """
 
     input_mode: str
     input_path: str
     grid: Grid
     train_end: float
-    solver: SolverSettings
+    solver: SolverConfig
     transform: TransformSpec = TransformSpec("identity")
     method: str = "loss_minimization"
     drift_degree: int = 0
@@ -235,12 +217,10 @@ class RunConfig:
         if base_dir is not None and not os.path.isabs(input_path):
             input_path = str(Path(base_dir) / input_path)
 
-        section = require_keys(
-            raw.get("grid"), "grid", allowed=("x_min", "x_max", "n_points")
-        )
-        x_min = require_float(section.get("x_min", np.nan), "grid.x_min")
-        x_max = require_float(section.get("x_max", np.nan), "grid.x_max")
-        grid = Grid(x_min=x_min, x_max=x_max, n_points=section.get("n_points", 0))
+        section = require_keys(raw.get("grid"), "grid", ("x_min", "x_max", "n_points"))
+        x_min = require_float(section["x_min"], "grid.x_min")
+        x_max = require_float(section["x_max"], "grid.x_max")
+        grid = Grid(x_min=x_min, x_max=x_max, n_points=section["n_points"])
 
         defaulted = []
         section = require_keys(
@@ -251,7 +231,7 @@ class RunConfig:
             solver_kwargs["integrator"] = section["integrator"]
         else:
             defaulted.append("solver.integrator")
-        solver = SolverSettings(**solver_kwargs)
+        solver = SolverConfig(**solver_kwargs)
 
         section = require_keys(
             raw.get("split"), "split", ("train_end",), allowed=("truncate_start",)
@@ -336,9 +316,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RomArtifact:
-    """Calibrated model bundle: everything needed to propagate."""
+    """Calibrated model bundle: everything needed to propagate.
 
-    grid: Grid
+    ``grid`` is the initial density's grid; no second copy is kept.
+    """
+
     model: CoefficientModel
     transform: TransformSpec
     initial_density: DensityField
@@ -354,15 +336,15 @@ class RomArtifact:
             raise InfeasibleConfigError(
                 f"training window [{first}, {last}] is empty or not finite"
             )
-        if self.initial_density.grid != self.grid:
-            raise InfeasibleConfigError(
-                "initial density grid differs from the artifact grid"
-            )
         if self.method not in METHODS:
             raise InfeasibleConfigError(f"unknown calibration method {self.method!r}")
         object.__setattr__(self, "train_window", (first, last))
         object.__setattr__(self, "loss", float(self.loss))
         object.__setattr__(self, "seed", require_seed(self.seed))
+
+    @property
+    def grid(self) -> Grid:
+        return self.initial_density.grid
 
 
 def save_artifact(artifact: RomArtifact, path) -> None:
@@ -428,7 +410,6 @@ def load_artifact(path) -> RomArtifact:
         )
         meta = payload["metadata"]
         return RomArtifact(
-            grid=grid,
             model=model,
             transform=TransformSpec(payload["transform"]),
             initial_density=f0,
@@ -496,9 +477,7 @@ def ingest(config: RunConfig):
         times = tf.forward_t(times)
         samples = tf.forward_x(samples)
         try:
-            return TrajectoryEnsemble(
-                times=times, samples=samples, transform=tf.kind
-            )
+            return TrajectoryEnsemble(times=times, samples=samples)
         except ValueError as exc:
             raise InputDataError(f"{config.input_path}: {exc}") from exc
 
@@ -553,9 +532,7 @@ def split(dataset, train_end: float, truncate_start: float | None = None):
                 f"{times.size - (end + 1)} testing"
             )
         make = lambda lo, hi: TrajectoryEnsemble(
-            times=dataset.times[lo:hi],
-            samples=dataset.samples[:, lo:hi],
-            transform=dataset.transform,
+            times=dataset.times[lo:hi], samples=dataset.samples[:, lo:hi]
         )
         return make(start, end + 1), make(end + 1, times.size)
     return list(dataset[start : end + 1]), list(dataset[end + 1 :])
@@ -621,15 +598,13 @@ def run_train(config: RunConfig, output_dir=None):
             "density plus one target"
         )
     f0 = tikhonov_smooth(train_fields[0], lam=config.smoothing_lambda)
-    targets = tuple((f.time_stamp, f) for f in train_fields[1:])
-    solver_config = config.solver.to_config([t for t, _ in targets])
     problem = CalibrationProblem(
         initial_density=f0,
-        targets=targets,
+        targets=tuple((f.time_stamp, f) for f in train_fields[1:]),
         drift_degree=config.drift_degree,
         diff_degree=config.diff_degree,
         bounds=config.bounds if config.bounds is not None else _default_bounds(config),
-        solver=solver_config,
+        solver=config.solver,
         weights=config.weights,
         distance=config.distance,
     )
@@ -654,7 +629,6 @@ def run_train(config: RunConfig, output_dir=None):
         )
 
     artifact = RomArtifact(
-        grid=config.grid,
         model=model,
         transform=config.transform,
         initial_density=f0,
@@ -685,17 +659,17 @@ def run_predict(
     artifact: RomArtifact,
     horizon: float,
     record_times,
-    solver: SolverSettings,
+    solver: SolverConfig,
     output_dir=None,
 ):
     """Propagate the artifact forward and export per-time densities.
 
-    record_times must not exceed horizon, which must lie beyond the
-    training window. With a non-identity transform each density is
-    also mapped back to original units and exported alongside: cell
-    averages on a uniform grid over the exponentiated domain, which
-    keep the CDF exactly, so no mass is lost or renormalised and no
-    seed is used. Returns (densities, reconstructed densities).
+    The sorted record_times replace solver's own; they must not exceed
+    horizon, which must lie beyond the training window. With a
+    non-identity transform each density is also mapped back to original
+    units and exported alongside: cell averages on a uniform grid over
+    the exponentiated domain, which keep the CDF exactly, so no mass is
+    lost or renormalised and no seed is used. Returns (densities, reconstructed densities).
     """
     record_times = tuple(float(t) for t in record_times)
     if not record_times:
@@ -710,7 +684,7 @@ def run_predict(
     trace = solve(
         artifact.initial_density,
         artifact.model,
-        solver.to_config(sorted(record_times)),
+        replace(solver, record_times=sorted(record_times)),
     )
     if trace.diverged:
         raise SolverDivergenceError(f"forward solve diverged: {trace.diagnostic}")
@@ -752,10 +726,11 @@ def _regrid(field: DensityField, grid: Grid) -> DensityField:
 def run_validate(
     artifact: RomArtifact,
     testing,
-    solver: SolverSettings,
+    solver: SolverConfig,
     output_dir=None,
 ):
-    """Score the artifact against held-out densities.
+    """Score the artifact against held-out densities at their own times,
+    which replace solver's record_times.
 
     testing is a TrajectoryEnsemble (KDE is applied per level on the
     artifact grid) or a list of DensityFields; fields on a different
@@ -781,7 +756,9 @@ def run_validate(
     times = [f.time_stamp for f in prepared]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise InfeasibleConfigError("testing densities must be in time order")
-    trace = solve(artifact.initial_density, artifact.model, solver.to_config(times))
+    trace = solve(
+        artifact.initial_density, artifact.model, replace(solver, record_times=times)
+    )
     if trace.diverged:
         raise SolverDivergenceError(f"forward solve diverged: {trace.diagnostic}")
     rows = []

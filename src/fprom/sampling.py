@@ -16,13 +16,14 @@ import numpy as np
 
 from .density import DensityField
 from .errors import InfeasibleConfigError, InputDataError
-from .estimation import TRANSFORM_TAGS
 from .grid import Grid
 
 __all__ = [
     "TransformSpec",
     "pushforward_density",
 ]
+
+TRANSFORM_TAGS = ("identity", "log_x", "log_x_log_t")
 
 
 @dataclass(frozen=True)

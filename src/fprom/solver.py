@@ -67,9 +67,16 @@ _COEF_CHUNK = 512
 
 @dataclass(frozen=True)
 class SolverConfig:
-    integrator: str
+    """Step size, integrator and record times of one solve.
+
+    record_times may be left empty while the times belong to someone
+    else: CalibrationProblem fills them from its targets, run_predict
+    and run_validate from their arguments. solve refuses an empty set.
+    """
+
     dt: float
-    record_times: tuple[float, ...]
+    integrator: str = "crank_nicolson"
+    record_times: tuple[float, ...] = ()
     allow_negative_diffusion: bool = False
 
     def __post_init__(self) -> None:
@@ -78,8 +85,6 @@ class SolverConfig:
         if not self.dt > 0.0:
             raise InfeasibleConfigError("dt must be > 0")
         rt = tuple(float(t) for t in self.record_times)
-        if len(rt) == 0:
-            raise InfeasibleConfigError("record_times must be nonempty")
         if any(b <= a for a, b in zip(rt, rt[1:])):
             raise InfeasibleConfigError("record_times must be strictly increasing")
         object.__setattr__(self, "record_times", rt)
@@ -207,10 +212,10 @@ def _record_steps(t0: float, record_times: tuple[float, ...], dt: float) -> list
 def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> SolutionTrace:
     """March f0 forward, recording the state at config.record_times.
 
-    Record times must lie on the step lattice t0 + k*dt (validated);
-    each recorded row of ``trace.states`` is the state with its
-    negatives clipped to zero, and record times on the same step share
-    its value. The state itself is never clipped or rescaled, so the
+    Record times must be nonempty and lie on the step lattice
+    t0 + k*dt (validated); each recorded row of ``trace.states`` is the
+    state with its negatives clipped to zero, and record times on the
+    same step share its value. The state itself is never clipped or rescaled, so the
     rows keep f0's mass, which may differ from 1 by up to 1e-3. For
     explicit_rk4 the diffusion and advection stability bounds are
     checked up front and violations are errors, not warnings. Per step
@@ -218,6 +223,8 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
     or right-hand side, a singular system, a non-finite state, then a
     trapezoidal mass more than MASS_TOL * m0 away from f0's mass m0.
     """
+    if not config.record_times:
+        raise InfeasibleConfigError("record_times must be nonempty")
     grid = f0.grid
     t0 = f0.time_stamp
     if abs(f0.mass - 1.0) > 1e-3:

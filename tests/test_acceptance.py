@@ -180,7 +180,7 @@ def test_loss_minimization_recovers_generator_constants():
         drift_degree=0,
         diff_degree=0,
         bounds=((-0.01, 0.01), (1e-5, 0.01)),
-        solver=config,
+        solver=SolverConfig(dt=1.0),
     )
     result = calibrate(
         problem, optimizer="random_multistart_nelder_mead", budget=500, seed=123

@@ -9,7 +9,7 @@ from fprom import CalibrationProblem, DensityField, Grid, SolverConfig, calibrat
 from fprom.analytic import drift_diffusion_density, gaussian_density
 from fprom.calibrate import _SIMPLEX_TOL, _VALUE_TOL, PENALTY_FLOOR, _nelder_mead, loss
 from fprom.errors import InfeasibleConfigError
-from test_density import reference_kl_divergence
+from test_density import reference_kl_row
 from test_solver import reference_solve
 
 
@@ -20,9 +20,7 @@ def diffusion_problem(distance="kl", weights=None):
     targets = tuple(
         (t, gaussian_density(grid, 0.0, 2.0 * 0.5 * t, t)) for t in (1.5, 2.0)
     )
-    solver = SolverConfig(
-        integrator="crank_nicolson", dt=0.05, record_times=(1.5, 2.0)
-    )
+    solver = SolverConfig(dt=0.05)
     return CalibrationProblem(
         initial_density=f0,
         targets=targets,
@@ -39,9 +37,7 @@ class TestProblemValidation:
     def test_needs_targets(self):
         grid = Grid(-6.0, 6.0, 129)
         f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
-        solver = SolverConfig(
-            integrator="crank_nicolson", dt=0.1, record_times=(1.0,)
-        )
+        solver = SolverConfig(dt=0.1)
         with pytest.raises(InfeasibleConfigError, match="at least one"):
             CalibrationProblem(
                 initial_density=f0,
@@ -56,9 +52,7 @@ class TestProblemValidation:
         grid = Grid(-6.0, 6.0, 129)
         f0 = gaussian_density(grid, 0.0, 1.0, 1.0)
         tgt = gaussian_density(grid, 0.0, 1.0, 0.5)
-        solver = SolverConfig(
-            integrator="crank_nicolson", dt=0.1, record_times=(0.5,)
-        )
+        solver = SolverConfig(dt=0.1)
         with pytest.raises(InfeasibleConfigError, match="strictly increasing"):
             CalibrationProblem(
                 initial_density=f0,
@@ -74,9 +68,7 @@ class TestProblemValidation:
         other = Grid(-6.0, 6.0, 257)
         f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
         tgt = gaussian_density(other, 0.0, 1.0, 1.0)
-        solver = SolverConfig(
-            integrator="crank_nicolson", dt=0.1, record_times=(1.0,)
-        )
+        solver = SolverConfig(dt=0.1)
         with pytest.raises(InfeasibleConfigError, match="different grid"):
             CalibrationProblem(
                 initial_density=f0,
@@ -91,9 +83,7 @@ class TestProblemValidation:
         grid = Grid(-6.0, 6.0, 129)
         f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
         tgt = gaussian_density(grid, 0.0, 1.0, 1.0)
-        solver = SolverConfig(
-            integrator="crank_nicolson", dt=0.1, record_times=(1.0,)
-        )
+        solver = SolverConfig(dt=0.1)
         with pytest.raises(InfeasibleConfigError, match="bound pairs"):
             CalibrationProblem(
                 initial_density=f0,
@@ -108,9 +98,7 @@ class TestProblemValidation:
         grid = Grid(-6.0, 6.0, 129)
         f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
         tgt = gaussian_density(grid, 0.0, 1.0, 1.0)
-        solver = SolverConfig(
-            integrator="crank_nicolson", dt=0.1, record_times=(1.0,)
-        )
+        solver = SolverConfig(dt=0.1)
         with pytest.raises(InfeasibleConfigError, match="measure"):
             CalibrationProblem(
                 initial_density=f0,
@@ -125,9 +113,7 @@ class TestProblemValidation:
         grid = Grid(-6.0, 6.0, 129)
         f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
         tgt = gaussian_density(grid, 0.0, 1.0, 1.0)
-        solver = SolverConfig(
-            integrator="crank_nicolson", dt=0.1, record_times=(1.0,)
-        )
+        solver = SolverConfig(dt=0.1)
 
         def build(weights):
             return CalibrationProblem(
@@ -147,30 +133,35 @@ class TestProblemValidation:
         with pytest.raises(InfeasibleConfigError, match="vanish"):
             build((0.0,))
 
-    def test_record_times_must_equal_target_times(self):
+    def test_record_times_come_from_the_targets(self):
         grid = Grid(-6.0, 6.0, 129)
         f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
-        tgt = gaussian_density(grid, 0.0, 1.0, 1.0)
-        solver = SolverConfig(
-            integrator="crank_nicolson", dt=0.1, record_times=(0.5, 1.0)
-        )
-        with pytest.raises(InfeasibleConfigError, match="record_times"):
-            CalibrationProblem(
+        targets = tuple((t, gaussian_density(grid, 0.0, 1.0, t)) for t in (0.5, 1.0))
+
+        def build(solver):
+            return CalibrationProblem(
                 initial_density=f0,
-                targets=((1.0, tgt),),
+                targets=targets,
                 drift_degree=0,
                 diff_degree=0,
                 bounds=((-1.0, 1.0), (0.0, 1.0)),
                 solver=solver,
             )
 
+        problem = build(SolverConfig(dt=0.1, integrator="explicit_rk4"))
+        assert problem.solver == SolverConfig(
+            dt=0.1, integrator="explicit_rk4", record_times=(0.5, 1.0)
+        )
+        # even times equal to the targets' are refused: the targets own them
+        for preset in ((0.5, 1.0), (1.0,)):
+            with pytest.raises(InfeasibleConfigError, match="leave them unset"):
+                build(SolverConfig(dt=0.1, record_times=preset))
+
     def test_unknown_distance(self):
         grid = Grid(-6.0, 6.0, 129)
         f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
         tgt = gaussian_density(grid, 0.0, 1.0, 1.0)
-        solver = SolverConfig(
-            integrator="crank_nicolson", dt=0.1, record_times=(1.0,)
-        )
+        solver = SolverConfig(dt=0.1)
         with pytest.raises(InfeasibleConfigError, match="distance"):
             CalibrationProblem(
                 initial_density=f0,
@@ -186,9 +177,7 @@ class TestProblemValidation:
         grid = Grid(-6.0, 6.0, 129)
         f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
         tgt = gaussian_density(grid, 0.0, 1.0, 1.0)
-        solver = SolverConfig(
-            integrator="crank_nicolson", dt=0.1, record_times=(1.0,)
-        )
+        solver = SolverConfig(dt=0.1)
         problem = CalibrationProblem(
             initial_density=f0,
             targets=((1.0, tgt),),
@@ -212,9 +201,7 @@ class TestLoss:
         grid = Grid(-6.0, 6.0, 257)
         f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
         tgt = DensityField(grid=grid, values=f0.values, time_stamp=1.0)
-        solver = SolverConfig(
-            integrator="crank_nicolson", dt=0.1, record_times=(1.0,)
-        )
+        solver = SolverConfig(dt=0.1)
         problem = CalibrationProblem(
             initial_density=f0,
             targets=((1.0, tgt),),
@@ -225,6 +212,21 @@ class TestLoss:
         )
         assert loss(problem, [0.0, 0.0]) <= 1e-10
 
+    def test_off_unit_initial_mass_keeps_the_ranking(self):
+        # an f0 with 5e-4 extra mass lowers every KL row by about that
+        # excess; unclamped, the shift is one constant across parameters,
+        # so the truth still scores lowest (clamped rows scored it 0, tied
+        # with (0.8, 0.65, 0.25))
+        truth = (0.8, 0.6, 0.25)
+        others = ((0.85, 0.6, 0.25), (0.8, 0.65, 0.25), (0.8, 0.6, 0.27))
+        unit = drift_problem(n_points=513)
+        off = drift_problem(n_points=513, initial_mass=1.0 + 5e-4)
+        shift = loss(off, truth) - loss(unit, truth)
+        assert shift < -4e-4
+        assert loss(off, truth) < min(loss(off, q) for q in others)
+        for q in others:
+            assert abs(loss(off, q) - loss(unit, q) - shift) <= 1e-5
+
     def test_negative_diffusion_scores_floor_plus_violation(self):
         problem = diffusion_problem()
         assert loss(problem, [0.0, -0.3]) == 1e6 + 0.3
@@ -234,9 +236,7 @@ class TestLoss:
         f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
         tgt = gaussian_density(grid, 0.0, 1.0, 2.0)
         # a drift of 1e80 makes the Crank-Nicolson system singular
-        solver = SolverConfig(
-            integrator="crank_nicolson", dt=1.0, record_times=(2.0,)
-        )
+        solver = SolverConfig(dt=1.0)
         problem = CalibrationProblem(
             initial_density=f0,
             targets=((2.0, tgt),),
@@ -290,7 +290,7 @@ def reference_loss(problem, params):
         if w == 0.0:
             continue
         if problem.distance == "kl":
-            total += w * reference_kl_divergence(target, predicted)
+            total += w * reference_kl_row(target, predicted)
         else:
             diff = target.values - predicted.values
             total += w * float(np.sqrt(np.trapezoid(diff * diff, target.grid.nodes)))
@@ -321,7 +321,7 @@ def drift_problem(
         drift_degree=1,
         diff_degree=0,
         bounds=((-1.0, 2.0), (-1.0, 2.0), (0.01, 1.0)),
-        solver=SolverConfig(integrator=integrator, dt=dt, record_times=times),
+        solver=SolverConfig(dt=dt, integrator=integrator),
         weights=weights,
         distance=distance,
     )
@@ -395,9 +395,7 @@ class TestCalibrate:
         targets = tuple(
             (t, drift_diffusion_density(grid, t, 1.0, 0.5)) for t in (1.5, 2.0)
         )
-        solver = SolverConfig(
-            integrator="crank_nicolson", dt=0.1, record_times=(1.5, 2.0)
-        )
+        solver = SolverConfig(dt=0.1)
         problem = CalibrationProblem(
             initial_density=f0,
             targets=targets,
@@ -412,7 +410,7 @@ class TestCalibrate:
         assert abs(mu_hat - 1.0) / 1.0 <= 0.02
         assert abs(d_hat - 0.5) / 0.5 <= 0.02
 
-    def test_history_and_bookkeeping(self):
+    def test_bookkeeping(self):
         problem = diffusion_problem()
         result = calibrate(
             problem,
@@ -421,8 +419,6 @@ class TestCalibrate:
             seed=1,
         )
         assert result.n_evaluations <= 56
-        assert len(result.history) == result.n_evaluations
-        assert all(b <= a for a, b in zip(result.history, result.history[1:]))
         params = list(result.model.drift_poly) + list(result.model.diff_poly)
         assert result.final_loss == loss(problem, params)
 
@@ -439,7 +435,7 @@ class TestCalibrate:
         b = calibrate(problem, budget=64, seed=11)
         assert a.model.drift_poly == b.model.drift_poly
         assert a.model.diff_poly == b.model.diff_poly
-        assert a.history == b.history
+        assert a.n_evaluations == b.n_evaluations
         assert a.final_loss == b.final_loss
 
     def test_budget_floor(self):
@@ -579,9 +575,7 @@ def _cubic_problem():
     targets = tuple(
         (t, drift_diffusion_density(grid, t, 0.5, 0.4)) for t in (1.5, 2.0)
     )
-    solver = SolverConfig(
-        integrator="crank_nicolson", dt=0.1, record_times=(1.5, 2.0)
-    )
+    solver = SolverConfig(dt=0.1)
     return CalibrationProblem(
         initial_density=f0,
         targets=targets,

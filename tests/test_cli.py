@@ -424,6 +424,58 @@ class TestTrainAndCalibrate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "artifact.json").exists()
 
+    @pytest.mark.parametrize("key", ["x_min", "x_max", "n_points"])
+    def test_missing_grid_key_exits_2(self, cli_workspace, tmp_path, capsys, key):
+        raw = json.loads((cli_workspace / "run.json").read_text())
+        raw["input"]["path"] = str(cli_workspace / "ensemble.csv")
+        del raw["grid"][key]
+        (tmp_path / "bad.json").write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(tmp_path / "bad.json"), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: grid section needs {key}\n"
+        assert not out.exists()
+
+    def test_integrator_from_the_config(self, cli_workspace, tmp_path, capsys):
+        raw = json.loads((cli_workspace / "run.json").read_text())
+        raw["input"]["path"] = str(cli_workspace / "ensemble.csv")
+        # dt 0.0025 is inside explicit RK4's diffusion bound, 0.4 h^2 / D2,
+        # about 0.006 on this grid; 0.05 is far past it
+        raw["solver"] = {"dt": 0.0025, "integrator": "explicit_rk4"}
+        (tmp_path / "rk4.json").write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(tmp_path / "rk4.json"), "--output-dir", str(out)]) == 0
+        report = (out / "run_report.txt").read_text().splitlines()
+        assert "solver_integrator=explicit_rk4" in report
+        defaulted = next(line for line in report if line.startswith("defaulted="))
+        assert "solver.integrator" not in defaulted.split("=")[1].split(",")
+        assert "split.truncate_start" in defaulted.split("=")[1].split(",")
+
+        raw["solver"]["dt"] = 0.05
+        (tmp_path / "fast.json").write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["train", "--config", str(tmp_path / "fast.json"), "--output-dir", str(tmp_path / "fast")]) == 4
+        assert capsys.readouterr().err.startswith("error: explicit_rk4 unstable: dt=0.05 exceeds")
+        assert not (tmp_path / "fast" / "artifact.json").exists()
+
+    @pytest.mark.parametrize(
+        "window, code, message",
+        [
+            ([0.5], 2, "fit_window must be a [lo, hi] pair"),
+            ([0.5, 0.25], 4, "fit_window must be a finite (lo, hi)"),
+            ([0.5, 0.5], 4, "fit_window must be a finite (lo, hi)"),
+        ],
+        ids=["one_element", "reversed", "empty"],
+    )
+    def test_bad_fit_window(self, cli_workspace, tmp_path, capsys, window, code, message):
+        raw = json.loads((cli_workspace / "run.json").read_text())
+        raw["input"]["path"] = str(cli_workspace / "ensemble.csv")
+        raw["fit_window"] = window
+        (tmp_path / "bad.json").write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(tmp_path / "bad.json"), "--output-dir", str(out)]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_accuracy_order_is_an_unknown_solver_key(self, cli_workspace, tmp_path, capsys):
         raw = json.loads((cli_workspace / "run.json").read_text())
         raw["solver"]["accuracy_order"] = 2
@@ -532,7 +584,6 @@ class TestPredictAndValidate:
     def test_predict_divergence_exits_3(self, tmp_path, capsys):
         grid = Grid(-6.0, 6.0, 129)
         artifact = RomArtifact(
-            grid=grid,
             model=CoefficientModel(drift_poly=(1.0,), diff_poly=(0.0,)),
             transform=TransformSpec("identity"),
             initial_density=gaussian_density(grid, 0.0, 1.0, 1.0),
@@ -562,7 +613,6 @@ class TestPredictAndValidate:
     def test_pushforward_samples_flag_is_accepted_and_ignored(self, tmp_path):
         grid = Grid(-3.0, 3.0, 129)
         artifact = RomArtifact(
-            grid=grid,
             model=CoefficientModel(drift_poly=(0.1,), diff_poly=(0.05,)),
             transform=TransformSpec("log_x"),
             initial_density=gaussian_density(grid, 0.0, 0.25, 1.0),

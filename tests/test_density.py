@@ -292,7 +292,13 @@ class TestKl:
 
 def reference_kl_divergence(p, q):
     """kl_divergence as it was before the row-wise core: one pair, the
-    masses from DensityField.mass."""
+    masses from DensityField.mass, clamped at zero."""
+    return max(reference_kl_row(p, q), 0.0)
+
+
+def reference_kl_row(p, q):
+    """reference_kl_divergence without the clamp: one row of
+    kl_divergence_rows."""
     if p.grid != q.grid:
         raise ValueError("density grids differ")
     for f in (p, q):
@@ -303,7 +309,7 @@ def reference_kl_divergence(p, q):
     ratio = np.ones_like(pv)
     np.divide(pv, qv, out=ratio, where=pv > KL_FLOOR)
     integrand = np.where(pv > KL_FLOOR, pv * np.log(ratio), 0.0)
-    return max(float(np.trapezoid(integrand, p.grid.nodes)), 0.0)
+    return float(np.trapezoid(integrand, p.grid.nodes))
 
 
 def kl_pairs():
@@ -332,7 +338,9 @@ class TestKlRowsMatchReference:
         p = np.stack([a.values for a, _ in pairs])
         q = np.stack([b.values for _, b in pairs])
         got = kl_divergence_rows(p, q, pairs[0][0].grid.nodes)
-        assert got == [reference_kl_divergence(a, b) for a, b in pairs]
+        assert got == [reference_kl_row(a, b) for a, b in pairs]
+        # an identical pair integrates p log(p / (p + 1e-12)) < 0
+        assert min(got) < 0.0
         assert all(type(v) is float for v in got)
 
     def test_rows_are_checked_in_order_p_before_q(self, unit_gaussian):

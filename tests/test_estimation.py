@@ -40,12 +40,6 @@ class TestTrajectoryEnsemble:
                 times=[0.0, 1.0, 0.5], samples=np.zeros((2, 3))
             )
 
-    def test_unknown_transform_tag(self):
-        with pytest.raises(ValueError, match="transform"):
-            TrajectoryEnsemble(
-                times=[0.0, 1.0], samples=np.zeros((2, 2)), transform="sqrt"
-            )
-
     def test_arrays_read_only(self):
         ens = TrajectoryEnsemble(times=[0.0, 1.0], samples=np.zeros((2, 2)))
         with pytest.raises(ValueError):

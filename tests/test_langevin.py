@@ -317,7 +317,7 @@ def reference_simulate(spec, plan):
         require_finite(x, k + 1)
         if (k + 1) % plan.stride == 0:
             out[:, (k + 1) // plan.stride] = x
-    return TrajectoryEnsemble(times=times, samples=out, transform="identity")
+    return TrajectoryEnsemble(times=times, samples=out)
 
 
 _DRIFTS = [

@@ -7,12 +7,15 @@ import pytest
 
 from fprom import (
     CoefficientModel,
+    DensityField,
     Grid,
     RomArtifact,
     RunConfig,
     SdeSpec,
     SimPlan,
+    SolverConfig,
     TrajectoryEnsemble,
+    regress_time_only_coefficients,
     run_predict,
     run_train,
     run_validate,
@@ -20,6 +23,7 @@ from fprom import (
 )
 from fprom.analytic import drift_diffusion_density, gaussian_density
 from fprom.density import l1_distance, read_density_csv, write_density_csv
+from fprom.estimation import moment_series
 from fprom.sampling import TransformSpec
 import fprom.pipeline
 from fprom.cli import main
@@ -27,7 +31,6 @@ from fprom.errors import InfeasibleConfigError, InputDataError
 from fprom.langevin import _read_ensemble_arrays, write_ensemble_csv
 from fprom.pipeline import (
     ENV_OUTPUT_DIR,
-    SolverSettings,
     ingest,
     load_artifact,
     resolve_output_dir,
@@ -134,7 +137,7 @@ class TestRunConfig:
             input_path="x.csv",
             grid=Grid(-5.0, 5.0, 129),
             train_end=0.5,
-            solver=SolverSettings(dt=0.05),
+            solver=SolverConfig(dt=0.05),
             defaulted=config.defaulted,
         )
 
@@ -245,7 +248,6 @@ class TestArtifact:
     def make(self, transform="identity"):
         grid = Grid(-6.0, 6.0, 129)
         return RomArtifact(
-            grid=grid,
             model=CoefficientModel(drift_poly=(1.0,), diff_poly=(0.5,)),
             transform=TransformSpec(transform),
             initial_density=gaussian_density(grid, 0.0, 1.0, 0.5),
@@ -271,6 +273,13 @@ class TestArtifact:
         assert back.loss == art.loss
         assert back.seed == 9
         assert back.tool_version == art.tool_version
+
+    def test_grid_is_the_initial_density_grid(self, tmp_path):
+        art = self.make()
+        assert art.grid is art.initial_density.grid
+        save_artifact(art, tmp_path / "artifact.json")
+        back = load_artifact(tmp_path / "artifact.json")
+        assert back.grid is back.initial_density.grid
 
     def test_save_is_byte_stable(self, tmp_path):
         art = self.make()
@@ -319,7 +328,6 @@ class TestArtifact:
         grid = Grid(-6.0, 6.0, 129)
         with pytest.raises(InfeasibleConfigError, match="window"):
             RomArtifact(
-                grid=grid,
                 model=CoefficientModel(drift_poly=(0.0,), diff_poly=(0.5,)),
                 transform=TransformSpec("identity"),
                 initial_density=gaussian_density(grid, 0.0, 1.0, 1.0),
@@ -377,7 +385,6 @@ class TestIngest:
         config = ensemble_config(workspace)
         ens = ingest(config)
         assert isinstance(ens, TrajectoryEnsemble)
-        assert ens.transform == "identity"
         assert ens.n_realizations == 3000
         assert np.allclose(ens.times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -397,7 +404,6 @@ class TestIngest:
             }
         )
         loaded = ingest(config)
-        assert loaded.transform == "log_x"
         assert np.allclose(loaded.samples, np.log(raw), atol=1e-12)
         assert np.allclose(loaded.times, times)
 
@@ -555,6 +561,44 @@ class TestRunTrain:
         assert "n_evaluations=" not in report
         assert "loss=" in report
 
+    def test_fit_window_from_the_config(self, workspace, tmp_path):
+        # the training levels are t = 0, 0.25 and 0.5; the window drops t = 0
+        config = ensemble_config(
+            workspace, method="moment_regression", fit_window=[0.25, 0.5]
+        )
+        assert "fit_window" not in config.defaulted
+        artifact, report = run_train(config, output_dir=tmp_path / "fw")
+        assert "fit_window=[0.25, 0.5]" in report.splitlines()
+        series = moment_series(split(ingest(config), config.train_end)[0])
+        assert artifact.model == regress_time_only_coefficients(series, (0.25, 0.5))
+        assert artifact.model != regress_time_only_coefficients(series, (0.0, 0.5))
+
+    def test_density_list_moment_regression(self, tmp_path):
+        # the benchmark's calibrate_tv Gaussians: mean 0.8 t + 0.3 t^2 and
+        # variance 0.25 + 0.5 t, so drift 0.8 + 0.6 t and diffusion 0.25
+        grid = Grid(-6.0, 10.0, 513)
+        lines = ["time,path"]
+        for k in range(21):
+            t = round(0.1 * k, 10)
+            var = 0.25 + 0.5 * t
+            values = np.exp(-0.5 * (grid.nodes - 0.8 * t - 0.3 * t * t) ** 2 / var)
+            write_density_csv(
+                DensityField.normalized(grid, values, t), tmp_path / f"d{k:02d}.csv"
+            )
+            lines.append(f"{t!r},d{k:02d}.csv")
+        (tmp_path / "densities.csv").write_text("\n".join(lines) + "\n")
+        config = RunConfig.from_dict({
+            "input": {"mode": "densities", "path": str(tmp_path / "densities.csv")},
+            "grid": {"x_min": -6.0, "x_max": 10.0, "n_points": 513},
+            "split": {"train_end": 1.0},
+            "solver": {"dt": 0.025},
+            "method": "moment_regression",
+            "drift_degree": 1,
+        })
+        artifact, _ = run_train(config, output_dir=tmp_path / "out")
+        assert np.allclose(artifact.model.drift_poly, (0.8, 0.6), rtol=0.0, atol=1e-12)
+        assert np.allclose(artifact.model.diff_poly, (0.25,), rtol=0.0, atol=1e-12)
+
     def test_density_inputs_train(self, workspace, tmp_path):
         config = densities_config(workspace)
         artifact, _ = run_train(config, output_dir=tmp_path / "dens")
@@ -574,7 +618,6 @@ class TestRunPredict:
     def make_artifact(self):
         grid = Grid(-6.0, 10.0, 513)
         return RomArtifact(
-            grid=grid,
             model=CoefficientModel(drift_poly=(1.0,), diff_poly=(0.5,)),
             transform=TransformSpec("identity"),
             initial_density=drift_diffusion_density(grid, 1.0, 1.0, 0.5),
@@ -586,7 +629,7 @@ class TestRunPredict:
 
     def test_matches_oracle_beyond_training(self, tmp_path):
         artifact = self.make_artifact()
-        solver = SolverSettings(dt=0.05)
+        solver = SolverConfig(dt=0.05)
         densities, reconstructed = run_predict(
             artifact, horizon=2.0, record_times=(1.5, 2.0), solver=solver,
             output_dir=tmp_path,
@@ -606,7 +649,7 @@ class TestRunPredict:
         with pytest.raises(InfeasibleConfigError, match="beyond"):
             run_predict(
                 artifact, horizon=1.0, record_times=(1.0,),
-                solver=SolverSettings(dt=0.05),
+                solver=SolverConfig(dt=0.05),
             )
 
     def test_record_times_capped_by_horizon(self):
@@ -614,7 +657,7 @@ class TestRunPredict:
         with pytest.raises(InfeasibleConfigError, match="exceed the horizon"):
             run_predict(
                 artifact, horizon=1.5, record_times=(1.2, 2.0),
-                solver=SolverSettings(dt=0.05),
+                solver=SolverConfig(dt=0.05),
             )
 
     def test_no_files_without_output_dir(self, tmp_path, monkeypatch):
@@ -623,7 +666,7 @@ class TestRunPredict:
         artifact = self.make_artifact()
         run_predict(
             artifact, horizon=1.5, record_times=(1.5,),
-            solver=SolverSettings(dt=0.05),
+            solver=SolverConfig(dt=0.05),
         )
         assert not (tmp_path / "predicted_manifest.csv").exists()
 
@@ -633,14 +676,13 @@ class TestRunPredict:
         artifact = self.make_artifact()
         run_predict(
             artifact, horizon=1.5, record_times=(1.5,),
-            solver=SolverSettings(dt=0.05),
+            solver=SolverConfig(dt=0.05),
         )
         assert (target / "predicted_manifest.csv").exists()
 
     def test_log_transform_reconstructs_original_units(self, tmp_path):
         grid = Grid(-3.0, 3.0, 257)
         artifact = RomArtifact(
-            grid=grid,
             model=CoefficientModel(drift_poly=(0.0,), diff_poly=(0.05,)),
             transform=TransformSpec("log_x"),
             initial_density=gaussian_density(grid, 0.0, 0.25, 1.0),
@@ -651,7 +693,7 @@ class TestRunPredict:
         )
         densities, reconstructed = run_predict(
             artifact, horizon=1.5, record_times=(1.5,),
-            solver=SolverSettings(dt=0.05), output_dir=tmp_path,
+            solver=SolverConfig(dt=0.05), output_dir=tmp_path,
         )
         assert len(reconstructed) == 1
         rec = reconstructed[0]
@@ -666,7 +708,6 @@ class TestRunValidate:
     def make_artifact(self):
         grid = Grid(-6.0, 10.0, 513)
         return RomArtifact(
-            grid=grid,
             model=CoefficientModel(drift_poly=(1.0,), diff_poly=(0.5,)),
             transform=TransformSpec("identity"),
             initial_density=drift_diffusion_density(grid, 1.0, 1.0, 0.5),
@@ -682,7 +723,7 @@ class TestRunValidate:
             drift_diffusion_density(artifact.grid, t, 1.0, 0.5) for t in (1.5, 2.0)
         ]
         rows = run_validate(
-            artifact, testing, SolverSettings(dt=0.05), output_dir=tmp_path
+            artifact, testing, SolverConfig(dt=0.05), output_dir=tmp_path
         )
         assert [t for t, _, _ in rows] == [1.5, 2.0]
         assert all(kl < 1e-4 for _, kl, _ in rows)
@@ -698,7 +739,7 @@ class TestRunValidate:
         fine = Grid(-6.0, 10.0, 1025)
         testing = [drift_diffusion_density(fine, 1.5, 1.0, 0.5)]
         with caplog.at_level(logging.INFO, logger="fprom.pipeline"):
-            rows = run_validate(artifact, testing, SolverSettings(dt=0.05))
+            rows = run_validate(artifact, testing, SolverConfig(dt=0.05))
         assert "re-gridding" in caplog.text
         assert rows[0][1] < 1e-4
 
@@ -713,13 +754,13 @@ class TestRunValidate:
         testing = TrajectoryEnsemble(
             times=times, samples=np.column_stack(cols)
         )
-        rows = run_validate(artifact, testing, SolverSettings(dt=0.05))
+        rows = run_validate(artifact, testing, SolverConfig(dt=0.05))
         assert all(kl < 0.05 for _, kl, _ in rows)
 
     def test_empty_testing_rejected(self):
         artifact = self.make_artifact()
         with pytest.raises(InfeasibleConfigError, match="empty"):
-            run_validate(artifact, [], SolverSettings(dt=0.05))
+            run_validate(artifact, [], SolverConfig(dt=0.05))
 
     def test_unordered_testing_rejected(self):
         artifact = self.make_artifact()
@@ -727,7 +768,7 @@ class TestRunValidate:
             drift_diffusion_density(artifact.grid, t, 1.0, 0.5) for t in (2.0, 1.5)
         ]
         with pytest.raises(InfeasibleConfigError, match="time order"):
-            run_validate(artifact, testing, SolverSettings(dt=0.05))
+            run_validate(artifact, testing, SolverConfig(dt=0.05))
 
 
 _SIDECAR_CASES = {

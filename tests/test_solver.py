@@ -52,9 +52,11 @@ class TestSolverConfig:
         with pytest.raises(InfeasibleConfigError, match="dt"):
             SolverConfig(integrator="crank_nicolson", dt=0.0, record_times=(1.0,))
 
-    def test_empty_record_times(self):
-        with pytest.raises(InfeasibleConfigError, match="nonempty"):
-            SolverConfig(integrator="crank_nicolson", dt=0.1, record_times=())
+    def test_defaults(self):
+        config = SolverConfig(dt=0.1)
+        assert config.integrator == "crank_nicolson"
+        assert config.record_times == ()
+        assert config.allow_negative_diffusion is False
 
     def test_record_times_must_increase(self):
         with pytest.raises(InfeasibleConfigError, match="increasing"):
@@ -64,6 +66,12 @@ class TestSolverConfig:
 
 
 class TestSolveValidation:
+    def test_empty_record_times(self):
+        grid = Grid(-8.0, 8.0, 129)
+        f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
+        with pytest.raises(InfeasibleConfigError, match="record_times must be nonempty"):
+            solve(f0, wiener_model(), SolverConfig(dt=0.1))
+
     def test_record_time_off_lattice(self):
         grid = Grid(-8.0, 8.0, 129)
         f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
