@@ -61,8 +61,9 @@ class CalibrationProblem:
     The parameter vector is the drift coefficients (degree low to
     high) followed by the diffusion coefficients; bounds holds one
     (lower, upper) pair per entry. The target times are the solver's
-    record times: solver must leave record_times unset, and the problem
-    holds a copy of it with them filled in.
+    record times: solver must leave record_times unset, and the loss
+    solves with a copy of it that has them filled in. The problem keeps
+    the solver as given, so dataclasses.replace copies a built problem.
     """
 
     initial_density: DensityField
@@ -128,8 +129,6 @@ class CalibrationProblem:
             raise InfeasibleConfigError(
                 "solver record_times come from the target times; leave them unset"
             )
-        solver = replace(self.solver, record_times=tuple(tau for tau, _ in targets))
-        object.__setattr__(self, "solver", solver)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "weights", weights)
@@ -153,6 +152,11 @@ class CalibrationProblem:
 
     def horizon(self) -> tuple[float, float]:
         return self.initial_density.time_stamp, self.targets[-1][0]
+
+    @cached_property
+    def _solver(self) -> SolverConfig:
+        """solver with the target times as its record times."""
+        return replace(self.solver, record_times=tuple(tau for tau, _ in self.targets))
 
     @cached_property
     def _scored(self) -> tuple[list[int], list[float], np.ndarray]:
@@ -188,7 +192,7 @@ def loss(problem: CalibrationProblem, params) -> float:
     d2_min, _ = model.diffusion_range(t0, t_end)
     if d2_min < 0.0:
         return PENALTY_FLOOR + abs(d2_min)
-    trace = solve(problem.initial_density, model, problem.solver)
+    trace = solve(problem.initial_density, model, problem._solver)
     if trace.diverged:
         return PENALTY_FLOOR
     rows, weights, targets = problem._scored

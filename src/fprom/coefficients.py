@@ -79,8 +79,16 @@ class CoefficientModel:
         )
 
     def diffusion_range(self, t_start: float, t_end: float) -> tuple[float, float]:
-        """(min, max) of D2 over [t_start, t_end] by dense sampling."""
-        return _sampled_range(self.diff_poly, t_start, t_end)
+        """(min, max) of D2 over [t_start, t_end] by dense sampling.
+
+        The last span's range is kept on the instance, so a loss that
+        checks feasibility and then solves on the same model samples a
+        time-varying D2 once."""
+        span, rng = self.__dict__.get("_last_diffusion_range", (None, None))
+        if span != (t_start, t_end):
+            span, rng = (t_start, t_end), _sampled_range(self.diff_poly, t_start, t_end)
+            object.__setattr__(self, "_last_diffusion_range", (span, rng))
+        return rng
 
     def max_abs_drift(self, t_start: float, t_end: float) -> float:
         lo, hi = _sampled_range(self.drift_poly, t_start, t_end)

@@ -2,17 +2,22 @@
 
 Synthetic ground-truth generator: dx = h(x,t) dt + g(x,t) dW with h
 and g picked from small registries. One call draws from one
-counter-based RNG stream, Philox keyed (seed, 0), and marches all
-trajectories together step by step, so identical inputs give a
-bit-identical ensemble; seeds are confined to [0, 2**63) so that no
-two seeds share a key. The march updates the state in place: h and g
-that do not depend on x are one float per step, applied as scalars,
-and the others are written into two buffers reused from step to step,
-always in the operation order (x + h dt) + (g sqrt(dt)) xi.
+counter-based RNG stream, Philox keyed (seed, 0), so identical inputs
+give a bit-identical ensemble; seeds are confined to [0, 2**63) so that
+no two seeds share a key.
+
+Additive noise (x-free h, constant g) is sampled once per record
+interval, where the Euler-Maruyama increment over stride steps is
+exactly Gaussian. Every other spec marches all trajectories together
+step by step, in place: h and g that do not depend on x are one float
+per step, applied as scalars, and the others are written into two
+buffers reused from step to step, always in the operation order
+(x + h dt) + (g sqrt(dt)) xi.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +72,10 @@ NOISE_KINDS = {
 }
 
 X0_KINDS = ("point", "normal")
+
+# drift kinds whose h does not depend on x; with constant noise they
+# take the once-per-record-interval path
+_X_FREE_DRIFTS = ("constant", "linear_in_t")
 
 # the sidecar digest reads the CSV through one reused buffer this size,
 # which stays below glibc's default 128 KiB mmap threshold
@@ -168,18 +177,29 @@ class SimPlan:
 
 
 def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
-    """Euler-Maruyama march x += h dt + g sqrt(dt) xi, recorded at the
-    stride lattice. Identical (spec, plan) inputs give bit-identical
+    """Euler-Maruyama ensemble x += h dt + g sqrt(dt) xi, recorded at
+    the stride lattice. Identical (spec, plan) inputs give bit-identical
     ensembles.
 
     The Philox stream keyed [seed, 0] gives first the n_trajectories
-    starting values when x0 is "normal", then n_trajectories increments
-    per step, whatever the stride. A trajectory's path therefore depends
-    on how many trajectories are simulated. Besides the output the march
-    holds four arrays of n_trajectories floats, however many steps.
+    starting values when x0 is "normal", then n_trajectories normals per
+    draw. With additive noise (drift "constant" or "linear_in_t", noise
+    "constant") the increment over a record interval is normal with mean
+    sum h(k dt) dt and variance g^2 stride dt, so there is one draw per
+    interval: x += the left Riemann sum (math.fsum), then
+    x += g sqrt(stride dt) xi, which at stride 1 is the march bit for
+    bit (but for the sign of a zero: math.fsum([-0.0]) is +0.0).
+    Otherwise the march draws once per step, whatever the stride.
+    The recorded states follow the Euler-Maruyama law either way, but
+    the additive-noise ensemble depends on the stride, and on both paths
+    a trajectory's path depends on how many trajectories are simulated.
+    Besides the output the interval path holds two arrays of
+    n_trajectories floats and the march four, however many steps.
 
     Raises SolverDivergenceError on non-finite state and
     InfeasibleConfigError if the noise amplitude evaluates negative.
+    The march names the first non-finite step; the interval path
+    resolves divergence only to the recorded step where it shows.
     """
     n_steps = plan.n_steps
     m = plan.n_trajectories
@@ -196,10 +216,32 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
     else:
         x = np.full(m, plan.x0_params[0])
     xi = np.empty(m)
-    h_buf = np.empty(m)
-    g_buf = np.empty(m)
     out[:, 0] = x
     _require_finite(x, 0, dt)
+    if spec.drift_kind in _X_FREE_DRIFTS and spec.noise_kind == "constant":
+        (sigma,) = spec.noise_params
+        if sigma < 0.0:
+            raise InfeasibleConfigError(
+                f"noise amplitude negative ({sigma}) at t=0.0, x={x[0]}"
+            )
+        scale = sigma * np.sqrt(plan.stride * dt)
+        for col in range(1, out.shape[1]):
+            k1 = col * plan.stride
+            left = range(k1 - plan.stride, k1)
+            try:
+                x += math.fsum(spec.drift(x, k * dt, xi) * dt for k in left)
+            except (OverflowError, ValueError):
+                # the sum leaves the float range; fsum raises where the
+                # plain sum gives the inf or nan refused below
+                x += sum(spec.drift(x, k * dt, xi) * dt for k in left)
+            gen.standard_normal(out=xi)
+            xi *= scale
+            x += xi
+            _require_finite(x, k1, dt)
+            out[:, col] = x
+        return TrajectoryEnsemble(times=times, samples=out)
+    h_buf = np.empty(m)
+    g_buf = np.empty(m)
     col = 1
     for k in range(n_steps):
         t = k * dt

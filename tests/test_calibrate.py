@@ -1,5 +1,6 @@
 import importlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,13 +150,20 @@ class TestProblemValidation:
             )
 
         problem = build(SolverConfig(dt=0.1, integrator="explicit_rk4"))
-        assert problem.solver == SolverConfig(
+        assert problem.solver == SolverConfig(dt=0.1, integrator="explicit_rk4")
+        assert problem._solver == SolverConfig(
             dt=0.1, integrator="explicit_rk4", record_times=(0.5, 1.0)
         )
         # even times equal to the targets' are refused: the targets own them
         for preset in ((0.5, 1.0), (1.0,)):
             with pytest.raises(InfeasibleConfigError, match="leave them unset"):
                 build(SolverConfig(dt=0.1, record_times=preset))
+
+    def test_built_problem_copies(self):
+        # the copy is built from the solver as given, so it is accepted
+        copied = replace(diffusion_problem(), distance="l2")
+        assert copied.solver == SolverConfig(dt=0.05)
+        assert loss(copied, [0.0, 0.7]) == loss(diffusion_problem("l2"), [0.0, 0.7])
 
     def test_unknown_distance(self):
         grid = Grid(-6.0, 6.0, 129)
@@ -264,7 +272,7 @@ class TestLoss:
         trace = solve(
             problem.initial_density,
             CoefficientModel(drift_poly=(0.0,), diff_poly=(0.7,)),
-            problem.solver,
+            problem._solver,
         )
         target = problem.targets[0][1]
         diff = target.values - trace.snapshots[0].values
@@ -282,7 +290,7 @@ def reference_loss(problem, params):
     d2_min, _ = model.diffusion_range(t0, t_end)
     if d2_min < 0.0:
         return PENALTY_FLOOR + abs(d2_min)
-    snapshots, _, diverged, _ = reference_solve(problem.initial_density, model, problem.solver)
+    snapshots, _, diverged, _ = reference_solve(problem.initial_density, model, problem._solver)
     if diverged:
         return PENALTY_FLOOR
     total = 0.0
@@ -366,6 +374,24 @@ class TestLossMatchesReference:
         problem = drift_problem(weights=SOME_ZERO)
         loss(problem, (0.8, 0.6, 0.25))
         assert passes == [(sum(w != 0.0 for w in SOME_ZERO), 129)]
+
+    def test_samples_a_time_varying_diffusion_once(self, monkeypatch):
+        # the feasibility check and the solve read one range of D2
+        polynomial = np.polynomial.polynomial
+        calls = []
+        original = polynomial.polyval
+
+        def counted(t, c):
+            calls.append(len(c))
+            return original(t, c)
+
+        problem = replace(
+            drift_problem(), diff_degree=1, bounds=((-1.0, 2.0),) * 2 + ((0.01, 1.0),) * 2
+        )
+        monkeypatch.setattr(polynomial, "polyval", counted)
+        value = loss(problem, (0.8, 0.6, 0.25, 0.1))
+        assert calls == [2]
+        assert value < PENALTY_FLOOR
 
 
 class TestLossMemory:

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,7 +208,9 @@ class TestSimulate:
         assert np.array_equal(a.samples, b.samples)
 
     def test_stride_subsamples_without_changing_the_path(self):
-        spec = constant_spec()
+        # the march draws once per step whatever the stride; additive
+        # noise is sampled once per interval instead (TestIntervalPath)
+        spec = SdeSpec("ornstein_uhlenbeck", (1.0, 0.5), "constant", (0.7,))
         dense = simulate(spec, SimPlan(n_trajectories=5, dt=0.1, horizon=1.0, seed=7))
         strided = simulate(
             spec, SimPlan(n_trajectories=5, dt=0.1, horizon=1.0, stride=5, seed=7)
@@ -320,6 +324,49 @@ def reference_simulate(spec, plan):
     return TrajectoryEnsemble(times=times, samples=out)
 
 
+_REFERENCE_X_FREE_DRIFTS = {
+    "constant": lambda p, t: p[0],
+    "linear_in_t": lambda p, t: p[0] + p[1] * t,
+}
+
+
+def reference_interval_simulate(spec, plan):
+    """The additive-noise sampler written plainly: the same starting
+    values, then per record interval the left Riemann sum of h dt over
+    its stride steps, correctly rounded, plus one draw of sigma
+    sqrt(stride dt) xi for every trajectory; fresh arrays and
+    out-of-place updates."""
+    n_records = plan.n_steps // plan.stride
+    m = plan.n_trajectories
+    out = np.empty((m, n_records + 1))
+    times = np.arange(0, plan.n_steps + 1, plan.stride) * plan.dt
+    h_of = _REFERENCE_X_FREE_DRIFTS[spec.drift_kind]
+    (sigma,) = spec.noise_params
+    gen = Generator(Philox(key=[plan.seed, 0]))
+    if plan.x0_kind == "normal":
+        mu0, sigma0 = plan.x0_params
+        x = mu0 + sigma0 * gen.standard_normal(m)
+    else:
+        x = np.full(m, plan.x0_params[0])
+    out[:, 0] = x
+    for j in range(1, n_records + 1):
+        steps = range((j - 1) * plan.stride, j * plan.stride)
+        drift = math.fsum([h_of(spec.drift_params, k * plan.dt) * plan.dt for k in steps])
+        x = x + drift + sigma * np.sqrt(plan.stride * plan.dt) * gen.standard_normal(m)
+        if not np.all(np.isfinite(x)):
+            step = j * plan.stride
+            bad = int(np.argmax(~np.isfinite(x)))
+            raise SolverDivergenceError(
+                f"trajectory {bad} non-finite at step {step} (t={step * plan.dt})"
+            )
+        out[:, j] = x
+    return TrajectoryEnsemble(times=times, samples=out)
+
+
+def takes_interval_path(spec):
+    return spec.drift_kind in _REFERENCE_X_FREE_DRIFTS and spec.noise_kind == "constant"
+
+
 _DRIFTS = [
     ("constant", (0.3,)),
     ("linear_in_t", (0.5, -0.8)),
@@ -367,7 +414,14 @@ class TestSimulateMatchesReference:
         # a horizon of at most 1 keeps every linear_in_x amplitude positive
         plan = _plan(shape, x0, dt=min(0.01, 1.0 / shape[1]))
         ens = simulate(spec, plan)
-        ref = reference_simulate(spec, plan)
+        if takes_interval_path(spec):
+            # additive noise is sampled once per record interval, which
+            # at stride 1 is the march itself
+            ref = reference_interval_simulate(spec, plan)
+            if plan.stride == 1:
+                assert np.array_equal(ens.samples, reference_simulate(spec, plan).samples)
+        else:
+            ref = reference_simulate(spec, plan)
         assert np.array_equal(ens.times, ref.times)
         assert np.array_equal(ens.samples, ref.samples)
 
@@ -409,6 +463,67 @@ class TestSimulateMatchesReference:
         assert _raised(simulate, spec, plan) == _raised(reference_simulate, spec, plan)
 
 
+_X_FREE_DRIFTS = [("constant", (0.3,)), ("linear_in_t", (0.5, -0.8))]
+
+
+class TestIntervalPath:
+    @pytest.mark.parametrize("seed", [41, 42])
+    @pytest.mark.parametrize("drift", _X_FREE_DRIFTS, ids=lambda d: d[0])
+    def test_recorded_states_follow_the_euler_maruyama_law(self, drift, seed):
+        # EM with x-free h and constant g: x(K dt) is normal with mean
+        # mu0 + sum_{k<K} h(k dt) dt and variance sigma0^2 + g^2 K dt
+        spec = SdeSpec(drift[0], drift[1], "constant", (0.7,))
+        plan = SimPlan(
+            n_trajectories=20_000, dt=0.01, horizon=1.0, stride=25,
+            x0_kind="normal", x0_params=(0.2, 0.3), seed=seed,
+        )
+        ens = simulate(spec, plan)
+        h_of = _REFERENCE_X_FREE_DRIFTS[drift[0]]
+        n = plan.n_trajectories
+        for j in range(ens.n_times):
+            steps = j * plan.stride
+            mean = 0.2 + math.fsum(h_of(drift[1], k * plan.dt) * plan.dt for k in range(steps))
+            var = 0.3**2 + 0.7**2 * steps * plan.dt
+            x = ens.samples[:, j]
+            assert abs(x.mean() - mean) <= 4.0 * np.sqrt(var / n)
+            assert abs(x.var(ddof=1) - var) <= 4.0 * var * np.sqrt(2.0 / (n - 1))
+        # the march on an independent stream draws the same final law
+        from scipy.stats import ks_2samp
+
+        march = reference_simulate(spec, replace(plan, seed=seed + 1000))
+        assert ks_2samp(ens.samples[:, -1], march.samples[:, -1]).pvalue > 1e-3
+
+    @pytest.mark.parametrize("x0", _X0S, ids=lambda x: x[0])
+    @pytest.mark.parametrize("drift", _X_FREE_DRIFTS, ids=lambda d: d[0])
+    def test_negative_sigma_refused_with_the_march_message(self, drift, x0):
+        spec = SdeSpec(drift[0], drift[1], "constant", (-0.7,))
+        plan = _plan((9, 40, 8), x0, seed=5)
+        x00 = reference_simulate(constant_spec(0.0, 0.0), plan).samples[0, 0]
+        raised = _raised(simulate, spec, plan)
+        assert raised == (
+            InfeasibleConfigError, f"noise amplitude negative (-0.7) at t=0.0, x={x00}"
+        )
+        assert raised == _raised(reference_simulate, spec, plan)
+
+    def test_drift_sum_beyond_the_float_range_is_named_at_the_recorded_step(self):
+        # the march overflows at step 2; math.fsum refuses the interval's
+        # sum, and its plain sum is inf
+        spec = SdeSpec("constant", (1e308,), "constant", (1.0,))
+        plan = _plan((3, 10, 5), ("point", (0.0,)), dt=1.0)
+        assert _raised(simulate, spec, plan) == (
+            SolverDivergenceError, "trajectory 0 non-finite at step 5 (t=5.0)"
+        )
+
+    def test_noise_overflow_names_the_trajectory_at_the_recorded_step(self):
+        # the march overflows at step 1; trajectory 2 is the first of
+        # this seed whose draw carries it past the largest float
+        spec = SdeSpec("constant", (0.0,), "constant", (1e307,))
+        plan = _plan((9, 10, 5), ("point", (1.7e308,)), dt=1.0, seed=0)
+        raised = _raised(simulate, spec, plan)
+        assert raised == (SolverDivergenceError, "trajectory 2 non-finite at step 5 (t=5.0)")
+        assert raised == _raised(reference_interval_simulate, spec, plan)
+
+
 _AMPLITUDE_STATES = np.array(
     [-np.inf, -1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e308, np.inf, np.nan]
 )
@@ -427,21 +542,31 @@ class TestNegativeAmplitudeCheck:
                 assert _any_negative(g[lo:hi]) == bool((g[lo:hi] < 0.0).any())
 
 
+def _peak_beside_the_output(spec):
+    """tracemalloc peak of a 2000 x 2000-step simulation recorded at 21
+    times, less its 2000 x 21 output."""
+    plan = _plan((2000, 2000, 100), ("normal", (0.0, 1.0)), dt=1e-3)
+    tracemalloc.start()
+    try:
+        ens = simulate(spec, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ens.samples.shape == (2000, 21)
+    return peak - ens.samples.nbytes
+
+
 class TestSimulateMemory:
     def test_peak_is_the_output(self):
         # the march holds four arrays of 2000 floats (64 KB) besides the
         # output; an array proportional to the 2000 steps would not fit
         spec = SdeSpec("ornstein_uhlenbeck", (1.0, 0.5), "constant", (0.7,))
-        plan = _plan((2000, 2000, 100), ("normal", (0.0, 1.0)), dt=1e-3)
-        out_bytes = 2000 * 21 * 8
-        tracemalloc.start()
-        try:
-            ens = simulate(spec, plan)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert ens.samples.shape == (2000, 21)
-        assert peak < out_bytes + 2**20
+        assert _peak_beside_the_output(spec) < 2**20
+
+    def test_interval_path_peak_is_the_output(self):
+        # two arrays of 2000 floats besides the output
+        spec = SdeSpec("linear_in_t", (0.5, -0.8), "constant", (0.7,))
+        assert _peak_beside_the_output(spec) < 2**20
 
 
 class TestEnsembleToDensities:
