@@ -1,11 +1,15 @@
 """Drift/diffusion coefficient models, polynomial in time.
 
 The forward solver and simulators interpret everything in the Ito
-sense.
+sense. The range of a coefficient over a time span is exact: a
+polynomial of degree <= 3 takes its extremes at the span's ends or at
+the real roots of its derivative, so no sampling is needed and a dip
+between sample points cannot hide a negative diffusion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,18 +26,31 @@ def _horner(coeffs: tuple[float, ...], t: float) -> float:
     return acc
 
 
-def _sampled_range(poly: tuple[float, ...], t_start: float, t_end: float) -> tuple[float, float]:
-    """(min, max) of a polynomial over [t_start, t_end].
+def _critical_points(poly: tuple[float, ...]) -> tuple[float, ...]:
+    """Real roots of the derivative of a degree <= 3 polynomial.
 
-    Degree <= 3 polynomials vary slowly; 1001 samples plus the
-    endpoints bound the range tightly enough for feasibility and
-    stability checks. A constant is returned without sampling, which
-    gives the same value.
+    The derivative a1 + 2 a2 t + 3 a3 t^2 is solved by the quadratic
+    formula in its cancellation-free form; a constant derivative, or
+    one with no real root, gives none.
     """
-    if len(poly) == 1:
-        return poly[0], poly[0]
-    vals = np.polynomial.polynomial.polyval(np.linspace(t_start, t_end, 1001), np.asarray(poly))
-    return float(np.min(vals)), float(np.max(vals))
+    a1, a2, a3 = (poly + (0.0,) * MAX_DEGREE)[1 : MAX_DEGREE + 1]
+    a, b, c = 3.0 * a3, 2.0 * a2, a1
+    if a == 0.0:
+        return (-c / b,) if b != 0.0 else ()
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return ()
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return (q / a, c / q) if q != 0.0 else (0.0,)
+
+
+def _range(poly: tuple[float, ...], t_start: float, t_end: float) -> tuple[float, float]:
+    """(min, max) of a polynomial over [t_start, t_end]: the extremes
+    lie at the ends or at the critical points inside, each evaluated by
+    Horner's rule, so the range is exact up to rounding."""
+    inside = [t for t in _critical_points(poly) if t_start < t < t_end]
+    values = [_horner(poly, t) for t in (t_start, t_end, *inside)]
+    return min(values), max(values)
 
 
 @dataclass(frozen=True)
@@ -79,17 +96,10 @@ class CoefficientModel:
         )
 
     def diffusion_range(self, t_start: float, t_end: float) -> tuple[float, float]:
-        """(min, max) of D2 over [t_start, t_end] by dense sampling.
-
-        The last span's range is kept on the instance, so a loss that
-        checks feasibility and then solves on the same model samples a
-        time-varying D2 once."""
-        span, rng = self.__dict__.get("_last_diffusion_range", (None, None))
-        if span != (t_start, t_end):
-            span, rng = (t_start, t_end), _sampled_range(self.diff_poly, t_start, t_end)
-            object.__setattr__(self, "_last_diffusion_range", (span, rng))
-        return rng
+        """(min, max) of D2 over [t_start, t_end]."""
+        return _range(self.diff_poly, t_start, t_end)
 
     def max_abs_drift(self, t_start: float, t_end: float) -> float:
-        lo, hi = _sampled_range(self.drift_poly, t_start, t_end)
+        """max |D1| over [t_start, t_end]."""
+        lo, hi = _range(self.drift_poly, t_start, t_end)
         return max(abs(lo), abs(hi))

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputDataError
-from .grid import Grid
+from .grid import Grid, flux_bands
 
 __all__ = [
     "DensityField",
@@ -259,35 +259,26 @@ def l1_distance(p: DensityField, q: DensityField) -> float:
 def tikhonov_smooth(f: DensityField, lam: float = 1e-6) -> DensityField:
     """Roughness-penalized smoothing: solve (I + lam * E^T E) fhat = f.
 
-    E is the second difference, (1, -2, 1)/h^2 inside and the one-sided
-    (2, -5, 4, -1)/h^2 at the walls. The system is symmetric positive
-    definite for lam > 0 and banded, so it is assembled in band storage
-    and solved by banded Cholesky factorization in O(n); the result is
-    clipped at zero and renormalized.
+    E is the solver's second difference, E2 of ``grid.flux_bands``:
+    (1, -2, 1)/h^2 inside and the zero-flux (-2, 2)/h^2 at the walls.
+    The system is symmetric positive definite for lam > 0 and
+    pentadiagonal, so it is assembled in band storage and solved by
+    banded Cholesky factorization in O(n); the result is clipped at zero
+    and renormalized.
     """
     if not lam > 0.0:
         raise ValueError("lam must be > 0")
     n = f.grid.n_points
-    h2 = f.grid.spacing**2
-    # E in band storage, entry (i, j) at e[bw + i - j, j]; the wall
-    # rows reach three nodes in
-    bw = 3
-    e = np.zeros((2 * bw + 1, n))
-    e[bw - 1, 1:] = e[bw + 1, :-1] = 1.0 / h2
-    e[bw] = -2.0 / h2
-    wall = np.array([2.0, -5.0, 4.0, -1.0]) / h2
-    cols = np.arange(wall.size)
-    e[bw - cols, cols] = wall
-    e[bw + cols, n - 1 - cols] = wall
-    p = 2 * bw
-    # upper band storage: entry (i, i + s) of E^T E sits at [p - s, i + s];
-    # it sums E[i + r, i] * E[i + r, i + s] over the rows i + r both reach
-    ab = np.zeros((p + 1, n))
-    for s in range(p + 1):
-        for r in range(s - bw, bw + 1):
-            ab[p - s, s:] += e[bw + r, : n - s] * e[bw + r - s, s:]
+    _, e = flux_bands(f.grid)
+    # upper band storage: entry (i, i + s) of E^T E sits at [2 - s, i + s];
+    # it sums E[i + r, i] * E[i + r, i + s] over the rows i + r both
+    # reach, and E's band holds zeros beyond the walls
+    ab = np.zeros((3, n))
+    for s in range(3):
+        for r in range(s - 1, 2):
+            ab[2 - s, s:] += e[1 + r, : n - s] * e[1 + r - s, s:]
     ab *= lam
-    ab[p] += 1.0
+    ab[2] += 1.0
     import scipy.linalg  # loaded at first use only
 
     try:

@@ -6,13 +6,13 @@ counter-based RNG stream, Philox keyed (seed, 0), so identical inputs
 give a bit-identical ensemble; seeds are confined to [0, 2**63) so that
 no two seeds share a key.
 
-Additive noise (x-free h, constant g) is sampled once per record
-interval, where the Euler-Maruyama increment over stride steps is
-exactly Gaussian. Every other spec marches all trajectories together
-step by step, in place: h and g that do not depend on x are one float
-per step, applied as scalars, and the others are written into two
-buffers reused from step to step, always in the operation order
-(x + h dt) + (g sqrt(dt)) xi.
+Additive noise (x-free h, constant g) recorded every stride > 1 steps
+is sampled once per record interval, where the Euler-Maruyama increment
+over stride steps is exactly Gaussian. Every other run marches all
+trajectories together step by step, in place: h and g that do not
+depend on x are one float per step, applied as scalars, and the others
+are written into two buffers reused from step to step, always in the
+operation order (x + h dt) + (g sqrt(dt)) xi.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ NOISE_KINDS = {
 
 X0_KINDS = ("point", "normal")
 
-# drift kinds whose h does not depend on x; with constant noise they
-# take the once-per-record-interval path
+# drift kinds whose h does not depend on x; with constant noise and
+# stride > 1 they take the once-per-record-interval path
 _X_FREE_DRIFTS = ("constant", "linear_in_t")
 
 # the sidecar digest reads the CSV through one reused buffer this size,
@@ -184,12 +184,11 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
     The Philox stream keyed [seed, 0] gives first the n_trajectories
     starting values when x0 is "normal", then n_trajectories normals per
     draw. With additive noise (drift "constant" or "linear_in_t", noise
-    "constant") the increment over a record interval is normal with mean
-    sum h(k dt) dt and variance g^2 stride dt, so there is one draw per
-    interval: x += the left Riemann sum (math.fsum), then
-    x += g sqrt(stride dt) xi, which at stride 1 is the march bit for
-    bit (but for the sign of a zero: math.fsum([-0.0]) is +0.0).
-    Otherwise the march draws once per step, whatever the stride.
+    "constant") and stride > 1 the increment over a record interval is
+    normal with mean sum h(k dt) dt and variance g^2 stride dt, so there
+    is one draw per interval: x += the left Riemann sum (math.fsum),
+    then x += g sqrt(stride dt) xi. Otherwise, stride 1 included, the
+    march draws once per step.
     The recorded states follow the Euler-Maruyama law either way, but
     the additive-noise ensemble depends on the stride, and on both paths
     a trajectory's path depends on how many trajectories are simulated.
@@ -218,7 +217,7 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
     xi = np.empty(m)
     out[:, 0] = x
     _require_finite(x, 0, dt)
-    if spec.drift_kind in _X_FREE_DRIFTS and spec.noise_kind == "constant":
+    if plan.stride > 1 and spec.drift_kind in _X_FREE_DRIFTS and spec.noise_kind == "constant":
         (sigma,) = spec.noise_params
         if sigma < 0.0:
             raise InfeasibleConfigError(
@@ -292,28 +291,15 @@ def _any_negative(g: np.ndarray) -> bool:
     return bool(np.fmin.reduce(g) < 0.0)
 
 
-def ensemble_to_densities(
-    ens: TrajectoryEnsemble, grid: Grid, times, bandwidth="auto"
-) -> list[DensityField]:
-    """KDE density per requested time, each normalized on the grid.
-
-    The requested times must already be on the ensemble time axis
-    (1e-9 relative); no interpolation happens here.
-    """
-    axis = ens.times
-    span = max(1.0, float(np.max(np.abs(axis))))
+def ensemble_to_densities(ens: TrajectoryEnsemble, grid: Grid) -> list[DensityField]:
+    """KDE density at every level of the ensemble, each normalized on
+    the grid and stamped with its level's time."""
     fields = []
-    for tau in times:
-        hits = np.nonzero(np.abs(axis - tau) <= 1e-9 * span)[0]
-        if hits.size == 0:
-            raise InfeasibleConfigError(f"time {tau} not on the ensemble axis")
-        k = int(hits[0])
+    for k, tau in enumerate(ens.times.tolist()):
         try:
-            fields.append(
-                kde_estimate(ens.samples[:, k], grid, bandwidth, time_stamp=float(axis[k]))
-            )
+            fields.append(kde_estimate(ens.samples[:, k], grid, time_stamp=tau))
         except ValueError as exc:
-            raise ValueError(f"KDE failed at t={axis[k]}: {exc}") from exc
+            raise ValueError(f"KDE failed at t={tau}: {exc}") from exc
     return fields
 
 
@@ -401,7 +387,7 @@ def read_ensemble_sidecar(csv_path) -> tuple[np.ndarray, np.ndarray] | None:
     import zipfile
 
     try:
-        with np.load(f"{csv_path}.npz", allow_pickle=False) as npz:
+        with open(f"{csv_path}.npz", "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             if str(npz["sha256"]) != _sha256_hex(csv_path):
                 return None
             times, samples = npz["times"], npz["samples"]

@@ -541,7 +541,7 @@ def split(dataset, train_end: float, truncate_start: float | None = None):
 def _training_densities(config: RunConfig, training) -> list[DensityField]:
     """KDE per training level for ensembles; pass-through for lists."""
     if isinstance(training, TrajectoryEnsemble):
-        return ensemble_to_densities(training, config.grid, training.times)
+        return ensemble_to_densities(training, config.grid)
     return training
 
 
@@ -739,7 +739,7 @@ def run_validate(
     echoed as the summary line of metrics.csv.
     """
     if isinstance(testing, TrajectoryEnsemble):
-        fields = ensemble_to_densities(testing, artifact.grid, testing.times)
+        fields = ensemble_to_densities(testing, artifact.grid)
     else:
         fields = list(testing)
     if not fields:

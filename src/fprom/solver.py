@@ -1,14 +1,16 @@
 """Forward integration of the 1-D Fokker-Planck equation.
 
 The semi-discrete form is df/dt = A(t) f with
-A(t) = -D1(t) * E1 + D2(t) * E2. E1 and E2 make one conservative
-flux-form operator on the grid nodes: each node owns the cell between
-its neighbouring faces, the face flux is D1 times the mean of the two
-node values minus D2 times their difference quotient, and no flux
-crosses a wall, so the trapezoidal mass of A f is exactly zero. Interior
-rows are the centred second-order stencils. Both are tridiagonal, held
-in LAPACK band storage, cached per grid and read-only, so memory and
-work per step are O(n).
+A(t) = -D1(t) * E1 + D2(t) * E2, where E1 and E2 are
+``grid.flux_bands``, the one conservative flux-form operator on the
+grid nodes: each node owns the cell between its neighbouring faces, the
+face flux is D1 times the mean of the two node values minus D2 times
+their difference quotient, and no flux crosses a wall, so the
+trapezoidal mass of A f is exactly zero. Interior rows are the centred
+second-order stencils. Both are tridiagonal, held in LAPACK band
+storage, cached per grid and read-only, so memory and work per step
+are O(n). The diffusion-sign and stability checks read the exact
+ranges of D1 and D2 over the horizon from ``CoefficientModel``.
 
 Two integrators: classical explicit RK4, with hard diffusion and
 advection stability checks, applying A by a tridiagonal matrix-vector
@@ -36,14 +38,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .coefficients import CoefficientModel
 from .density import DensityField
 from .errors import InfeasibleConfigError
-from .grid import Grid
+from .grid import Grid, flux_bands
 
 __all__ = ["SolverConfig", "SolutionTrace", "solve"]
 
@@ -116,36 +118,6 @@ class SolutionTrace:
             DensityField(grid=self.grid, values=v, time_stamp=t)
             for v, t in zip(self.states, self.times)
         )
-
-
-@lru_cache(maxsize=32)
-def _closed_bands(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Tridiagonal E1, E2 in LAPACK band storage, entry (i, j) at [1 + i - j, j].
-
-    Interior rows are the centred (-1, 0, 1)/(2h) and (1, -2, 1)/h^2.
-    The walls are closed in flux form: node i owns the cell between its
-    neighbouring faces (a half cell at a wall), the face flux is
-    F = D1*(f_i + f_i+1)/2 - D2*(f_i+1 - f_i)/h, and no flux crosses a
-    wall. E1's wall rows are then (1, 1)/h and (-1, -1)/h and E2's are
-    (-2, 2)/h^2, so the trapezoidal mass of A f is exactly zero. Results
-    are cached and shared between solves, so both bands are read-only.
-    """
-    n = grid.n_points
-    h = grid.spacing
-    b1 = np.zeros((3, n))
-    b1[0, 1:] = 0.5 / h
-    b1[2, :-1] = -0.5 / h
-    b2 = np.zeros((3, n))
-    b2[0, 1:] = b2[2, :-1] = 1.0 / h**2
-    b2[1] = -2.0 / h**2
-    # the slots of wall row 0, (0, 0) and (0, 1), then of row n - 1,
-    # (n - 1, n - 2) and (n - 1, n - 1)
-    walls = ([1, 0, 2, 1], [0, 1, n - 2, n - 1])
-    b1[walls] = (1.0 / h, 1.0 / h, -1.0 / h, -1.0 / h)
-    b2[walls] = (-2.0 / h**2, 2.0 / h**2, 2.0 / h**2, -2.0 / h**2)
-    b1.flags.writeable = False
-    b2.flags.writeable = False
-    return b1, b2
 
 
 def _band_matvec(ab: np.ndarray, g: np.ndarray, out=None, work=None) -> np.ndarray:
@@ -251,7 +223,7 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
                     f"{STABILITY_SAFETY}*{label} = {STABILITY_SAFETY * scale / dmax:.6e}"
                 )
 
-    b1, b2 = _closed_bands(grid)
+    b1, b2 = flux_bands(grid)
     dx = np.diff(grid.nodes)
     dt = config.dt
     n = grid.n_points

@@ -375,23 +375,26 @@ class TestLossMatchesReference:
         loss(problem, (0.8, 0.6, 0.25))
         assert passes == [(sum(w != 0.0 for w in SOME_ZERO), 129)]
 
-    def test_samples_a_time_varying_diffusion_once(self, monkeypatch):
-        # the feasibility check and the solve read one range of D2
-        polynomial = np.polynomial.polynomial
-        calls = []
-        original = polynomial.polyval
-
-        def counted(t, c):
-            calls.append(len(c))
-            return original(t, c)
+    def test_reads_a_time_varying_diffusion_range_without_sampling(self, monkeypatch):
+        # the feasibility check and the solve take D2's exact range
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a coefficient range was sampled")
 
         problem = replace(
             drift_problem(), diff_degree=1, bounds=((-1.0, 2.0),) * 2 + ((0.01, 1.0),) * 2
         )
-        monkeypatch.setattr(polynomial, "polyval", counted)
-        value = loss(problem, (0.8, 0.6, 0.25, 0.1))
-        assert calls == [2]
-        assert value < PENALTY_FLOOR
+        monkeypatch.setattr(np, "linspace", no_sampling)
+        monkeypatch.setattr(np.polynomial.polynomial, "polyval", no_sampling)
+        assert loss(problem, (0.8, 0.6, 0.25, 0.1)) < PENALTY_FLOOR
+
+    def test_negative_dip_between_sample_points_is_penalised(self):
+        # D2 = (t - 0.0005)^2 - 1e-8 dips below zero only on
+        # (0.0004, 0.0006), between the points of a 1001-point sampling
+        problem = replace(
+            drift_problem(), diff_degree=2, bounds=((-1.0, 2.0),) * 2 + ((-1.0, 1.0),) * 3
+        )
+        value = loss(problem, (0.8, 0.6, 0.0005**2 - 1e-8, -0.001, 1.0))
+        assert value == pytest.approx(PENALTY_FLOOR + 1e-8, rel=0.0, abs=1e-9)
 
 
 class TestLossMemory:

@@ -23,13 +23,12 @@ from fprom.errors import InputDataError
 
 
 def second_difference_matrix(grid):
-    """Dense order-2 second difference: (1, -2, 1)/h^2 inside and the
-    one-sided (2, -5, 4, -1)/h^2 at the walls."""
+    """Dense flux-form second difference: (1, -2, 1)/h^2 inside, and at
+    each wall the zero-flux row (-2, 2)/h^2 of a half cell whose outer
+    face carries no flux."""
     n, h2 = grid.n_points, grid.spacing**2
     e = (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)) / h2
-    e[[0, -1]] = 0.0
-    e[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / h2
-    e[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h2
+    e[0, 1] = e[-1, -2] = 2.0 / h2
     return e
 
 

@@ -415,8 +415,9 @@ class TestSimulateMatchesReference:
         plan = _plan(shape, x0, dt=min(0.01, 1.0 / shape[1]))
         ens = simulate(spec, plan)
         if takes_interval_path(spec):
-            # additive noise is sampled once per record interval, which
-            # at stride 1 is the march itself
+            # additive noise is sampled once per record interval when
+            # stride > 1; at stride 1 the march runs, and one interval
+            # is one step of it
             ref = reference_interval_simulate(spec, plan)
             if plan.stride == 1:
                 assert np.array_equal(ens.samples, reference_simulate(spec, plan).samples)
@@ -524,6 +525,17 @@ class TestIntervalPath:
         assert raised == _raised(reference_interval_simulate, spec, plan)
 
 
+    def test_stride_1_keeps_the_sign_of_a_zero_state(self):
+        # -0.0 + -0.0 * dt stays -0.0 in the march, where math.fsum of
+        # the interval's drift terms would give +0.0
+        spec = SdeSpec("constant", (-0.0,), "constant", (0.0,))
+        plan = SimPlan(4, dt=0.1, horizon=0.3, x0_params=(-0.0,), seed=3)
+        got = simulate(spec, plan).samples
+        want = reference_simulate(spec, plan).samples
+        assert np.signbit(want).any() and not np.signbit(want).all()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 _AMPLITUDE_STATES = np.array(
     [-np.inf, -1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e308, np.inf, np.nan]
 )
@@ -570,7 +582,7 @@ class TestSimulateMemory:
 
 
 class TestEnsembleToDensities:
-    def test_densities_at_requested_times(self):
+    def test_one_density_per_level(self):
         spec = constant_spec(mu=1.0, sigma=1.0)
         plan = SimPlan(
             n_trajectories=4000,
@@ -583,21 +595,13 @@ class TestEnsembleToDensities:
         )
         ens = simulate(spec, plan)
         grid = Grid(-6.0, 8.0, 257)
-        fields = ensemble_to_densities(ens, grid, [0.5, 1.0])
-        assert [f.time_stamp for f in fields] == [0.5, 1.0]
-        for f, t in zip(fields, (0.5, 1.0)):
+        fields = ensemble_to_densities(ens, grid)
+        assert [f.time_stamp for f in fields] == [0.0, 0.5, 1.0]
+        for f, t in zip(fields, (0.0, 0.5, 1.0)):
             assert f.mass == pytest.approx(1.0, abs=1e-12)
             from fprom.density import moments
 
             assert moments(f).mean == pytest.approx(t, abs=0.1)
-
-    def test_off_axis_time_rejected(self):
-        ens = simulate(
-            constant_spec(), SimPlan(n_trajectories=40, dt=0.1, horizon=1.0)
-        )
-        grid = Grid(-6.0, 6.0, 129)
-        with pytest.raises(InfeasibleConfigError, match="not on the ensemble axis"):
-            ensemble_to_densities(ens, grid, [0.55])
 
     def test_kde_failure_names_the_time(self):
         # point start: zero spread at t=0 breaks the auto bandwidth
@@ -606,7 +610,7 @@ class TestEnsembleToDensities:
         )
         grid = Grid(-6.0, 6.0, 129)
         with pytest.raises(ValueError, match="KDE failed at t=0.0"):
-            ensemble_to_densities(ens, grid, [0.0])
+            ensemble_to_densities(ens, grid)
 
 
 class TestEnsembleCsv:

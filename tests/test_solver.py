@@ -11,6 +11,7 @@ from fprom import CoefficientModel, DensityField, Grid, SolverConfig, solve
 from fprom.analytic import drift_diffusion_density, gaussian_density
 from fprom.density import l1_distance, moments
 from fprom.errors import InfeasibleConfigError
+from fprom.grid import flux_bands
 from fprom.solver import (
     _COEF_CHUNK,
     MASS_TOL,
@@ -18,7 +19,6 @@ from fprom.solver import (
     STABILITY_SAFETY,
     SolutionTrace,
     _band_matvec,
-    _closed_bands,
     _record_steps,
 )
 
@@ -150,6 +150,16 @@ class TestSolveValidation:
             integrator="crank_nicolson", dt=0.01, record_times=(0.02,)
         )
         with pytest.raises(InfeasibleConfigError, match="refused"):
+            solve(f0, model, config)
+
+    def test_negative_dip_between_sample_points_refused(self):
+        # (t - 0.0005)^2 - 1e-8 dips below zero only on (0.0004, 0.0006),
+        # between the points of a 1001-point sampling of [0, 1]
+        grid = Grid(-8.0, 8.0, 129)
+        f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
+        model = CoefficientModel(drift_poly=(0.0,), diff_poly=(0.0005**2 - 1e-8, -0.001, 1.0))
+        config = SolverConfig(integrator="crank_nicolson", dt=0.01, record_times=(1.0,))
+        with pytest.raises(InfeasibleConfigError, match=r"reaches -1(\.\d+)?e-08 .*refused"):
             solve(f0, model, config)
 
     def test_negative_diffusion_override_runs(self):
@@ -448,7 +458,7 @@ GRIDS = (Grid(-3.0, 3.0, 65), Grid(-1.3, 2.7, 50), Grid(0.0, 7.0, 31))
 class TestFluxFormOperator:
     @pytest.mark.parametrize("grid", GRIDS)
     def test_bands_match_face_flux_definition(self, grid):
-        b1, b2 = _closed_bands(grid)
+        b1, b2 = flux_bands(grid)
         assert b1.shape == b2.shape == (3, grid.n_points)
         # slots above the first row and below the last stay empty
         assert b1[0, 0] == b1[2, -1] == b2[0, 0] == b2[2, -1] == 0.0
@@ -460,7 +470,7 @@ class TestFluxFormOperator:
     def test_interior_rows_are_exact_on_low_degree_polynomials(self):
         grid = Grid(-1.0, 1.0, 21)
         x = grid.nodes
-        b1, b2 = _closed_bands(grid)
+        b1, b2 = flux_bands(grid)
         # centred order-2 stencils: quadratics for E1, cubics for E2
         q = 2.0 + 3.0 * x - x**2
         assert np.allclose(_band_matvec(b1, q)[1:-1], (3.0 - 2.0 * x)[1:-1], atol=1e-9)
@@ -471,14 +481,14 @@ class TestFluxFormOperator:
         grid = Grid(-1.3, 2.7, 50)
         weights = np.full(grid.n_points, grid.spacing)
         weights[[0, -1]] = grid.spacing / 2
-        b1, b2 = _closed_bands(grid)
+        b1, b2 = flux_bands(grid)
         for band in (b1, b2):
             column_mass = weights @ band_to_dense(band)
             assert np.max(np.abs(column_mass)) <= 1e-12 * np.max(np.abs(band))
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_interior_stencils_are_classic_central_weights(self, grid):
-        b1, b2 = _closed_bands(grid)
+        b1, b2 = flux_bands(grid)
         h = grid.spacing
         # row i in 1..n-2 holds (i, i-1) at [2, i-1], (i, i) at [1, i]
         # and (i, i+1) at [0, i+1]
@@ -492,7 +502,7 @@ class TestFluxFormOperator:
     @pytest.mark.parametrize("grid", GRIDS)
     def test_wall_rows(self, grid):
         h = grid.spacing
-        e1, e2 = (band_to_dense(b) for b in _closed_bands(grid))
+        e1, e2 = (band_to_dense(b) for b in flux_bands(grid))
         want1 = ((1.0 / h, 1.0 / h), (-1.0 / h, -1.0 / h))
         want2 = ((-2.0 / h**2, 2.0 / h**2), (2.0 / h**2, -2.0 / h**2))
         for dense, (row0, row_last) in ((e1, want1), (e2, want2)):
@@ -516,7 +526,7 @@ class TestFluxFormOperator:
         grid = Grid(-1.0, 1.0, 21)
         x = grid.nodes
         poly = np.polynomial.Polynomial(coeffs)
-        band = _closed_bands(grid)[degree - 1]
+        band = flux_bands(grid)[degree - 1]
         approx = _band_matvec(band, poly(x))
         exact = poly.deriv(degree)(x)
         assert np.allclose(approx[1:-1], exact[1:-1], atol=1e-7)
@@ -527,7 +537,7 @@ class TestFluxFormOperator:
         for n_points in (65, 129, 257):
             grid = Grid(-1.0, 1.0, n_points)
             x = grid.nodes
-            band = _closed_bands(grid)[degree - 1]
+            band = flux_bands(grid)[degree - 1]
             exact = 3.0 * np.cos(3.0 * x) if degree == 1 else -9.0 * np.sin(3.0 * x)
             approx = _band_matvec(band, np.sin(3.0 * x))
             errors.append(np.max(np.abs(approx - exact)[1:-1]))
@@ -550,7 +560,7 @@ class TestFluxFormOperator:
         self, n_points, x_min, width, d1, d2, seed
     ):
         grid = Grid(x_min, x_min + width, n_points)
-        b1, b2 = _closed_bands(grid)
+        b1, b2 = flux_bands(grid)
         g = np.random.Generator(np.random.Philox(key=[seed, 0])).random(n_points)
         dg = -d1 * _band_matvec(b1, g) + d2 * _band_matvec(b2, g)
         weights = np.full(n_points, grid.spacing)
@@ -563,13 +573,13 @@ class TestFluxFormOperator:
         assert abs(weights @ dg) <= 1e-13 * (weights @ terms) + floor
 
     def test_each_grid_caches_its_own_read_only_bands(self):
-        bands = _closed_bands(Grid(-5.0, 5.0, 129))
-        other = _closed_bands(Grid(-5.0, 5.0, 65))
+        bands = flux_bands(Grid(-5.0, 5.0, 129))
+        other = flux_bands(Grid(-5.0, 5.0, 65))
         assert bands[0] is not other[0] and bands[1] is not other[1]
         for band in (*bands, *other):
             assert not band.flags.writeable
         # an equal grid built again hits the same cache entry
-        again = _closed_bands(Grid(-5.0, 5.0, 129.0))
+        again = flux_bands(Grid(-5.0, 5.0, 129.0))
         assert again[0] is bands[0] and again[1] is bands[1]
 
 
@@ -645,7 +655,7 @@ def banded_reference_solve(f0, model, config):
     """The Crank-Nicolson and RK4 step as written against
     scipy.linalg.solve_banded and np.trapezoid, on freshly assembled
     (uncached) bands; as in solve, only the recorded rows are clipped."""
-    b1, b2 = _closed_bands.__wrapped__(f0.grid)
+    b1, b2 = flux_bands.__wrapped__(f0.grid)
     x = f0.grid.nodes
     dt = config.dt
 
@@ -747,14 +757,14 @@ class TestLapackStepMatchesSolveBanded:
 
     def test_cached_bands_are_read_only_and_survive_a_solve(self):
         f0, model, config = matrix_config("crank_nicolson", False, 129)
-        b1, b2 = _closed_bands(f0.grid)
+        b1, b2 = flux_bands(f0.grid)
         assert not b1.flags.writeable and not b2.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             b2[1, 0] = 0.0
         solve(f0, model, config)
-        again = _closed_bands(f0.grid)
+        again = flux_bands(f0.grid)
         assert again[0] is b1 and again[1] is b2
-        fresh = _closed_bands.__wrapped__(f0.grid)
+        fresh = flux_bands.__wrapped__(f0.grid)
         assert np.array_equal(b1, fresh[0]) and np.array_equal(b2, fresh[1])
 
 
@@ -768,7 +778,7 @@ def reference_solve(f0, model, config):
     grid = f0.grid
     t0 = f0.time_stamp
     rec_steps = _record_steps(t0, config.record_times, config.dt)
-    b1, b2 = _closed_bands(grid)
+    b1, b2 = flux_bands(grid)
     dx = np.diff(grid.nodes)
     dt = config.dt
 
@@ -916,7 +926,7 @@ class TestSolveMatchesReference:
     @pytest.mark.parametrize("name", ("drift_dominated", "drift_dominated_time_varying"))
     def test_drift_dominated_case_pivots(self, name):
         f0, model, config = reference_case("crank_nicolson", name, False)
-        b1, b2 = _closed_bands(f0.grid)
+        b1, b2 = flux_bands(f0.grid)
         lhs = -0.5 * config.dt * (-model.drift(0.0) * b1 + model.diffusion(0.0) * b2)
         lhs[1] += 1.0
         (gttrf,) = get_lapack_funcs(("gttrf",), dtype=np.float64)
