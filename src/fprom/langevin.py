@@ -1,4 +1,4 @@
-"""Euler-Maruyama ensemble simulation of scalar Ito SDEs.
+"""Ensemble simulation of scalar Ito SDEs, Euler-Maruyama or exact.
 
 Synthetic ground-truth generator: dx = h(x,t) dt + g(x,t) dW with h
 and g picked from small registries. One call draws from one
@@ -6,10 +6,12 @@ counter-based RNG stream, Philox keyed (seed, 0), so identical inputs
 give a bit-identical ensemble; seeds are confined to [0, 2**63) so that
 no two seeds share a key.
 
-Additive noise (x-free h, constant g) recorded every stride > 1 steps
-is sampled once per record interval, where the Euler-Maruyama increment
-over stride steps is exactly Gaussian. Every other run marches all
-trajectories together step by step, in place: h and g that do not
+Recorded every stride > 1 steps, additive noise (x-free h, constant g)
+and geometric Brownian motion (h = b x, g = d x) are sampled once per
+record interval: the first by its Euler-Maruyama increment over stride
+steps, which is exactly Gaussian, the second by the SDE's exact step, so
+it records the SDE's law, not Euler-Maruyama's. Every other run marches
+all trajectories together step by step, in place: h and g that do not
 depend on x are one float per step, applied as scalars, and the others
 are written into two buffers reused from step to step, always in the
 operation order (x + h dt) + (g sqrt(dt)) xi.
@@ -74,7 +76,7 @@ NOISE_KINDS = {
 X0_KINDS = ("point", "normal")
 
 # drift kinds whose h does not depend on x; with constant noise and
-# stride > 1 they take the once-per-record-interval path
+# stride > 1 they take the once-per-record-interval additive path
 _X_FREE_DRIFTS = ("constant", "linear_in_t")
 
 # the sidecar digest reads the CSV through one reused buffer this size,
@@ -178,27 +180,35 @@ class SimPlan:
 
 def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
     """Euler-Maruyama ensemble x += h dt + g sqrt(dt) xi, recorded at
-    the stride lattice. Identical (spec, plan) inputs give bit-identical
-    ensembles.
+    the stride lattice, or geometric Brownian motion's exact law there.
+    Identical (spec, plan) inputs give bit-identical ensembles.
 
     The Philox stream keyed [seed, 0] gives first the n_trajectories
     starting values when x0 is "normal", then n_trajectories normals per
-    draw. With additive noise (drift "constant" or "linear_in_t", noise
-    "constant") and stride > 1 the increment over a record interval is
-    normal with mean sum h(k dt) dt and variance g^2 stride dt, so there
-    is one draw per interval: x += the left Riemann sum (math.fsum),
-    then x += g sqrt(stride dt) xi. Otherwise, stride 1 included, the
-    march draws once per step.
-    The recorded states follow the Euler-Maruyama law either way, but
-    the additive-noise ensemble depends on the stride, and on both paths
-    a trajectory's path depends on how many trajectories are simulated.
-    Besides the output the interval path holds two arrays of
+    draw. With stride > 1 two kinds of SDE take one draw per record
+    interval of s = stride dt:
+    - additive noise (drift "constant" or "linear_in_t", noise
+      "constant"): the Euler-Maruyama increment is normal with mean
+      sum h(k dt) dt and variance g^2 s, so x += the left Riemann sum
+      (math.fsum), then x += g sqrt(s) xi;
+    - geometric Brownian motion (drift b x and noise d x, both
+      "linear_in_x" with intercept 0): x *= exp((b - d^2/2) s +
+      d sqrt(s) xi), the SDE's exact transition. Its recorded states
+      follow the SDE's law, not Euler-Maruyama's, and dt only sets the
+      record lattice.
+    Otherwise, stride 1 and nonzero intercepts included, the march draws
+    once per step.
+    Both interval ensembles depend on the stride, and on every path a
+    trajectory's path depends on how many trajectories are simulated.
+    Besides the output the interval paths hold two arrays of
     n_trajectories floats and the march four, however many steps.
 
     Raises SolverDivergenceError on non-finite state and
     InfeasibleConfigError if the noise amplitude evaluates negative.
-    The march names the first non-finite step; the interval path
-    resolves divergence only to the recorded step where it shows.
+    The march names the first non-finite step; the interval paths
+    resolve divergence only to the recorded step where it shows. They
+    check the amplitude at t=0 alone, with the march's message: g is
+    constant on one, and on the other d x keeps the sign of x0.
     """
     n_steps = plan.n_steps
     m = plan.n_trajectories
@@ -217,25 +227,37 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
     xi = np.empty(m)
     out[:, 0] = x
     _require_finite(x, 0, dt)
-    if plan.stride > 1 and spec.drift_kind in _X_FREE_DRIFTS and spec.noise_kind == "constant":
-        (sigma,) = spec.noise_params
-        if sigma < 0.0:
-            raise InfeasibleConfigError(
-                f"noise amplitude negative ({sigma}) at t=0.0, x={x[0]}"
-            )
-        scale = sigma * np.sqrt(plan.stride * dt)
+    additive = spec.drift_kind in _X_FREE_DRIFTS and spec.noise_kind == "constant"
+    geometric = (
+        spec.drift_kind == spec.noise_kind == "linear_in_x"
+        and spec.drift_params[0] == spec.noise_params[0] == 0.0
+    )
+    if plan.stride > 1 and (additive or geometric):
+        _require_nonnegative(spec.noise(x, 0.0, xi), x, 0.0)
+        s = plan.stride * dt
+        # g for additive noise, d for geometric Brownian motion
+        scale = spec.noise_params[-1] * np.sqrt(s)
+        if geometric:
+            b, d = spec.drift_params[1], spec.noise_params[1]
+            log_drift = (b - d * d / 2.0) * s
         for col in range(1, out.shape[1]):
             k1 = col * plan.stride
-            left = range(k1 - plan.stride, k1)
-            try:
-                x += math.fsum(spec.drift(x, k * dt, xi) * dt for k in left)
-            except (OverflowError, ValueError):
-                # the sum leaves the float range; fsum raises where the
-                # plain sum gives the inf or nan refused below
-                x += sum(spec.drift(x, k * dt, xi) * dt for k in left)
+            if additive:
+                left = range(k1 - plan.stride, k1)
+                try:
+                    x += math.fsum(spec.drift(x, k * dt, xi) * dt for k in left)
+                except (OverflowError, ValueError):
+                    # the sum leaves the float range; fsum raises where the
+                    # plain sum gives the inf or nan refused below
+                    x += sum(spec.drift(x, k * dt, xi) * dt for k in left)
             gen.standard_normal(out=xi)
             xi *= scale
-            x += xi
+            if additive:
+                x += xi
+            else:
+                xi += log_drift
+                np.exp(xi, out=xi)
+                x *= xi
             _require_finite(x, k1, dt)
             out[:, col] = x
         return TrajectoryEnsemble(times=times, samples=out)
@@ -245,13 +267,7 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
     for k in range(n_steps):
         t = k * dt
         g = spec.noise(x, t, g_buf)
-        scalar_g = isinstance(g, float)
-        if g < 0.0 if scalar_g else _any_negative(g):
-            g = np.broadcast_to(g, x.shape)
-            bad = int(np.argmax(g < 0.0))
-            raise InfeasibleConfigError(
-                f"noise amplitude negative ({g[bad]}) at t={t}, x={x[bad]}"
-            )
+        _require_nonnegative(g, x, t)
         # (x + h dt) + (g sqrt(dt)) xi, the same operations in place
         h = spec.drift(x, t, h_buf)
         if isinstance(h, float):
@@ -260,7 +276,7 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
             h *= dt
             x += h
         gen.standard_normal(out=xi)
-        if scalar_g:
+        if isinstance(g, float):
             xi *= g * sqrt_dt
             x += xi
         else:
@@ -281,6 +297,17 @@ def _require_finite(x: np.ndarray, step: int, dt: float) -> None:
         bad = int(np.argmax(~np.isfinite(x)))
         raise SolverDivergenceError(
             f"trajectory {bad} non-finite at step {step} (t={step * dt})"
+        )
+
+
+def _require_nonnegative(g, x: np.ndarray, t: float) -> None:
+    """Refuse a noise amplitude g (a float or one per state x) that is
+    negative at time t, naming the first such state."""
+    if g < 0.0 if isinstance(g, float) else _any_negative(g):
+        g = np.broadcast_to(g, x.shape)
+        bad = int(np.argmax(g < 0.0))
+        raise InfeasibleConfigError(
+            f"noise amplitude negative ({g[bad]}) at t={t}, x={x[bad]}"
         )
 
 

@@ -536,6 +536,67 @@ class TestIntervalPath:
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+# (b, d) of geometric Brownian motion dx = b x dt + d x dW
+_GBMS = [(0.3, 0.4), (-0.5, 0.2)]
+
+
+def gbm_spec(b, d):
+    return SdeSpec("linear_in_x", (0.0, b), "linear_in_x", (0.0, d))
+
+
+class TestGeometricPath:
+    @pytest.mark.parametrize("seed", [41, 42])
+    @pytest.mark.parametrize("bd", _GBMS, ids=lambda bd: "b%g-d%g" % bd)
+    def test_recorded_states_follow_the_exact_law(self, bd, seed):
+        # log x(t) is normal with mean log x0 + (b - d^2/2) t and
+        # variance d^2 t, whatever the step
+        from scipy.stats import kstest
+
+        b, d = bd
+        plan = SimPlan(
+            n_trajectories=20_000, dt=0.01, horizon=1.0, stride=25,
+            x0_params=(1.5,), seed=seed,
+        )
+        ens = simulate(gbm_spec(b, d), plan)
+        n = plan.n_trajectories
+        assert np.all(ens.samples[:, 0] == 1.5)
+        for j in range(1, ens.n_times):
+            t = ens.times[j]
+            mean = math.log(1.5) + (b - d * d / 2.0) * t
+            var = d * d * t
+            y = np.log(ens.samples[:, j])
+            assert abs(y.mean() - mean) <= 4.0 * np.sqrt(var / n)
+            assert abs(y.var(ddof=1) - var) <= 4.0 * var * np.sqrt(2.0 / (n - 1))
+        assert kstest(y, "norm", args=(mean, np.sqrt(var))).pvalue > 1e-3
+
+    @pytest.mark.parametrize("shape", [(9, 40, 1), (8195, 5, 1)], ids=lambda s: "m%d-n%d" % s[:2])
+    @pytest.mark.parametrize("x0", [("point", (0.25,)), ("normal", (1.0, 0.1))], ids=lambda x: x[0])
+    def test_stride_1_is_the_march(self, x0, shape):
+        spec = gbm_spec(0.3, 0.4)
+        plan = _plan(shape, x0)
+        assert np.array_equal(simulate(spec, plan).samples, reference_simulate(spec, plan).samples)
+
+    @pytest.mark.parametrize(
+        "d,x0",
+        [(-0.4, ("point", (0.25,))), (0.4, ("normal", (0.2, 0.3)))],
+        ids=["d_negative", "x0_negative"],
+    )
+    def test_negative_amplitude_refused_with_the_march_message(self, d, x0):
+        # d x keeps the sign of x0, so the check at t=0 is the only one
+        plan = _plan((9, 40, 8), x0, seed=5)
+        raised = _raised(simulate, gbm_spec(0.3, d), plan)
+        assert raised[0] is InfeasibleConfigError
+        assert raised[1].startswith("noise amplitude negative (-")
+        assert raised == _raised(reference_simulate, gbm_spec(0.3, d), plan)
+
+    def test_exp_overflow_is_named_at_the_recorded_step(self):
+        # the log increment over the first interval is about 5,000
+        plan = _plan((3, 10, 5), ("point", (1.0,)), dt=1.0)
+        assert _raised(simulate, gbm_spec(1e3, 0.4), plan) == (
+            SolverDivergenceError, "trajectory 0 non-finite at step 5 (t=5.0)"
+        )
+
+
 _AMPLITUDE_STATES = np.array(
     [-np.inf, -1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e308, np.inf, np.nan]
 )
@@ -554,17 +615,17 @@ class TestNegativeAmplitudeCheck:
                 assert _any_negative(g[lo:hi]) == bool((g[lo:hi] < 0.0).any())
 
 
-def _peak_beside_the_output(spec):
-    """tracemalloc peak of a 2000 x 2000-step simulation recorded at 21
-    times, less its 2000 x 21 output."""
-    plan = _plan((2000, 2000, 100), ("normal", (0.0, 1.0)), dt=1e-3)
+def _peak_beside_the_output(spec, plan=None):
+    """tracemalloc peak of simulating plan, by default 2000 trajectories
+    over 2000 steps recorded at 21 times, less its output."""
+    plan = plan or _plan((2000, 2000, 100), ("normal", (0.0, 1.0)), dt=1e-3)
     tracemalloc.start()
     try:
         ens = simulate(spec, plan)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ens.samples.shape == (2000, 21)
+    assert ens.samples.shape == (plan.n_trajectories, plan.n_steps // plan.stride + 1)
     return peak - ens.samples.nbytes
 
 
@@ -579,6 +640,13 @@ class TestSimulateMemory:
         # two arrays of 2000 floats besides the output
         spec = SdeSpec("linear_in_t", (0.5, -0.8), "constant", (0.7,))
         assert _peak_beside_the_output(spec) < 2**20
+
+    def test_exact_path_peak_is_the_output(self):
+        # x and the draw buffer are 768 KB and the output's finiteness
+        # check 144 KB; one more array of 48,000 floats, such as an
+        # np.exp that does not work in place, would pass 1 MiB
+        plan = _plan((48_000, 2000, 1000), ("point", (1.0,)), dt=1e-3)
+        assert _peak_beside_the_output(gbm_spec(0.3, 0.4), plan) < 2**20
 
 
 class TestEnsembleToDensities:
