@@ -41,7 +41,9 @@ class TrajectoryEnsemble:
             raise ValueError(f"samples shape {x.shape} does not match {t.size} times")
         if x.shape[0] < 1:
             raise ValueError("need >= 1 realization")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x))):
+        # min and max are NaN or inf exactly when some sample is, and
+        # need no mask the size of the samples
+        if not (np.all(np.isfinite(t)) and np.isfinite(x.min()) and np.isfinite(x.max())):
             raise ValueError("times and samples must be finite")
         steps = np.diff(t)
         mean_step = float(steps.mean())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,26 @@ class TestTrajectoryEnsemble:
         x[1, 1] = np.inf
         with pytest.raises(ValueError, match="finite"):
             TrajectoryEnsemble(times=[0.0, 1.0], samples=x)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_each_non_finite_value_rejected_anywhere(self, bad):
+        for r, k in ((0, 0), (3, 7), (4, 9)):
+            x = np.ones((5, 10))
+            x[r, k] = bad
+            with pytest.raises(ValueError, match="times and samples must be finite"):
+                TrajectoryEnsemble(times=np.arange(10.0), samples=x)
+
+    def test_finiteness_check_allocates_no_sample_sized_mask(self):
+        # a boolean mask of the samples would take 200,000 bytes
+        x = np.ones((1000, 200))
+        t = np.arange(200.0)
+        tracemalloc.start()
+        try:
+            TrajectoryEnsemble(times=t, samples=x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.size // 8
 
     def test_non_uniform_axis_rejected(self):
         with pytest.raises(ValueError, match="uniform"):

@@ -19,6 +19,7 @@ from fprom.solver import (
     STABILITY_SAFETY,
     SolutionTrace,
     _band_matvec,
+    _coefficient_steps,
     _record_steps,
 )
 
@@ -934,6 +935,25 @@ class TestSolveMatchesReference:
         assert info == 0
         assert (ipiv != np.arange(1, f0.grid.n_points + 1)).any()
 
+    def test_signed_zero_coefficients_are_told_apart(self):
+        # from t0 = -3 * 0.1, step 3 ends at (t0 + 0.2) + 0.1 = -2.8e-17
+        # and step 4 starts at t0 + 0.3 = 0.0, where D1 and D2 are -0.0
+        # and +0.0: equal as floats, so only their bits can tell that
+        # the operator band must be rebuilt
+        grid = Grid(-5.0, 5.0, 65)
+        f0 = DensityField(
+            grid=grid, values=gaussian_density(grid, 0.0, 1.0, 0.0).values, time_stamp=-3 * 0.1
+        )
+        model = CoefficientModel(drift_poly=(-0.0, 5e-324), diff_poly=(-0.0, 5e-324))
+        config = SolverConfig(
+            integrator="crank_nicolson", dt=0.1, record_times=(f0.time_stamp + 0.5,)
+        )
+        steps = list(_coefficient_steps(model, f0.time_stamp, 0.1, 5, (0.0, 0.1), keys=True))
+        end_of_3, start_of_4 = steps[2][3:5], steps[3][0:2]
+        assert end_of_3 == start_of_4 == (0.0, 0.0)
+        assert steps[2][5] != steps[3][2]
+        assert assert_matches_reference(f0, model, config).mass_log.size == 5
+
     def test_long_solve_spans_several_coefficient_chunks(self):
         grid = Grid(-5.0, 5.0, 65)
         f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
@@ -1018,6 +1038,45 @@ def diverging_cases():
             "non-finite state at step 1 (t=1.0)",
             1,
         ),
+        # D1 = 1e308 t, D2 = 0.5e308 t: the right band at t = 0 is I, but
+        # at t = 1 the wall rows of the left band overflow, the first on
+        # its diagonal and the last below it, while the other entries of
+        # those rows cancel to 0; ?gtsv divides the first row by inf and
+        # pivots on the last, so its solution is finite and only the
+        # band check names the step
+        (
+            "inf_left_diagonal_with_finite_solution",
+            f0_nine,
+            CoefficientModel(drift_poly=(0.0, 1e308), diff_poly=(0.0, 0.5e308)),
+            cn((0.0, 1.0)),
+            "non-finite Crank-Nicolson system at step 1 (t=1.0)",
+            1,
+        ),
+        # every band entry is finite (at most 1e306), but on a grid of
+        # width 8e-6 the density is near 1e5 and the right band's product
+        # with it overflows
+        (
+            "right_hand_side_overflows",
+            gaussian_density(Grid(0.0, 8e-6, 9), 4e-6, 1e-6, 0.0),
+            CoefficientModel(drift_poly=(1e300,), diff_poly=(0.0,)),
+            cn((0.0, 1.0)),
+            "non-finite Crank-Nicolson system at step 1 (t=1.0)",
+            1,
+        ),
+        # D1 = d (1 - t) vanishes at t = 1, so the left band is I and the
+        # state is the right band's finite product, about 1e308 at
+        # nodes 1 and 2; their sum overflows, so the trapezoidal mass is
+        # inf although the state is finite
+        (
+            "finite_state_mass_overflows",
+            DensityField.normalized(
+                Grid(0.0, 1.0, 9), np.array([0, 0, 1, 1, 0.75, 0.5, 0.25, 0, 0]), 0.0
+            ),
+            CoefficientModel(drift_poly=(-2.1e307, 2.1e307), diff_poly=(0.0,)),
+            cn((0.0, 1.0)),
+            "mass not conserved at step 1 (t=1.0)",
+            1,
+        ),
         # criterion 7's negative diffusion: I - dt/2 A is nearly singular,
         # the state grows by tens of orders of magnitude in one step, and
         # the rounding of its conserved sum leaves the mass far from f0's
@@ -1043,6 +1102,12 @@ class TestDivergenceMatchesReference:
         assert trace.diverged
         assert trace.diagnostic == diagnostic
         assert len(trace.states) == rows
+
+    def test_overflowing_mass_is_logged_for_a_finite_state(self):
+        (case,) = [c for c in diverging_cases() if c[0] == "finite_state_mass_overflows"]
+        with np.errstate(all="ignore"):
+            trace = solve(*case[1:4])
+        assert trace.mass_log.tolist() == [np.inf]
 
     def test_cases_cover_every_diagnostic_with_rows_recorded(self):
         kinds = {
