@@ -27,9 +27,11 @@ from .errors import (
     InfeasibleConfigError,
     InputDataError,
     SolverDivergenceError,
+    read_table,
     require_float,
     require_floats,
     require_keys,
+    require_string,
 )
 from .grid import Grid
 from .langevin import SdeSpec, SimPlan, simulate, write_ensemble_csv, write_ensemble_sidecar
@@ -50,34 +52,37 @@ from .solver import INTEGRATORS, SolverConfig
 __all__ = ["main", "build_parser"]
 
 
+def _read_x0(value, what: str) -> dict:
+    x0 = require_keys(value, what, ("kind", "params"))
+    params = require_floats(x0["params"], f"{what}.params")
+    return {"x0_kind": x0["kind"], "x0_params": params}
+
+
+# One row per simulation-config key: (dotted key, reader, required); with
+# "." turned into "_" each key names an SdeSpec or SimPlan argument, and
+# x0 reads into two.
+_SIM_KEYS = (
+    ("drift.kind", require_string, True),
+    ("drift.params", require_floats, True),
+    ("noise.kind", require_string, True),
+    ("noise.params", require_floats, True),
+    ("n_trajectories", None, True),
+    ("dt", require_float, True),
+    ("horizon", require_float, True),
+    ("stride", None, False),
+    ("x0", _read_x0, False),
+    ("seed", None, False),
+)
+
+
 def _simulate_inputs(raw: dict, path) -> tuple[SdeSpec, SimPlan]:
     try:
-        require_keys(
-            raw,
-            "config",
-            ("drift", "noise", "n_trajectories", "dt", "horizon"),
-            allowed=("stride", "x0", "seed"),
-        )
-        drift = require_keys(raw["drift"], "drift", ("kind", "params"))
-        noise = require_keys(raw["noise"], "noise", ("kind", "params"))
-        if "x0" in raw:
-            require_keys(raw["x0"], "x0", ("kind", "params"))
-        spec = SdeSpec(
-            drift_kind=drift["kind"],
-            drift_params=require_floats(drift["params"], "drift.params"),
-            noise_kind=noise["kind"],
-            noise_params=require_floats(noise["params"], "noise.params"),
-        )
-        dt = require_float(raw["dt"], "dt")
-        horizon = require_float(raw["horizon"], "horizon")
+        values, _ = read_table(raw, "config", _SIM_KEYS)
         # keys the config leaves out take SimPlan's defaults
-        optional = {key: raw[key] for key in ("stride", "seed") if key in raw}
-        if "x0" in raw:
-            optional["x0_kind"] = raw["x0"]["kind"]
-            optional["x0_params"] = require_floats(raw["x0"]["params"], "x0.params")
-        plan = SimPlan(
-            n_trajectories=raw["n_trajectories"], dt=dt, horizon=horizon, **optional
-        )
+        kwargs = {key.replace(".", "_"): value for key, value in values.items()}
+        kwargs.update(kwargs.pop("x0", {}))
+        spec = SdeSpec(**{f.name: kwargs.pop(f.name) for f in dataclasses.fields(SdeSpec)})
+        plan = SimPlan(**kwargs)
     except InputDataError as exc:
         raise InputDataError(f"{path}: {exc}") from None
     return spec, plan

@@ -87,3 +87,36 @@ def require_keys(section, where: str, required=(), allowed=()) -> dict:
     if missing:
         raise InputDataError(f"{where} section needs {' and '.join(missing)}")
     return section
+
+
+def read_table(raw, where: str, table) -> tuple[dict, list[str]]:
+    """The values that the config document raw gives for the keys of
+    table, each read by its row's reader, and the optional keys it
+    leaves out.
+
+    Each row begins (dotted key, reader, required). A key "s.name"
+    lives in the JSON object raw["s"], which must be present; keys
+    outside the table are refused at both levels, all through
+    require_keys. A reader is called as reader(value, dotted key), and
+    None keeps the value as given. The absent keys list section keys
+    first, then top-level keys, each in table order.
+    """
+    rows = [(*key.rpartition("."), read, required) for key, read, required, *_ in table]
+    sections = dict.fromkeys(section for section, *_ in rows if section)
+
+    def names(section: str, required: bool) -> tuple[str, ...]:
+        return tuple(n for s, _, n, _, r in rows if s == section and r == required)
+
+    docs = {"": require_keys(raw, where, names("", True), (*sections, *names("", False)))}
+    for s in sections:
+        docs[s] = require_keys(raw.get(s), s, names(s, True), names(s, False))
+    values, absent = {}, []
+    for section, dot, name, read, _ in rows:
+        key = section + dot + name
+        if name not in docs[section]:
+            absent.append(key)
+        else:
+            value = docs[section][name]
+            values[key] = value if read is None else read(value, key)
+    absent.sort(key=lambda key: "." not in key)
+    return values, absent

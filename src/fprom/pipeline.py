@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +40,13 @@ from .errors import (
     InfeasibleConfigError,
     InputDataError,
     SolverDivergenceError,
+    read_table,
     require_float,
     require_floats,
     require_integer,
     require_keys,
     require_seed,
+    require_string,
 )
 from .estimation import (
     MomentSeries,
@@ -119,6 +122,54 @@ def load_json_object(path) -> dict:
     return raw
 
 
+def _or_null(read):
+    """read, except that a JSON null stays None."""
+    return lambda value, what: None if value is None else read(value, what)
+
+
+def _read_bounds(value, what: str) -> tuple[tuple[float, float], ...]:
+    try:
+        return tuple((float(a), float(b)) for a, b in value)
+    except (TypeError, ValueError) as exc:
+        raise InputDataError(f"{what} must be a list of [lower, upper] pairs") from exc
+
+
+def _read_pair(value, what: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise InputDataError(f"{what} must be a [lo, hi] pair")
+    return require_floats(value, what)
+
+
+# One row per run-config key, in report order: (dotted key, reader,
+# required, RunConfig attribute). Integers are read by the dataclasses'
+# require_integer, so they pass through with no reader.
+_RUN_KEYS = (
+    ("input.mode", require_string, True, "input_mode"),
+    ("input.path", require_string, True, "input_path"),
+    ("grid.x_min", require_float, True, "grid.x_min"),
+    ("grid.x_max", require_float, True, "grid.x_max"),
+    ("grid.n_points", None, True, "grid.n_points"),
+    ("transform", require_string, False, "transform.kind"),
+    ("method", require_string, False, "method"),
+    ("drift_degree", None, False, "drift_degree"),
+    ("diff_degree", None, False, "diff_degree"),
+    ("solver.integrator", require_string, False, "solver.integrator"),
+    ("solver.dt", require_float, True, "solver.dt"),
+    ("smoothing_lambda", require_float, False, "smoothing_lambda"),
+    ("split.train_end", require_float, True, "train_end"),
+    ("split.truncate_start", _or_null(require_float), False, "truncate_start"),
+    ("bounds", _or_null(_read_bounds), False, "bounds"),
+    ("weights", _or_null(require_floats), False, "weights"),
+    ("distance", require_string, False, "distance"),
+    ("optimizer", require_string, False, "optimizer"),
+    ("budget", None, False, "budget"),
+    ("fit_window", _or_null(_read_pair), False, "fit_window"),
+    ("output_dir", _or_null(require_string), False, "output_dir"),
+    ("seed", None, False, "seed"),
+)
+_PARTS = {"grid": Grid, "transform": TransformSpec, "solver": SolverConfig}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run description.
@@ -135,7 +186,7 @@ class RunConfig:
     grid: Grid
     train_end: float
     solver: SolverConfig
-    transform: TransformSpec = TransformSpec("identity")
+    transform: TransformSpec = TransformSpec()
     method: str = "loss_minimization"
     drift_degree: int = 0
     diff_degree: int = 0
@@ -200,84 +251,19 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path | None = None) -> "RunConfig":
-        # every field with a default, bar truncate_start (a split key) and
-        # defaulted, is an optional top-level key; absent ones keep it
-        optional = [
-            f
-            for f in fields(cls)
-            if f.default is not MISSING
-            and f.name not in ("truncate_start", "defaulted")
-        ]
-        sections = ("input", "grid", "split", "solver")
-        require_keys(raw, "config", allowed=sections + tuple(f.name for f in optional))
-
-        section = require_keys(raw.get("input"), "input", ("mode", "path"))
-        input_mode = section["mode"]
-        input_path = str(section["path"])
-        if base_dir is not None and not os.path.isabs(input_path):
-            input_path = str(Path(base_dir) / input_path)
-
-        section = require_keys(raw.get("grid"), "grid", ("x_min", "x_max", "n_points"))
-        x_min = require_float(section["x_min"], "grid.x_min")
-        x_max = require_float(section["x_max"], "grid.x_max")
-        grid = Grid(x_min=x_min, x_max=x_max, n_points=section["n_points"])
-
-        defaulted = []
-        section = require_keys(
-            raw.get("solver"), "solver", ("dt",), allowed=("integrator",)
-        )
-        solver_kwargs = {"dt": require_float(section["dt"], "solver.dt")}
-        if "integrator" in section:
-            solver_kwargs["integrator"] = section["integrator"]
-        else:
-            defaulted.append("solver.integrator")
-        solver = SolverConfig(**solver_kwargs)
-
-        section = require_keys(
-            raw.get("split"), "split", ("train_end",), allowed=("truncate_start",)
-        )
-        train_end = require_float(section["train_end"], "split.train_end")
-        truncate_start = section.get("truncate_start")
-        if truncate_start is not None:
-            truncate_start = require_float(truncate_start, "split.truncate_start")
-        if "truncate_start" not in section:
-            defaulted.append("split.truncate_start")
-
-        kwargs = {f.name: raw[f.name] for f in optional if f.name in raw}
-        defaulted.extend(f.name for f in optional if f.name not in raw)
-        if "transform" in kwargs:
-            kwargs["transform"] = TransformSpec(str(kwargs["transform"]))
-        if "smoothing_lambda" in kwargs:
-            kwargs["smoothing_lambda"] = require_float(
-                kwargs["smoothing_lambda"], "smoothing_lambda"
-            )
-        if kwargs.get("bounds") is not None:
-            try:
-                kwargs["bounds"] = tuple(
-                    (float(a), float(b)) for a, b in kwargs["bounds"]
-                )
-            except (TypeError, ValueError) as exc:
-                raise InputDataError(
-                    "bounds must be a list of [lower, upper] pairs"
-                ) from exc
-        if kwargs.get("weights") is not None:
-            kwargs["weights"] = require_floats(kwargs["weights"], "weights")
-        if kwargs.get("fit_window") is not None:
-            window = kwargs["fit_window"]
-            if not isinstance(window, (list, tuple)) or len(window) != 2:
-                raise InputDataError("fit_window must be a [lo, hi] pair")
-            kwargs["fit_window"] = require_floats(window, "fit_window")
-
-        return cls(
-            input_mode=input_mode,
-            input_path=input_path,
-            grid=grid,
-            train_end=train_end,
-            solver=solver,
-            truncate_start=truncate_start,
-            defaulted=tuple(defaulted),
-            **kwargs,
-        )
+        values, absent = read_table(raw, "config", _RUN_KEYS)
+        # an attribute "part.name" is an argument of the _PARTS dataclass in
+        # field part; keys the config leaves out keep the dataclass defaults
+        parts: dict[str, dict] = {}
+        for key, _, _, attr in _RUN_KEYS:
+            if key in values:
+                owner, _, name = attr.rpartition(".")
+                parts.setdefault(owner, {})[name] = values[key]
+        kwargs = parts.pop("")
+        kwargs.update({owner: _PARTS[owner](**args) for owner, args in parts.items()})
+        if base_dir is not None and not os.path.isabs(kwargs["input_path"]):
+            kwargs["input_path"] = str(Path(base_dir) / kwargs["input_path"])
+        return cls(**kwargs, defaulted=tuple(absent))
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -286,32 +272,16 @@ class RunConfig:
         return cls.from_dict(load_json_object(path), base_dir=Path(path).parent)
 
     def report_items(self) -> list[tuple[str, str]]:
-        """Effective settings as ordered key=value material."""
+        """Effective settings as ordered key=value material: every config
+        key in table order, with "." turned into "_", then defaulted.
+        The output directory is where the report goes, not a setting."""
         items = [
-            ("input_mode", self.input_mode),
-            ("input_path", self.input_path),
-            ("grid_x_min", self.grid.x_min),
-            ("grid_x_max", self.grid.x_max),
-            ("grid_n_points", self.grid.n_points),
-            ("transform", self.transform.kind),
-            ("method", self.method),
-            ("drift_degree", self.drift_degree),
-            ("diff_degree", self.diff_degree),
-            ("solver_integrator", self.solver.integrator),
-            ("solver_dt", self.solver.dt),
-            ("smoothing_lambda", self.smoothing_lambda),
-            ("split_train_end", self.train_end),
-            ("split_truncate_start", self.truncate_start),
-            ("bounds", self.bounds),
-            ("weights", self.weights),
-            ("distance", self.distance),
-            ("optimizer", self.optimizer),
-            ("budget", self.budget),
-            ("fit_window", self.fit_window),
-            ("seed", self.seed),
-            ("defaulted", ",".join(self.defaulted) if self.defaulted else "none"),
+            (key.replace(".", "_"), _fmt(attrgetter(attr)(self)))
+            for key, _, _, attr in _RUN_KEYS
+            if attr != "output_dir"
         ]
-        return [(k, _fmt(v)) for k, v in items]
+        items.append(("defaulted", ",".join(self.defaulted) or "none"))
+        return items
 
 
 @dataclass(frozen=True)
@@ -397,18 +367,18 @@ def load_artifact(path) -> RomArtifact:
         ),
     )
     try:
-        grid = Grid(**payload["grid"])
-        model = CoefficientModel(
-            drift_poly=tuple(payload["model"]["drift_poly"]),
-            diff_poly=tuple(payload["model"]["diff_poly"]),
+        grid = Grid(**require_keys(payload["grid"], "grid", ("x_min", "x_max", "n_points")))
+        poly = require_keys(payload["model"], "model", ("drift_poly", "diff_poly"))
+        model = CoefficientModel(**poly)
+        dens = require_keys(
+            payload["initial_density"], "initial_density", ("time_stamp", "values")
         )
-        dens = payload["initial_density"]
         f0 = DensityField(
             grid=grid,
             values=np.asarray(dens["values"], dtype=float),
             time_stamp=float(dens["time_stamp"]),
         )
-        meta = payload["metadata"]
+        meta = require_keys(payload["metadata"], "metadata", ("method", "loss", "seed"))
         return RomArtifact(
             model=model,
             transform=TransformSpec(payload["transform"]),

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fprom import CoefficientModel, Grid, RomArtifact, SimPlan
+from fprom import CoefficientModel, Grid, RomArtifact, RunConfig, SimPlan
 from fprom.analytic import drift_diffusion_density, gaussian_density
 from fprom.density import read_density_csv, write_density_csv
 from fprom.sampling import TransformSpec
@@ -167,6 +167,7 @@ class TestSimulate:
         "key, value, message",
         [
             ("horizon", None, "config section needs horizon"),
+            ("drift", None, "config is missing the 'drift' section"),
             ("volatility", 2.0, "unknown config key(s): volatility"),
             ("drift", {"kind": "constant"}, "drift section needs params"),
             ("noise", {"kind": "constant", "params": [1.0], "scale": 2}, "unknown noise key(s): scale"),
@@ -424,6 +425,42 @@ class TestTrainAndCalibrate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "artifact.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "estimate"])
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            # once a TypeError traceback with exit code 1
+            (("output_dir",), 5),
+            (("output_dir",), True),
+            # once read as files named "None" and "['e.csv']"
+            (("input", "path"), None),
+            (("input", "path"), ["e.csv"]),
+            # once exit code 4, as a name outside the known ones
+            (("input", "mode"), ["ensemble"]),
+            (("transform",), None),
+            (("method",), 1),
+            (("distance",), ["kl"]),
+            (("optimizer",), {}),
+            (("solver", "integrator"), 4),
+        ],
+        ids=lambda v: ".".join(v) if isinstance(v, tuple) else type(v).__name__,
+    )
+    def test_non_string_field_exits_2(
+        self, cli_workspace, tmp_path, capsys, command, path, value
+    ):
+        raw = json.loads((cli_workspace / "run.json").read_text())
+        raw["input"]["path"] = str(cli_workspace / "ensemble.csv")
+        section = raw
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        (tmp_path / "bad.json").write_text(json.dumps(raw))
+        assert main([command, "--config", str(tmp_path / "bad.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {'.'.join(path)} must be a string, got {value!r}\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
     @pytest.mark.parametrize("key", ["x_min", "x_max", "n_points"])
     def test_missing_grid_key_exits_2(self, cli_workspace, tmp_path, capsys, key):
         raw = json.loads((cli_workspace / "run.json").read_text())
@@ -562,6 +599,20 @@ class TestPredictAndValidate:
             main(args + ["--boundary", "zero_flux"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --boundary zero_flux" in capsys.readouterr().err
+        assert not (tmp_path / "pred").exists()
+
+    @pytest.mark.parametrize("section", ["grid", "model", "initial_density", "metadata"])
+    def test_predict_refuses_unknown_section_key(self, trained, tmp_path, capsys, section):
+        payload = json.loads(trained.read_text())
+        payload[section]["typo"] = 1
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(payload))
+        args = ["predict", "--artifact", str(path), "--horizon", "1.0", "--times", "1.0",
+                "--dt", "0.05", "--output-dir", str(tmp_path / "pred")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed artifact (unknown {section} key(s): typo)\n"
+        )
         assert not (tmp_path / "pred").exists()
 
     def test_predict_missing_artifact_exits_2(self, tmp_path, capsys):
@@ -766,6 +817,41 @@ class TestJsonInputs:
         assert err.count("\n") == 1
         assert not (tmp_path / "ens.csv").exists()
         assert not (tmp_path / "out").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_json(heading):
+    """The first ```json block in the README section under heading."""
+    section = README.read_text().split(f"\n{heading}\n", 1)[1].split("\n#", 1)[0]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+class TestReadmeConfigs:
+    """The README's example configs are read by the readers the CLI uses."""
+
+    def test_simulation_config(self):
+        raw = _readme_json("### Simulation config (JSON)")
+        spec, plan = _simulate_inputs(raw, "README.md")
+        assert (spec.drift_kind, spec.noise_kind, plan.x0_kind) == (
+            raw["drift"]["kind"], raw["noise"]["kind"], raw["x0"]["kind"]
+        )
+        assert (plan.n_trajectories, plan.stride, plan.seed) == (
+            raw["n_trajectories"], raw["stride"], raw["seed"]
+        )
+
+    def test_run_config(self):
+        raw = _readme_json("### Run config (JSON)")
+        config = RunConfig.from_dict(raw)
+        assert (config.input_path, config.grid.n_points, config.budget) == (
+            raw["input"]["path"], raw["grid"]["n_points"], raw["budget"]
+        )
+        # section keys first, then top-level keys, each in the report's order
+        assert config.defaulted == (
+            "solver.integrator", "transform", "drift_degree", "diff_degree",
+            "smoothing_lambda", "weights", "distance", "fit_window", "output_dir",
+        )
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -233,6 +233,65 @@ class TestRunConfig:
         assert "defaulted" in items
 
 
+    def test_report_items_are_the_config_keys_in_order(self, workspace):
+        raw = {
+            "input": {"mode": "ensemble", "path": "x.csv"},
+            "grid": {"x_min": -5.0, "x_max": 5.0, "n_points": 129},
+            "transform": "log_x",
+            "method": "moment_regression",
+            "drift_degree": 1,
+            "diff_degree": 2,
+            "solver": {"integrator": "explicit_rk4", "dt": 0.01},
+            "smoothing_lambda": 0.001,
+            "split": {"train_end": 0.5, "truncate_start": 0.25},
+            "bounds": [[-1, 1], [-1, 1], [0, 1], [0, 1], [0, 1]],
+            "weights": [1, 2],
+            "distance": "l2",
+            "optimizer": "nelder_mead",
+            "budget": 50,
+            "fit_window": [0.25, 0.5],
+            "output_dir": "out",
+            "seed": 3,
+        }
+        config = RunConfig.from_dict(raw)
+        assert config.defaulted == ()
+        assert config.report_items() == [
+            ("input_mode", "ensemble"),
+            ("input_path", "x.csv"),
+            ("grid_x_min", "-5.0"),
+            ("grid_x_max", "5.0"),
+            ("grid_n_points", "129"),
+            ("transform", "log_x"),
+            ("method", "moment_regression"),
+            ("drift_degree", "1"),
+            ("diff_degree", "2"),
+            ("solver_integrator", "explicit_rk4"),
+            ("solver_dt", "0.01"),
+            ("smoothing_lambda", "0.001"),
+            ("split_train_end", "0.5"),
+            ("split_truncate_start", "0.25"),
+            ("bounds", "[[-1.0, 1.0], [-1.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]"),
+            ("weights", "[1.0, 2.0]"),
+            ("distance", "l2"),
+            ("optimizer", "nelder_mead"),
+            ("budget", "50"),
+            ("fit_window", "[0.25, 0.5]"),
+            ("seed", "3"),
+            ("defaulted", "none"),
+        ]
+        # each report key is its config key with "." turned into "_";
+        # output_dir, where the report goes, is the one key not reported
+        dotted = [
+            f"{key}.{name}" if isinstance(value, dict) else key
+            for key, value in raw.items()
+            for name in (value if isinstance(value, dict) else (None,))
+        ]
+        reported = [key for key, _ in config.report_items()][:-1]
+        assert sorted(reported) == sorted(
+            key.replace(".", "_") for key in dotted if key != "output_dir"
+        )
+
+
 class TestResolveOutputDir:
     def test_precedence(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path / "env"))
