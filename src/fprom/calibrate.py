@@ -12,13 +12,16 @@ draws inside the bounds. Everything is deterministic per seed.
 The Nelder-Mead search (Nelder & Mead, Comput. J. 7, 1965) is scipy's
 non-adaptive `_minimize_neldermead`, implemented in this module so that
 importing fprom does not import scipy.optimize: reflection 1,
-expansion 2, contraction 1/2 and shrink 1/2; a first simplex that moves
-each coordinate of the start by 5 % (to 0.00025 where it is zero); and
-the stopping rule xatol 1e-6 with fatol 1e-12 or the evaluation budget;
-1e-12 lies above the loss's rounding noise, about 1e-13 at 513 nodes.
-It evaluates the same points in the same order as
-``scipy.optimize.minimize(method="Nelder-Mead")`` with those options,
-so results do not depend on the version of scipy's optimiser.
+expansion 2, contraction 1/2 and shrink 1/2; and the stopping rule
+xatol 1e-6 with fatol 1e-12 or the evaluation budget; 1e-12 lies above
+the loss's rounding noise, about 1e-13 at 513 nodes. The first simplex
+moves each coordinate of the start by 5 % of its value, as scipy's
+default does, or by 5 % of its bounds width where it is zero (scipy's
+default step there, 0.00025, left a start at the middle of a symmetric
+box crawling). It evaluates the same points in the same order as
+``scipy.optimize.minimize(method="Nelder-Mead")`` given that simplex as
+``initial_simplex``, so results do not depend on the version of
+scipy's optimiser.
 """
 
 from __future__ import annotations
@@ -209,16 +212,26 @@ class _BudgetSpent(Exception):
     """The evaluation budget ran out in the middle of a simplex step."""
 
 
-def _nelder_mead(func, x0, maxfev: int) -> tuple[np.ndarray, float, bool]:
-    """Minimize func from x0 by at most maxfev evaluations.
+def _first_simplex(x0: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The (n + 1, n) simplex whose vertex k + 1 moves coordinate k of x0
+    to 1.05 x0[k], or to 0.05 width[k] where x0[k] is zero."""
+    sim = np.tile(x0, (x0.size + 1, 1))
+    for k in range(x0.size):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.05 * width[k]
+    return sim
 
-    Line for line scipy's `_minimize_neldermead` without bounds, initial
-    simplex or iteration cap (see the module docstring). A step that the
-    budget cuts short stops where scipy's `_MaxFuncCallError` stops it:
-    an expansion or contraction stores nothing, and a shrink leaves the
-    vertex it just moved with its old value. Returns the best vertex,
-    its value and whether the tolerances stopped the search before the
-    budget did.
+
+def _nelder_mead(func, sim, maxfev: int) -> tuple[np.ndarray, float, bool]:
+    """Minimize func from the (n + 1, n) first simplex sim by at most
+    maxfev evaluations.
+
+    Line for line scipy's `_minimize_neldermead` given sim as its
+    ``initial_simplex``, without bounds or iteration cap (see the module
+    docstring). A step that the budget cuts short stops where scipy's
+    `_MaxFuncCallError` stops it: an expansion or contraction stores
+    nothing, and a shrink leaves the vertex it just moved with its old
+    value. Returns the best vertex, its value and whether the tolerances
+    stopped the search before the budget did.
     """
     n_calls = 0
 
@@ -229,14 +242,8 @@ def _nelder_mead(func, x0, maxfev: int) -> tuple[np.ndarray, float, bool]:
         n_calls += 1
         return func(np.copy(x))
 
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
+    sim = np.array(sim, dtype=float)
+    n = sim.shape[1]
     fsim = np.full(n + 1, np.inf)
     try:
         for k in range(n + 1):
@@ -299,8 +306,7 @@ def _nelder_mead(func, x0, maxfev: int) -> tuple[np.ndarray, float, bool]:
 class CalibrationResult:
     """Best model found plus bookkeeping.
 
-    final_loss re-evaluates the returned model and matches
-    loss(problem, best params) bit for bit.
+    final_loss matches loss(problem, best params) bit for bit.
     """
 
     model: CoefficientModel
@@ -319,9 +325,13 @@ def calibrate(
 
     "nelder_mead" runs once from the box midpoint; the multistart
     variant adds 8 uniform starts drawn inside the box and splits the
-    budget evenly. Search iterates on a clipped copy of the point with
+    budget evenly. Each search begins from _first_simplex of its start
+    and the box widths, and iterates on a clipped copy of the point with
     a quadratic charge for leaving the box, so returned coefficients
-    always respect the bounds. Ties keep the earliest start.
+    always respect the bounds. Ties keep the earliest start. final_loss
+    is the loss the search already computed at the returned point, or a
+    new solve where a budget-cut shrink moved that point without
+    evaluating it.
     """
     if optimizer not in OPTIMIZERS:
         raise InfeasibleConfigError(f"unknown optimizer {optimizer!r}")
@@ -331,12 +341,15 @@ def calibrate(
     hi = np.asarray([b for _, b in problem.bounds])
 
     n_evals = 0
+    # loss at each clipped point the search evaluated, keyed by its bytes
+    losses: dict[bytes, float] = {}
 
     def objective(p: np.ndarray) -> float:
         nonlocal n_evals
         pc = np.clip(p, lo, hi)
         n_evals += 1
-        return loss(problem, pc) + _EXCURSION_WEIGHT * float(np.sum((p - pc) ** 2))
+        value = losses[pc.tobytes()] = loss(problem, pc)
+        return value + _EXCURSION_WEIGHT * float(np.sum((p - pc) ** 2))
 
     if optimizer == "nelder_mead":
         starts = [0.5 * (lo + hi)]
@@ -350,16 +363,17 @@ def calibrate(
     best_val = np.inf
     converged = False
     for x0 in starts:
-        x, fun, success = _nelder_mead(objective, x0, per_start)
+        x, fun, success = _nelder_mead(objective, _first_simplex(x0, hi - lo), per_start)
         if fun < best_val:
             best_val = fun
             best_x = np.clip(x, lo, hi)
             converged = success
 
-    final_model = problem.model_from_params(best_x)
-    final_loss = loss(problem, best_x)
+    final_loss = losses.get(best_x.tobytes())
+    if final_loss is None:
+        final_loss = loss(problem, best_x)
     return CalibrationResult(
-        model=final_model,
+        model=problem.model_from_params(best_x),
         final_loss=final_loss,
         n_evaluations=n_evals,
         converged=converged,

@@ -72,12 +72,15 @@ def require_string(value, what: str) -> str:
     return value
 
 
-def require_keys(section, where: str, required=(), allowed=()) -> dict:
+def require_keys(
+    section, where: str, required=(), allowed=(), document: str = "config"
+) -> dict:
     """section itself, refused with an InputDataError unless it is a
-    JSON object (None reads as a missing section) holding every key in
-    required and no key outside required and allowed."""
+    JSON object (None reads as a section missing from the named
+    document) holding every key in required and no key outside required
+    and allowed."""
     if section is None:
-        raise InputDataError(f"config is missing the {where!r} section")
+        raise InputDataError(f"{document} is missing the {where!r} section")
     if not isinstance(section, dict):
         raise InputDataError(f"{where} must be a JSON object")
     unknown = sorted(set(section) - set(required) - set(allowed))

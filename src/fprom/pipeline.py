@@ -268,8 +268,13 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         """Load a JSON run config; relative input paths resolve against
-        the config file's directory."""
-        return cls.from_dict(load_json_object(path), base_dir=Path(path).parent)
+        the config file's directory, and malformed-input refusals name
+        the file."""
+        raw = load_json_object(path)
+        try:
+            return cls.from_dict(raw, base_dir=Path(path).parent)
+        except InputDataError as exc:
+            raise InputDataError(f"{path}: {exc}") from None
 
     def report_items(self) -> list[tuple[str, str]]:
         """Effective settings as ordered key=value material: every config
@@ -352,33 +357,34 @@ def load_artifact(path) -> RomArtifact:
     payload = load_json_object(path)
     if payload.get("format") != _ARTIFACT_FORMAT:
         raise InputDataError(f"{path}: not a {_ARTIFACT_FORMAT} file")
-    require_keys(
-        payload,
-        "artifact",
-        allowed=(
-            "format",
-            "tool_version",
-            "grid",
-            "model",
-            "transform",
-            "train_window",
-            "initial_density",
-            "metadata",
-        ),
-    )
+
+    def section(name: str, required: tuple[str, ...]) -> dict:
+        return require_keys(payload.get(name), name, required, document="artifact")
+
     try:
-        grid = Grid(**require_keys(payload["grid"], "grid", ("x_min", "x_max", "n_points")))
-        poly = require_keys(payload["model"], "model", ("drift_poly", "diff_poly"))
-        model = CoefficientModel(**poly)
-        dens = require_keys(
-            payload["initial_density"], "initial_density", ("time_stamp", "values")
+        require_keys(
+            payload,
+            "artifact",
+            allowed=(
+                "format",
+                "tool_version",
+                "grid",
+                "model",
+                "transform",
+                "train_window",
+                "initial_density",
+                "metadata",
+            ),
         )
+        grid = Grid(**section("grid", ("x_min", "x_max", "n_points")))
+        model = CoefficientModel(**section("model", ("drift_poly", "diff_poly")))
+        dens = section("initial_density", ("time_stamp", "values"))
         f0 = DensityField(
             grid=grid,
             values=np.asarray(dens["values"], dtype=float),
             time_stamp=float(dens["time_stamp"]),
         )
-        meta = require_keys(payload["metadata"], "metadata", ("method", "loss", "seed"))
+        meta = section("metadata", ("method", "loss", "seed"))
         return RomArtifact(
             model=model,
             transform=TransformSpec(payload["transform"]),

@@ -8,8 +8,18 @@ from scipy.optimize import minimize
 
 from fprom import CalibrationProblem, DensityField, Grid, SolverConfig, calibrate
 from fprom.analytic import drift_diffusion_density, gaussian_density
-from fprom.calibrate import _SIMPLEX_TOL, _VALUE_TOL, PENALTY_FLOOR, _nelder_mead, loss
+from fprom.calibrate import (
+    _SIMPLEX_TOL,
+    _VALUE_TOL,
+    PENALTY_FLOOR,
+    _first_simplex,
+    _nelder_mead,
+    loss,
+)
+from fprom.density import tikhonov_smooth
 from fprom.errors import InfeasibleConfigError
+from fprom.langevin import SdeSpec, SimPlan, ensemble_to_densities, simulate
+from fprom.pipeline import split
 from test_density import reference_kl_row
 from test_solver import reference_solve
 
@@ -451,6 +461,31 @@ class TestCalibrate:
         params = list(result.model.drift_poly) + list(result.model.diff_poly)
         assert result.final_loss == loss(problem, params)
 
+    def test_final_loss_reuses_the_searched_value(self, monkeypatch):
+        module = importlib.import_module("fprom.calibrate")
+        problem = diffusion_problem()
+        solved = []
+
+        def counted(problem, params):
+            solved.append(np.array(params, copy=True))
+            return loss(problem, params)
+
+        monkeypatch.setattr(module, "loss", counted)
+        result = calibrate(problem, optimizer="nelder_mead", budget=60)
+        assert len(solved) == result.n_evaluations
+
+        # a vertex that the search never evaluated is solved once more
+        def unevaluated(func, sim, maxfev):
+            return sim[1], func(sim[0]) - 1.0, False
+
+        monkeypatch.setattr(module, "_nelder_mead", unevaluated)
+        solved.clear()
+        result = calibrate(problem, optimizer="nelder_mead", budget=60)
+        assert result.n_evaluations == 1 and len(solved) == 2
+        params = list(result.model.drift_poly) + list(result.model.diff_poly)
+        assert params == solved[1].tolist() != solved[0].tolist()
+        assert result.final_loss == loss(problem, params)
+
     def test_result_respects_bounds(self):
         problem = diffusion_problem()
         result = calibrate(problem, budget=80, seed=3)
@@ -488,24 +523,42 @@ def _recording(func):
     return wrapped, points
 
 
-def _scipy_nelder_mead(func, x0, maxfev):
-    res = minimize(
-        func,
-        x0,
-        method="Nelder-Mead",
-        options=dict(xatol=_SIMPLEX_TOL, fatol=_VALUE_TOL, maxfev=maxfev),
-    )
+def _scipy_nelder_mead(func, sim, maxfev, default_simplex=False):
+    """scipy's search from the first simplex sim, or from the simplex
+    scipy builds around sim[0] itself when default_simplex is set."""
+    options = dict(xatol=_SIMPLEX_TOL, fatol=_VALUE_TOL, maxfev=maxfev)
+    if not default_simplex:
+        options["initial_simplex"] = sim
+    res = minimize(func, sim[0], method="Nelder-Mead", options=options)
     return res.x, res.fun, res.success
 
 
-def _assert_matches_scipy(func, x0, maxfev):
+def _scipy_default_simplex(x0):
+    """scipy's default first simplex: vertex k + 1 moves coordinate k to
+    1.05 x0[k], or to 0.00025 where x0[k] is zero."""
+    x0 = np.asarray(x0, dtype=float)
+    sim = np.tile(x0, (x0.size + 1, 1))
+    for k in range(x0.size):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    return sim
+
+
+def _assert_matches_scipy(func, x0, maxfev, width=None):
     """Both searches evaluate the same points in the same order and
     return the same point, value and flag, bit for bit; returns the
-    points."""
+    points. Without width both start from scipy's default simplex,
+    which scipy builds itself; with it ours starts from
+    _first_simplex(x0, width) and scipy is given that simplex."""
+    if width is None:
+        sim = _scipy_default_simplex(x0)
+    else:
+        sim = _first_simplex(x0, width)
     ours, our_points = _recording(func)
     theirs, their_points = _recording(func)
-    x, fun, ok = _nelder_mead(ours, x0, maxfev)
-    x_ref, fun_ref, ok_ref = _scipy_nelder_mead(theirs, x0, maxfev)
+    x, fun, ok = _nelder_mead(ours, sim, maxfev)
+    x_ref, fun_ref, ok_ref = _scipy_nelder_mead(
+        theirs, sim, maxfev, default_simplex=width is None
+    )
     assert len(our_points) == len(their_points) <= maxfev
     for a, b in zip(our_points, their_points):
         assert a.tobytes() == b.tobytes()
@@ -548,6 +601,21 @@ class TestNelderMeadMatchesScipy:
         for maxfev in [*range(1, 41), 60, 90, 120]:
             _assert_matches_scipy(func, x0, maxfev)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "kind", ["smooth", "rosenbrock", "non_smooth", "tied", "constant"]
+    )
+    def test_every_budget_from_a_box_scaled_simplex(self, kind, n):
+        """Starts with zero coordinates, as at the middle of a symmetric
+        box, whose first steps are 5 % of the box widths."""
+        rng = np.random.default_rng(200 + n)
+        x0 = rng.normal(size=n)
+        x0[::2] = 0.0
+        width = rng.uniform(0.5, 4.0, size=n)
+        func = _objective(kind, n, seed=n)
+        for maxfev in [*range(1, 41), 60, 90, 120]:
+            _assert_matches_scipy(func, x0, maxfev, width)
+
     @pytest.mark.parametrize(
         "func, cut_step",
         [
@@ -564,7 +632,7 @@ class TestNelderMeadMatchesScipy:
         points = _assert_matches_scipy(func, np.array([1.0]), 10)
         assert points[2][0] == 2 * 1.0 - 1.05
         assert points[3][0] == cut_step(1.0, 1.05)
-        x, fun, ok = _nelder_mead(func, np.array([1.0]), 3)
+        x, fun, ok = _nelder_mead(func, np.array([[1.0], [1.05]]), 3)
         assert (x[0], fun, ok) == (1.0, func(np.array([1.0])), False)
         _assert_matches_scipy(func, np.array([1.0]), 3)
 
@@ -589,10 +657,64 @@ class TestNelderMeadMatchesScipy:
         func = _objective("smooth", 2, seed=0)
         x0 = np.array([0.5, -0.5])
         used = len(_assert_matches_scipy(func, x0, 10_000))
-        x, _, ok = _nelder_mead(func, x0, used + 1)
-        x_cut, _, ok_cut = _nelder_mead(func, x0, used)
+        sim = _scipy_default_simplex(x0)
+        x, _, ok = _nelder_mead(func, sim, used + 1)
+        x_cut, _, ok_cut = _nelder_mead(func, sim, used)
         assert ok and not ok_cut
         assert x.tobytes() == x_cut.tobytes()
+
+
+class TestFirstSimplex:
+    def test_zero_coordinate_moves_by_five_percent_of_its_box(self):
+        x0 = np.array([0.0, 2.0, -1.0, 0.0])
+        width = np.array([4.0, 1.0, 3.0, 0.5])
+        sim = _first_simplex(x0, width)
+        expected = np.tile(x0, (5, 1))
+        expected[1, 0] = 0.05 * 4.0
+        expected[2, 1] = 1.05 * 2.0
+        expected[3, 2] = 1.05 * -1.0
+        expected[4, 3] = 0.05 * 0.5
+        assert sim.tobytes() == expected.tobytes()
+        assert x0.tolist() == [0.0, 2.0, -1.0, 0.0]
+
+    def test_nonzero_start_keeps_scipys_default(self):
+        x0 = np.random.default_rng(3).normal(size=4)
+        sim = _first_simplex(x0, np.full(4, 100.0))
+        assert sim.tobytes() == _scipy_default_simplex(x0).tobytes()
+
+
+def _workflow_sde_problem(seed):
+    """The workflow benchmark's training problem at its toy size: 2,000
+    trajectories of dx = dt + dW from 0, KDE densities on 129 nodes
+    over t in [0.5, 1] and a drift box [-2, 2] whose middle is 0."""
+    ensemble = simulate(
+        SdeSpec("constant", (1.0,), "constant", (1.0,)),
+        SimPlan(n_trajectories=2_000, dt=0.01, horizon=2.0, stride=10, seed=seed),
+    )
+    training, _ = split(ensemble, 1.0, 0.5)
+    fields = ensemble_to_densities(training, Grid(-6.0, 10.0, 129))
+    return CalibrationProblem(
+        initial_density=tikhonov_smooth(fields[0], lam=1e-6),
+        targets=tuple((f.time_stamp, f) for f in fields[1:]),
+        drift_degree=0,
+        diff_degree=0,
+        bounds=((-2.0, 2.0), (1e-4, 2.0)),
+        solver=SolverConfig(dt=0.05),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_zero_start_converges_within_the_budget(seed):
+    """With a first drift step of 0.00025 this search spent all 100
+    evaluations without converging at seeds 0-7; a step of 5 % of the
+    box width converges in 94-99."""
+    result = calibrate(
+        _workflow_sde_problem(seed), optimizer="nelder_mead", budget=100, seed=seed
+    )
+    assert result.converged
+    assert result.n_evaluations < 100
+    assert abs(result.model.drift_poly[0] - 1.0) < 0.1
+    assert abs(result.model.diff_poly[0] - 0.5) < 0.1
 
 
 def _cubic_problem():

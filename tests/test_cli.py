@@ -422,7 +422,7 @@ class TestTrainAndCalibrate:
         (tmp_path / "bad.json").write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert main(["train", "--config", str(tmp_path / "bad.json"), "--output-dir", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'bad.json'}: {message}\n"
         assert not (out / "artifact.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "estimate"])
@@ -457,7 +457,7 @@ class TestTrainAndCalibrate:
         (tmp_path / "bad.json").write_text(json.dumps(raw))
         assert main([command, "--config", str(tmp_path / "bad.json")]) == 2
         assert capsys.readouterr().err == (
-            f"error: {'.'.join(path)} must be a string, got {value!r}\n"
+            f"error: {tmp_path / 'bad.json'}: {'.'.join(path)} must be a string, got {value!r}\n"
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
@@ -469,7 +469,9 @@ class TestTrainAndCalibrate:
         (tmp_path / "bad.json").write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert main(["train", "--config", str(tmp_path / "bad.json"), "--output-dir", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: grid section needs {key}\n"
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'bad.json'}: grid section needs {key}\n"
+        )
         assert not out.exists()
 
     def test_integrator_from_the_config(self, cli_workspace, tmp_path, capsys):
@@ -497,7 +499,8 @@ class TestTrainAndCalibrate:
     @pytest.mark.parametrize(
         "window, code, message",
         [
-            ([0.5], 2, "fit_window must be a [lo, hi] pair"),
+            # malformed input (exit 2) is named by its file
+            ([0.5], 2, "bad.json: fit_window must be a [lo, hi] pair"),
             ([0.5, 0.25], 4, "fit_window must be a finite (lo, hi)"),
             ([0.5, 0.5], 4, "fit_window must be a finite (lo, hi)"),
         ],
@@ -509,7 +512,7 @@ class TestTrainAndCalibrate:
         raw["fit_window"] = window
         (tmp_path / "bad.json").write_text(json.dumps(raw))
         out = tmp_path / "out"
-        assert main(["train", "--config", str(tmp_path / "bad.json"), "--output-dir", str(out)]) == code
+        assert main(["train", "--config", "bad.json", "--output-dir", str(out)]) == code
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 

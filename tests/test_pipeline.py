@@ -224,6 +224,20 @@ class TestRunConfig:
         with pytest.raises(InputDataError, match="invalid JSON"):
             RunConfig.from_file(path)
 
+    def test_from_file_names_the_file_in_refusals(self, tmp_path):
+        raw = {
+            "input": {"mode": "ensemble", "path": "ens.csv"},
+            "grid": {"x_min": -5.0, "x_max": 5.0, "n_points": 129},
+            "split": {"train_end": 0.5},
+            "solver": {"dt": 0.05},
+            "method": 3,
+        }
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(InputDataError) as info:
+            RunConfig.from_file(path)
+        assert str(info.value) == f"{path}: method must be a string, got 3"
+
     def test_report_items_cover_every_setting(self, workspace):
         config = ensemble_config(workspace)
         items = dict(config.report_items())
@@ -359,8 +373,28 @@ class TestArtifact:
         payload = json.loads(path.read_text())
         payload["extra"] = 1
         path.write_text(json.dumps(payload))
-        with pytest.raises(InputDataError, match="unknown artifact key"):
+        with pytest.raises(InputDataError) as info:
             load_artifact(path)
+        assert str(info.value) == (
+            f"{path}: malformed artifact (unknown artifact key(s): extra)"
+        )
+
+    @pytest.mark.parametrize("section", ["grid", "model", "initial_density", "metadata"])
+    @pytest.mark.parametrize("absent", ["null", "deleted"])
+    def test_load_names_the_artifact_for_a_missing_section(self, tmp_path, section, absent):
+        path = tmp_path / "artifact.json"
+        save_artifact(self.make(), path)
+        payload = json.loads(path.read_text())
+        if absent == "null":
+            payload[section] = None
+        else:
+            del payload[section]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputDataError) as info:
+            load_artifact(path)
+        assert str(info.value) == (
+            f"{path}: malformed artifact (artifact is missing the {section!r} section)"
+        )
 
     def test_load_reports_malformed_content(self, tmp_path):
         art = self.make()
