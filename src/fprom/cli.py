@@ -83,8 +83,8 @@ def _simulate_inputs(raw: dict, path) -> tuple[SdeSpec, SimPlan]:
         kwargs.update(kwargs.pop("x0", {}))
         spec = SdeSpec(**{f.name: kwargs.pop(f.name) for f in dataclasses.fields(SdeSpec)})
         plan = SimPlan(**kwargs)
-    except InputDataError as exc:
-        raise InputDataError(f"{path}: {exc}") from None
+    except (InputDataError, InfeasibleConfigError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return spec, plan
 
 

@@ -290,10 +290,10 @@ def tikhonov_smooth(f: DensityField, lam: float = 1e-6) -> DensityField:
 
 def write_density_csv(f: DensityField, path) -> None:
     """Write the `x,f` two-column format; floats as shortest round-trip."""
+    rows = zip(f.grid.nodes.tolist(), f.values.tolist())
     with open(path, "w", newline="") as fh:
         fh.write("x,f\n")
-        for xi, fi in zip(f.grid.nodes, f.values):
-            fh.write(f"{float(xi)!r},{float(fi)!r}\n")
+        fh.write("".join([f"{xi!r},{fi!r}\n" for xi, fi in rows]))
 
 
 def _load_csv_table(path, dtype: np.dtype) -> np.ndarray | None:

@@ -268,13 +268,13 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         """Load a JSON run config; relative input paths resolve against
-        the config file's directory, and malformed-input refusals name
-        the file."""
+        the config file's directory, and refusals of its content, exit 2
+        or 4, name the file."""
         raw = load_json_object(path)
         try:
             return cls.from_dict(raw, base_dir=Path(path).parent)
-        except InputDataError as exc:
-            raise InputDataError(f"{path}: {exc}") from None
+        except (InputDataError, InfeasibleConfigError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
     def report_items(self) -> list[tuple[str, str]]:
         """Effective settings as ordered key=value material: every config

@@ -108,12 +108,13 @@ class TestSimulate:
         raw["seed"] = seed
         (tmp_path / "sim.json").write_text(json.dumps(raw))
         out = tmp_path / "ens.csv"
-        for args in (
-            ["--config", str(cli_workspace / "sim.json"), "--seed", str(seed)],
-            ["--config", str(tmp_path / "sim.json")],
+        # the flag is not read from the file, so only the file's seed names it
+        for args, where in (
+            (["--config", str(cli_workspace / "sim.json"), "--seed", str(seed)], ""),
+            (["--config", str(tmp_path / "sim.json")], f"{tmp_path / 'sim.json'}: "),
         ):
             assert main(["simulate", *args, "--output", str(out)]) == 4
-            assert capsys.readouterr().err == "error: seed must be in [0, 2**63)\n"
+            assert capsys.readouterr().err == f"error: {where}seed must be in [0, 2**63)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -126,7 +127,9 @@ class TestSimulate:
         (tmp_path / "sim.json").write_text(json.dumps(raw))
         out = tmp_path / "ens.csv"
         assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--output", str(out)]) == 4
-        assert capsys.readouterr().err == f"error: {key} must be an integer, got {value!r}\n"
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'sim.json'}: {key} must be an integer, got {value!r}\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -335,12 +338,12 @@ class TestTrainAndCalibrate:
         raw["seed"] = seed
         (tmp_path / "bad.json").write_text(json.dumps(raw))
         out = tmp_path / "out"
-        for args in (
-            ["--config", str(tmp_path / "run.json"), "--seed", str(seed)],
-            ["--config", str(tmp_path / "bad.json")],
+        for args, where in (
+            (["--config", str(tmp_path / "run.json"), "--seed", str(seed)], ""),
+            (["--config", str(tmp_path / "bad.json")], f"{tmp_path / 'bad.json'}: "),
         ):
             assert main(["train", *args, "--output-dir", str(out)]) == 4
-            assert capsys.readouterr().err == "error: seed must be in [0, 2**63)\n"
+            assert capsys.readouterr().err == f"error: {where}seed must be in [0, 2**63)\n"
         assert not (out / "artifact.json").exists()
 
     @pytest.mark.parametrize(
@@ -364,7 +367,7 @@ class TestTrainAndCalibrate:
         (tmp_path / "bad.json").write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert main(["train", "--config", str(tmp_path / "bad.json"), "--output-dir", str(out)]) == 4
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'bad.json'}: {message}\n"
         assert not (out / "artifact.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "estimate"])
@@ -394,7 +397,7 @@ class TestTrainAndCalibrate:
         (tmp_path / "bad.json").write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert main([command, "--config", str(tmp_path / "bad.json"), "--output-dir", str(out)]) == 4
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'bad.json'}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -499,10 +502,10 @@ class TestTrainAndCalibrate:
     @pytest.mark.parametrize(
         "window, code, message",
         [
-            # malformed input (exit 2) is named by its file
+            # malformed (exit 2) and infeasible (exit 4) alike name the file
             ([0.5], 2, "bad.json: fit_window must be a [lo, hi] pair"),
-            ([0.5, 0.25], 4, "fit_window must be a finite (lo, hi)"),
-            ([0.5, 0.5], 4, "fit_window must be a finite (lo, hi)"),
+            ([0.5, 0.25], 4, "bad.json: fit_window must be a finite (lo, hi)"),
+            ([0.5, 0.5], 4, "bad.json: fit_window must be a finite (lo, hi)"),
         ],
         ids=["one_element", "reversed", "empty"],
     )
@@ -821,6 +824,26 @@ class TestJsonInputs:
         assert not (tmp_path / "ens.csv").exists()
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, source, name, key, value, message",
+        [
+            ("train", "run.json", "r.json", "smoothing_lambda", -1,
+             "smoothing_lambda must be finite and > 0"),
+            ("simulate", "sim.json", "sim.json", "n_trajectories", 2.5,
+             "n_trajectories must be an integer, got 2.5"),
+        ],
+        ids=["run_config", "simulation_config"],
+    )
+    def test_infeasible_value_exits_4_naming_the_file(
+        self, cli_workspace, tmp_path, capsys, command, source, name, key, value, message
+    ):
+        raw = json.loads((cli_workspace / source).read_text())
+        raw[key] = value
+        (tmp_path / name).write_text(json.dumps(raw))
+        assert main([command, "--config", name]) == 4
+        assert capsys.readouterr().err == f"error: {name}: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -870,8 +893,20 @@ print(json.dumps([after_import, code, scipy_modules()]))
 """
 
 
-def _fresh_cli(argv, cwd):
-    """Run ``fprom <argv>`` in a new interpreter; return the scipy modules
+# runs the commands of the JSON list in sys.argv[1] one after another
+_FRESH_SEQUENCE = """
+import json, sys
+import fprom.cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    loaded.append([fprom.cli.main(argv), "orjson" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def _fresh_cli(argv, cwd, script=_FRESH_PROCESS):
+    """Run script, by default ``fprom <argv>``, in a new interpreter and
+    return what its last line prints: by default the scipy modules
     loaded after ``import fprom.cli``, the exit code and the scipy
     modules loaded when the command has run."""
     env = dict(os.environ)
@@ -879,7 +914,7 @@ def _fresh_cli(argv, cwd):
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_PROCESS, *map(str, argv)],
+        [sys.executable, "-c", script, *map(str, argv)],
         env=env,
         cwd=cwd,
         capture_output=True,
@@ -912,7 +947,8 @@ class TestImportCost:
     """Importing scipy.linalg costs more than numpy and fprom together,
     and scipy.optimize about a fifth of a second more; fprom needs no
     scipy.optimize, and scipy.linalg only where LAPACK runs: the
-    Crank-Nicolson solve and Tikhonov smoothing."""
+    Crank-Nicolson solve and Tikhonov smoothing. orjson costs a few
+    milliseconds and is loaded only where the ensemble CSV is written."""
 
     @pytest.mark.parametrize(
         "argv,written",
@@ -950,13 +986,32 @@ class TestImportCost:
 
     def test_sidecar_modules_are_imported_where_they_run(self):
         # numpy.random already loads hashlib (through secrets) and numpy
-        # loads zipfile, but fprom itself must not add them at import time
+        # loads zipfile, but fprom itself must not add them at import
+        # time; orjson, which writes the ensemble CSV, loads uuid and
+        # zoneinfo besides itself
         imported = []
         for path in sorted((SRC / "fprom").glob("*.py")):
             nodes = _import_time_nodes(ast.parse(path.read_text()).body)
-            names = [n for n in _imported_names(nodes) if n in ("hashlib", "zipfile")]
+            names = [
+                n for n in _imported_names(nodes) if n in ("hashlib", "zipfile", "orjson")
+            ]
             imported += [(path.name, n) for n in names]
         assert imported == []
+
+    def test_only_simulate_loads_orjson(self, cli_workspace, tmp_path):
+        run = str(cli_workspace / "run.json")
+        commands = [
+            ["train", "--config", run, "--output-dir", "out"],
+            ["predict", "--artifact", "out/artifact.json", "--horizon", "1.0",
+             "--times", "0.75,1.0", "--dt", "0.05", "--output-dir", "out"],
+            ["validate", "--artifact", "out/artifact.json", "--config", run,
+             "--output-dir", "out"],
+            ["simulate", "--config", str(cli_workspace / "sim.json"), "--output", "ens.csv"],
+        ]
+        loaded = _fresh_cli([json.dumps(commands)], tmp_path, _FRESH_SEQUENCE)
+        # exit code and whether orjson is loaded, after each command
+        assert loaded == [[0, False], [0, False], [0, False], [0, True]]
+        assert (tmp_path / "out" / "metrics.csv").exists()
 
     def test_no_module_imports_scipy_optimize(self):
         imported = []

@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.random import Generator, Philox
 
 from fprom import (
@@ -765,6 +768,61 @@ class TestEnsembleCsvBytes:
             SdeSpec("linear_in_x", (0.3, -0.7), "linear_in_x", (0.5, 0.05)),
             _plan((300, 40, 8), ("normal", (0.2, 0.3)), dt=0.1),
         )
+        write_ensemble_csv(ens, tmp_path / "fast.csv")
+        reference_write_ensemble_csv(ens, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_every_binade_matches_the_row_writer(self, tmp_path):
+        # 16 random mantissas in every binade, the subnormals (exponent
+        # field 0) to the largest, and the floats on and next to 1e-4
+        # and 1e16, where orjson's notation parts from repr's; both signs
+        rng = np.random.default_rng(25)
+        exponents = np.repeat(np.arange(2047, dtype=np.uint64), 16)
+        mantissas = rng.integers(0, 2**52, size=exponents.size, dtype=np.uint64)
+        binades = ((exponents << np.uint64(52)) | mantissas).view(float)
+        edges = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                 1.7976931348623157e308, 1e-4, 9.999e-5, 1e16, 9.999e15]
+        for bound in (1e-4, 1e16):
+            below = above = bound
+            for _ in range(5):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+                edges += [below, above]
+        edges += [0.0] * (-len(edges) % 16)
+        x = np.concatenate([edges, binades])
+        x = np.concatenate([x, -x]).reshape(-1, 16)
+        ens = TrajectoryEnsemble(times=np.arange(16) * 0.125, samples=x)
+        write_ensemble_csv(ens, tmp_path / "fast.csv")
+        reference_write_ensemble_csv(ens, tmp_path / "ref.csv")
+        text = (tmp_path / "fast.csv").read_bytes()
+        assert text == (tmp_path / "ref.csv").read_bytes()
+        assert b",-0.0\n" in text and b",1e+16\n" in text and b",-5e-324\n" in text
+        assert b",9.999e-05\n" in text and b",0.0001\n" in text
+        assert b",9999000000000000.0\n" in text
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(2, 6)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ))
+    def test_any_finite_floats_match_the_row_writer(self, tmp_path_factory, samples):
+        root = tmp_path_factory.mktemp("csv")
+        ens = TrajectoryEnsemble(times=np.arange(samples.shape[1]) * 0.5, samples=samples)
+        write_ensemble_csv(ens, root / "fast.csv")
+        reference_write_ensemble_csv(ens, root / "ref.csv")
+        assert (root / "fast.csv").read_bytes() == (root / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed", "strided"])
+    def test_non_contiguous_samples_match_the_row_writer(self, tmp_path, layout):
+        # several blocks of the writer, with values on both sides of 1e-4
+        x = np.random.default_rng(4).standard_normal((700, 30)) * 1e-3
+        samples = {
+            "fortran": np.asfortranarray(x),
+            "transposed": np.ascontiguousarray(x.T).T,
+            "strided": np.repeat(x, 2, axis=1)[:, ::2],
+        }[layout]
+        ens = TrajectoryEnsemble(times=np.arange(30) * 0.1, samples=samples)
+        assert not ens.samples.flags.c_contiguous
         write_ensemble_csv(ens, tmp_path / "fast.csv")
         reference_write_ensemble_csv(ens, tmp_path / "ref.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
