@@ -6,8 +6,9 @@ Infeasible parameter vectors (negative diffusion on the horizon, a
 diverged solve) score a large finite penalty instead of raising, so
 derivative-free search stays total.
 
-Search is seeded Nelder-Mead, optionally restarted from 8 uniform
-draws inside the bounds. Everything is deterministic per seed.
+Search is Nelder-Mead from a given start or the middle of the bounds,
+or restarted from 8 seeded uniform draws inside them. Everything is
+deterministic per seed.
 
 The Nelder-Mead search (Nelder & Mead, Comput. J. 7, 1965) is scipy's
 non-adaptive `_minimize_neldermead`, implemented in this module so that
@@ -30,10 +31,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .coefficients import MAX_DEGREE, CoefficientModel
-from .density import DensityField, kl_divergence_rows
+from .density import KL_FLOOR, DensityField, kl_divergence_rows
 from .errors import InfeasibleConfigError
 from .solver import SolverConfig, solve
 
@@ -162,13 +162,17 @@ class CalibrationProblem:
         return replace(self.solver, record_times=tuple(tau for tau, _ in self.targets))
 
     @cached_property
-    def _scored(self) -> tuple[list[int], list[float], np.ndarray]:
-        """Indices and weights of the targets with nonzero weight, and
-        their values stacked as one read-only (m, n) array."""
+    def _scored(self) -> tuple[list[int] | slice, list[float], np.ndarray, np.ndarray]:
+        """The rows of the targets with nonzero weight (a slice when that
+        is all of them), their weights, and their values and KL support
+        (values > KL_FLOOR) as read-only (m, n) arrays; __post_init__
+        has checked their masses."""
         rows = [i for i, w in enumerate(self.weights) if w != 0.0]
         values = np.stack([self.targets[i][1].values for i in rows])
-        values.flags.writeable = False
-        return rows, [self.weights[i] for i in rows], values
+        support = values > KL_FLOOR
+        values.flags.writeable = support.flags.writeable = False
+        weights = [self.weights[i] for i in rows]
+        return rows if len(rows) < len(self.weights) else slice(None), weights, values, support
 
 
 def _l2_rows(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> list[float]:
@@ -198,12 +202,14 @@ def loss(problem: CalibrationProblem, params) -> float:
     trace = solve(problem.initial_density, model, problem._solver)
     if trace.diverged:
         return PENALTY_FLOOR
-    rows, weights, targets = problem._scored
-    distance = kl_divergence_rows if problem.distance == "kl" else _l2_rows
+    rows, weights, targets, support = problem._scored
+    states, x = trace.states[rows], problem.initial_density.grid.nodes
+    if problem.distance == "kl":
+        distances = kl_divergence_rows(targets, states, x, support=support)
+    else:
+        distances = _l2_rows(targets, states, x)
     total = 0.0
-    for w, d in zip(
-        weights, distance(targets, trace.states[rows], problem.initial_density.grid.nodes)
-    ):
+    for w, d in zip(weights, distances):
         total += w * d
     return total
 
@@ -320,12 +326,15 @@ def calibrate(
     optimizer: str = "random_multistart_nelder_mead",
     budget: int = 500,
     seed: int = 0,
+    start=None,
 ) -> CalibrationResult:
     """Minimize loss() over the bounds box with seeded Nelder-Mead.
 
-    "nelder_mead" runs once from the box midpoint; the multistart
-    variant adds 8 uniform starts drawn inside the box and splits the
-    budget evenly. Each search begins from _first_simplex of its start
+    "nelder_mead" runs once, from start (a parameter vector inside the
+    box) when one is given and from the box midpoint otherwise; the
+    multistart variant, which takes no start, draws 8 uniform starts
+    inside the box and splits the budget evenly. Each search begins
+    from _first_simplex of its start
     and the box widths, and iterates on a clipped copy of the point with
     a quadratic charge for leaving the box, so returned coefficients
     always respect the bounds. Ties keep the earliest start. final_loss
@@ -339,6 +348,14 @@ def calibrate(
         raise InfeasibleConfigError("budget must be >= 50 evaluations")
     lo = np.asarray([a for a, _ in problem.bounds])
     hi = np.asarray([b for _, b in problem.bounds])
+    if start is not None:
+        if optimizer != "nelder_mead":
+            raise InfeasibleConfigError(f"{optimizer} draws its own starts; pass no start")
+        start = np.asarray(start, dtype=float)
+        if start.shape != lo.shape or not np.all((lo <= start) & (start <= hi)):
+            raise InfeasibleConfigError(
+                f"start must be {lo.size} parameters inside the bounds, got {start.tolist()}"
+            )
 
     n_evals = 0
     # loss at each clipped point the search evaluated, keyed by its bytes
@@ -352,9 +369,11 @@ def calibrate(
         return value + _EXCURSION_WEIGHT * float(np.sum((p - pc) ** 2))
 
     if optimizer == "nelder_mead":
-        starts = [0.5 * (lo + hi)]
+        starts = [0.5 * (lo + hi) if start is None else start]
         per_start = budget
     else:
+        from numpy.random import Generator, Philox  # the only draws here
+
         gen = Generator(Philox(key=[seed, 0]))
         starts = [lo + gen.uniform(size=lo.size) * (hi - lo) for _ in range(N_STARTS)]
         per_start = budget // N_STARTS

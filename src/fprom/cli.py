@@ -97,8 +97,7 @@ def _cmd_simulate(args) -> int:
         resolve_output_dir(args.output_dir) / "ensemble.csv"
     )
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_ensemble_csv(ens, out)
-    write_ensemble_sidecar(ens, out)
+    write_ensemble_sidecar(ens, out, write_ensemble_csv(ens, out))
     print(f"wrote {out} ({ens.n_realizations} trajectories, {ens.n_times} times)")
     return 0
 
@@ -214,7 +213,14 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("simulate", "estimate", "train", "calibrate", "predict", "validate", "oracle")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The fprom argument parser; given a command, only that command's
+    subparser is built. Its help, usage and errors are the full
+    parser's, and so are the top-level usage and errors as long as the
+    command comes first."""
     parser = argparse.ArgumentParser(
         prog="fprom",
         description=(
@@ -225,76 +231,79 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a parser for one command still shows every command in its usage
+    choices = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
 
-    p = sub.add_parser("simulate", help="generate a synthetic ensemble CSV")
-    p.add_argument("--config", required=True, help="simulation config JSON")
-    p.add_argument("--output", help="ensemble CSV path (default ensemble.csv)")
-    p.add_argument("--output-dir", help="directory for default output names")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser(
-        "estimate", help="moment-regression coefficient estimate, no artifact"
-    )
-    p.add_argument("--config", required=True, help="run config JSON")
-    p.add_argument("--output-dir", help="where to write estimate_report.txt")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.set_defaults(handler=_cmd_estimate)
-
-    for name, handler in (("train", _cmd_train), ("calibrate", _cmd_calibrate)):
-        p = sub.add_parser(
-            name,
-            help=(
-                "calibrate per the config method"
-                if name == "train"
-                else "train with method forced to loss_minimization"
-            ),
-        )
-        p.add_argument("--config", required=True, help="run config JSON")
-        p.add_argument("--output-dir", help="where to write artifact and report")
-        p.add_argument("--seed", type=int, help="override the config seed")
+    def add(name: str, handler, summary: str) -> argparse.ArgumentParser | None:
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("predict", help="propagate an artifact forward")
-    p.add_argument("--artifact", required=True, help="artifact.json path")
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--times", required=True, help="comma-separated record times")
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--integrator", choices=INTEGRATORS)
-    # accepted and ignored: the reconstruction no longer samples, but the
-    # benchmark's lognormal workload still passes this flag; it goes when
-    # ROADMAP item 6 drops it from the benchmark
-    p.add_argument("--pushforward-samples", help=argparse.SUPPRESS)
-    p.add_argument("--output-dir", help="where to write density CSVs")
-    p.set_defaults(handler=_cmd_predict)
+    if p := add("simulate", _cmd_simulate, "generate a synthetic ensemble CSV"):
+        p.add_argument("--config", required=True, help="simulation config JSON")
+        p.add_argument("--output", help="ensemble CSV path (default ensemble.csv)")
+        p.add_argument("--output-dir", help="directory for default output names")
+        p.add_argument("--seed", type=int, help="override the config seed")
 
-    p = sub.add_parser("validate", help="score an artifact on the testing side")
-    p.add_argument("--artifact", required=True, help="artifact.json path")
-    p.add_argument("--config", required=True, help="run config JSON")
-    p.add_argument("--dt", type=float, help="solver dt (default: config value)")
-    p.add_argument("--integrator", choices=INTEGRATORS)
-    p.add_argument("--output-dir", help="where to write metrics.csv")
-    p.set_defaults(handler=_cmd_validate)
+    if p := add(
+        "estimate", _cmd_estimate, "moment-regression coefficient estimate, no artifact"
+    ):
+        p.add_argument("--config", required=True, help="run config JSON")
+        p.add_argument("--output-dir", help="where to write estimate_report.txt")
+        p.add_argument("--seed", type=int, help="override the config seed")
 
-    p = sub.add_parser("oracle", help="emit a closed-form density CSV")
-    p.add_argument("--kind", required=True, choices=("f1", "f2", "f3"))
-    p.add_argument("--time", type=float, required=True)
-    p.add_argument("--mu", type=float, help="drift constant (f2, f3)")
-    p.add_argument("--diffusion", type=float, help="diffusion constant (f1, f3)")
-    p.add_argument("--sigma2", type=float, help="initial variance (f2)")
-    p.add_argument("--x-min", type=float, required=True)
-    p.add_argument("--x-max", type=float, required=True)
-    p.add_argument("--n-points", type=int, required=True)
-    p.add_argument("--output", help="density CSV path")
-    p.add_argument("--output-dir", help="directory for the default name")
-    p.set_defaults(handler=_cmd_oracle)
+    for name, handler, summary in (
+        ("train", _cmd_train, "calibrate per the config method"),
+        ("calibrate", _cmd_calibrate, "train with method forced to loss_minimization"),
+    ):
+        if p := add(name, handler, summary):
+            p.add_argument("--config", required=True, help="run config JSON")
+            p.add_argument("--output-dir", help="where to write artifact and report")
+            p.add_argument("--seed", type=int, help="override the config seed")
+
+    if p := add("predict", _cmd_predict, "propagate an artifact forward"):
+        p.add_argument("--artifact", required=True, help="artifact.json path")
+        p.add_argument("--horizon", type=float, required=True)
+        p.add_argument("--times", required=True, help="comma-separated record times")
+        p.add_argument("--dt", type=float, required=True)
+        p.add_argument("--integrator", choices=INTEGRATORS)
+        # accepted and ignored: the reconstruction no longer samples, but
+        # the benchmark's lognormal workload still passes this flag; it
+        # goes when ROADMAP item 6 drops it from the benchmark
+        p.add_argument("--pushforward-samples", help=argparse.SUPPRESS)
+        p.add_argument("--output-dir", help="where to write density CSVs")
+
+    if p := add("validate", _cmd_validate, "score an artifact on the testing side"):
+        p.add_argument("--artifact", required=True, help="artifact.json path")
+        p.add_argument("--config", required=True, help="run config JSON")
+        p.add_argument("--dt", type=float, help="solver dt (default: config value)")
+        p.add_argument("--integrator", choices=INTEGRATORS)
+        p.add_argument("--output-dir", help="where to write metrics.csv")
+
+    if p := add("oracle", _cmd_oracle, "emit a closed-form density CSV"):
+        p.add_argument("--kind", required=True, choices=("f1", "f2", "f3"))
+        p.add_argument("--time", type=float, required=True)
+        p.add_argument("--mu", type=float, help="drift constant (f2, f3)")
+        p.add_argument("--diffusion", type=float, help="diffusion constant (f1, f3)")
+        p.add_argument("--sigma2", type=float, help="initial variance (f2)")
+        p.add_argument("--x-min", type=float, required=True)
+        p.add_argument("--x-max", type=float, required=True)
+        p.add_argument("--n-points", type=int, required=True)
+        p.add_argument("--output", help="density CSV path")
+        p.add_argument("--output-dir", help="directory for the default name")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the full parser only where argv does not open with a command:
+    # --help, --version or a misspelt command
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except SolverDivergenceError as exc:

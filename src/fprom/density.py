@@ -228,7 +228,9 @@ def kl_divergence(p: DensityField, q: DensityField) -> float:
     return max(kl_divergence_rows(p.values[None], q.values[None], p.grid.nodes)[0], 0.0)
 
 
-def kl_divergence_rows(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> list[float]:
+def kl_divergence_rows(
+    p: np.ndarray, q: np.ndarray, x: np.ndarray, support: np.ndarray | None = None
+) -> list[float]:
     """KL(p[i] || q[i]) for each row pair of two (m, n) arrays on nodes x.
 
     Row for row the arithmetic of kl_divergence, which calls it, but
@@ -237,13 +239,17 @@ def kl_divergence_rows(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> list[floa
     row by about that excess and may take it below zero, and clamping
     would make such rows tie. Before scoring, the trapezoidal mass of
     every row is checked in order, p's before q's, and the first one
-    off 1 by more than 1e-3 raises ValueError.
+    off 1 by more than 1e-3 raises ValueError. A caller that scores
+    many q against one p may pass support, ``p > KL_FLOOR``, once it
+    has checked p's masses itself; then only q's are checked.
     """
-    for masses in zip(np.trapezoid(p, x).tolist(), np.trapezoid(q, x).tolist()):
-        for mass in masses:
-            if abs(mass - 1.0) > 1e-3:
-                raise ValueError(f"unnormalized density: mass {mass!r}")
-    support = p > KL_FLOOR
+    masses = np.trapezoid(q, x).tolist()
+    if support is None:
+        masses = [m for pair in zip(np.trapezoid(p, x).tolist(), masses) for m in pair]
+        support = p > KL_FLOOR
+    for mass in masses:
+        if abs(mass - 1.0) > 1e-3:
+            raise ValueError(f"unnormalized density: mass {mass!r}")
     ratio = np.ones_like(p)
     np.divide(p, q + KL_FLOOR, out=ratio, where=support)
     integrand = np.where(support, p * np.log(ratio), 0.0)

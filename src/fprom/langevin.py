@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .density import DensityField, _read_csv_columns, kde_estimate
 from .errors import (
@@ -215,6 +214,8 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
     check the amplitude at t=0 alone, with the march's message: g is
     constant on one, and on the other d x keeps the sign of x0.
     """
+    from numpy.random import Generator, Philox  # loaded by simulate only
+
     n_steps = plan.n_steps
     m = plan.n_trajectories
     out = np.empty((m, n_steps // plan.stride + 1))
@@ -335,9 +336,11 @@ def ensemble_to_densities(ens: TrajectoryEnsemble, grid: Grid) -> list[DensityFi
     return fields
 
 
-def write_ensemble_csv(ens: TrajectoryEnsemble, path) -> None:
+def write_ensemble_csv(ens: TrajectoryEnsemble, path) -> str:
     """Long format `traj_id,t,x`, trajectory-major, each float as `repr`
     writes it: the shortest decimal that reads back to the same float.
+    Returns the hex sha256 of the bytes written, fed as they are
+    written, for write_ensemble_sidecar.
 
     The x digits come from orjson's Ryu (Adams, PLDI 2018), one
     orjson.dumps call per block of _CSV_BLOCK samples. Ryu's digits are
@@ -347,13 +350,17 @@ def write_ensemble_csv(ens: TrajectoryEnsemble, path) -> None:
     |x| >= 1e16 is written by repr itself. One trajectory's rows are a
     `%s` template built once, with `#` as the id placeholder; no float
     repr contains that character."""
+    import hashlib
+
     import orjson  # loaded by simulate only
 
     n = ens.n_times
     rows = "".join([f"#,{t!r},%s\n" for t in ens.times.tolist()]).encode()
     per_block = max(1, _CSV_BLOCK // n)
+    header = b"traj_id,t,x\n"
+    digest = hashlib.sha256(header)
     with open(path, "wb") as fh:
-        fh.write(b"traj_id,t,x\n")
+        fh.write(header)
         for r0 in range(0, ens.n_realizations, per_block):
             # ravel copies a block of a non-contiguous view, which
             # orjson refuses, into one C-ordered run
@@ -363,7 +370,11 @@ def write_ensemble_csv(ens: TrajectoryEnsemble, path) -> None:
             for i in np.flatnonzero((a >= 1e16) | ((a < 1e-4) & (a > 0.0))).tolist():
                 digits[i] = repr(float(x[i])).encode()
             ids = range(r0, r0 + x.size // n)
-            fh.write(b"".join([rows.replace(b"#", b"%d" % r) for r in ids]) % tuple(digits))
+            block = b"".join([rows.replace(b"#", b"%d" % r) for r in ids]) % tuple(digits)
+            digest.update(block)
+            fh.write(block)
+            del block  # so that the next block is not built beside it
+    return digest.hexdigest()
 
 
 def _read_ensemble_arrays(path) -> tuple[np.ndarray, np.ndarray]:
@@ -414,17 +425,13 @@ def _sha256_hex(path) -> str:
     return digest.hexdigest()
 
 
-def write_ensemble_sidecar(ens: TrajectoryEnsemble, csv_path) -> None:
+def write_ensemble_sidecar(ens: TrajectoryEnsemble, csv_path, sha256: str) -> None:
     """Cache the arrays of an ensemble already written to csv_path in
-    `<csv_path>.npz`, keyed by the sha256 of the CSV bytes. The CSV
-    stays the system of record; deleting the sidecar is always safe."""
+    `<csv_path>.npz`, keyed by sha256, the hex digest of the CSV bytes
+    that write_ensemble_csv returns. The CSV stays the system of record;
+    deleting the sidecar is always safe."""
     with open(f"{csv_path}.npz", "wb") as fh:
-        np.savez(
-            fh,
-            times=ens.times,
-            samples=ens.samples,
-            sha256=np.array(_sha256_hex(csv_path)),
-        )
+        np.savez(fh, times=ens.times, samples=ens.samples, sha256=np.array(sha256))
 
 
 def read_ensemble_sidecar(csv_path) -> tuple[np.ndarray, np.ndarray] | None:

@@ -559,11 +559,27 @@ def _default_bounds(config: RunConfig) -> tuple[tuple[float, float], ...]:
     ) * (config.diff_degree + 1)
 
 
+def _search_start(config: RunConfig, training, bounds) -> np.ndarray | None:
+    """The moment-regression parameters clipped to bounds, or None when
+    moment regression refuses the training set."""
+    try:
+        model = moment_regression(config, training)
+    except ValueError:
+        return None
+    lo, hi = np.asarray(bounds).T
+    return np.clip(model.drift_poly + model.diff_poly, lo, hi)
+
+
 def run_train(config: RunConfig, output_dir=None):
     """Calibrate on the training side and persist the result.
 
-    Returns (artifact, report text). When an output directory is
-    resolved, artifact.json and run_report.txt are written there.
+    Loss minimization with "nelder_mead" starts from the moment
+    regression's coefficients, clipped to the bounds, and from the
+    middle of the bounds when moment regression refuses the training
+    set; the report says which (start=moment_regression or
+    start=midpoint). Returns (artifact, report text). When an output
+    directory is resolved, artifact.json and run_report.txt are written
+    there.
     """
     dataset = ingest(config)
     training, _ = split(dataset, config.train_end, config.truncate_start)
@@ -587,11 +603,16 @@ def run_train(config: RunConfig, output_dir=None):
 
     extra: list[tuple[str, str]] = []
     if config.method == "loss_minimization":
+        start = None
+        if config.optimizer == "nelder_mead":
+            start = _search_start(config, training, problem.bounds)
+            extra.append(("start", "midpoint" if start is None else "moment_regression"))
         result = calibrate(
             problem,
             optimizer=config.optimizer,
             budget=config.budget,
             seed=config.seed,
+            start=start,
         )
         model = result.model
         final_loss = result.final_loss

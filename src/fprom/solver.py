@@ -15,13 +15,16 @@ ranges of D1 and D2 over the horizon from ``CoefficientModel``.
 Two integrators: classical explicit RK4, with hard diffusion and
 advection stability checks, applying A by a tridiagonal matrix-vector
 product; and Crank-Nicolson. D1 and D2 are evaluated once per solve
-for all step times. Crank-Nicolson's two bands, I -/+ dt/2 A, are both
-built from one band of A, which is rebuilt only when the bits of
-(D1, D2) change, so with time-varying coefficients the next step's
-right band usually comes from this step's left one. With constant
-coefficients the left band is factored once by LAPACK ``?gttrf`` and
-each step solves with ``?gttrs``; with time-varying ones ``?gtsv``
-solves each left band in place. Both give ``?gtsv``'s solution bit for
+for all step times. Crank-Nicolson's two bands, I -/+ S with
+S = dt/2 A, come from one S per time level: the left band is I - S, and
+the next step's right band adds 1 to the same S's diagonal. S is
+formed again only when the bits of (D1, D2) change, and each of its
+terms, E1 * -D1 and E2 * D2, only when its own coefficient's do, so
+with time-varying coefficients the next step's right band usually
+comes from this step's left one. With constant coefficients the left
+band is factored once by LAPACK ``?gttrf`` and each step solves with
+``?gttrs``; with time-varying ones ``?gtsv`` solves each left band in
+place. Both give ``?gtsv``'s solution bit for
 bit. scipy.linalg, which supplies them, is imported at the first
 Crank-Nicolson solve, not with the module.
 
@@ -41,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -147,19 +150,24 @@ def _band_matvec(ab: np.ndarray, g: np.ndarray, rows=None) -> np.ndarray:
     return y
 
 
-def _operator_band(b1, b2, d1: float, d2: float, out, work) -> np.ndarray:
-    """Band of A = -d1 * E1 + d2 * E2 into out; work is (3, n) scratch."""
-    np.multiply(b1, -d1, out=out)
-    np.multiply(b2, d2, out=work)
-    np.add(out, work, out=out)
+def _left_band(s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Band of I - S into out: -S, with 1 - S on the diagonal. For
+    S = c * A these are the bits of I + (-c) * A, because rounding is
+    symmetric in sign (NaN signs aside)."""
+    np.negative(s, out=out)
+    np.subtract(1.0, s[1], out=out[1])
     return out
 
 
-def _identity_plus(c: float, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Band of I + c * S into out."""
-    np.multiply(s, c, out=out)
-    np.add(out[1], 1.0, out=out[1])
-    return out
+@lru_cache(maxsize=32)
+def _grid_constants(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """What every solve on grid reads and no coefficient changes:
+    ``flux_bands(grid)``, the read-only node spacings and the largest
+    magnitude in each band."""
+    b1, b2 = flux_bands(grid)
+    dx = np.diff(grid.nodes)
+    dx.flags.writeable = False
+    return b1, b2, dx, max(b1.max(), -b1.min()), max(b2.max(), -b2.min())
 
 
 def _magnitude_bound(poly: tuple[float, ...], t_abs: float) -> float:
@@ -201,7 +209,10 @@ def _coefficient_steps(
         yield from zip(*columns)
 
 
-def _record_steps(t0: float, record_times: tuple[float, ...], dt: float) -> list[int]:
+@lru_cache(maxsize=64)
+def _record_steps(t0: float, record_times: tuple[float, ...], dt: float) -> tuple[int, ...]:
+    """The step of each record time; a loss loop asks for the same ones
+    on every solve, so the answers are kept."""
     steps = []
     for tau in record_times:
         off = tau - t0
@@ -214,7 +225,7 @@ def _record_steps(t0: float, record_times: tuple[float, ...], dt: float) -> list
                 f"past t0={t0}; time interpolation is not performed"
             )
         steps.append(k)
-    return steps
+    return tuple(steps)
 
 
 def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> SolutionTrace:
@@ -269,13 +280,13 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
                     f"{STABILITY_SAFETY}*{label} = {STABILITY_SAFETY * scale / dmax:.6e}"
                 )
 
-    b1, b2 = flux_bands(grid)
-    dx = np.diff(grid.nodes)
+    b1, b2, dx, b1_max, b2_max = _grid_constants(grid)
     dt = config.dt
     n = grid.n_points
     n_total = max(rec_steps)
 
-    f = np.array(f0.values, dtype=float)
+    # read only: every step writes its new state into a fresh array
+    f = f0.values
     states = np.empty((len(rec_steps), n))
     mass_log = np.empty(n_total)
     n_rec = 0
@@ -288,7 +299,8 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
         np.divide(work, 2.0, out=work)
         return float(np.add.reduce(work))
 
-    m0 = mass_of(f)
+    # f0.mass is np.trapezoid's, the arithmetic of mass_of
+    m0 = f0.mass
 
     def trace(steps_logged: int, diagnostic: str = "") -> SolutionTrace:
         rows = states[:n_rec]
@@ -323,20 +335,20 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
 
     lhs_finite, info = True, 0
     if not rk4:
-        # Crank-Nicolson: (I - dt/2 A(t + dt)) f_new = (I + dt/2 A(t)) f,
-        # with both bands made from a_band. The right band's products
-        # alternate between two (3, n) arrays: the middle row of one
-        # holds the state while the other takes the next right-hand side.
+        # Crank-Nicolson: (I - S(t + dt)) f_new = (I + S(t)) f with
+        # S = dt/2 A. The right band's products alternate between two
+        # (3, n) arrays: the middle row of one holds the state while the
+        # other takes the next right-hand side.
         from scipy.linalg import get_lapack_funcs
 
-        a_band, a_work, lhs, rhs_band = np.empty((4, 3, n))
+        c = 0.5 * dt
+        lhs = np.empty((3, n))
         products = [_product_rows(p) for p in np.empty((2, 3, n))]
         lhs_dl, lhs_d, lhs_du = lhs[2, :-1], lhs[1], lhs[0, 1:]
-        a_key = None
         if constant:
-            _operator_band(b1, b2, model.drift(0.0), model.diffusion(0.0), a_band, a_work)
-            _identity_plus(-0.5 * dt, a_band, lhs)
-            _identity_plus(0.5 * dt, a_band, rhs_band)
+            rhs_band = (b1 * -model.drift(0.0) + b2 * model.diffusion(0.0)) * c
+            _left_band(rhs_band, lhs)
+            np.add(rhs_band[1], 1.0, out=rhs_band[1])
             lhs_finite = bool(np.isfinite(lhs).all())
             # ?gttrf/?gttrs do ?gtsv's elimination, pivots and back
             # substitution in the same order, so each step's solution is
@@ -350,11 +362,25 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
             # polynomials of |a_i| at t_abs, so this bounds every band
             # entry; far below overflow, no band can be non-finite
             t_abs = abs(t0) + (n_total + 1) * dt
-            entry_bound = (
-                max(b1.max(), -b1.min()) * _magnitude_bound(model.drift_poly, t_abs)
-                + max(b2.max(), -b2.min()) * _magnitude_bound(model.diff_poly, t_abs)
-            )
-            bands_bounded = entry_bound * (0.5 * dt) + 1.0 < _BAND_LIMIT
+            drift_bound = _magnitude_bound(model.drift_poly, t_abs)
+            diff_bound = _magnitude_bound(model.diff_poly, t_abs)
+            bands_bounded = (b1_max * drift_bound + b2_max * diff_bound) * c + 1.0 < _BAND_LIMIT
+            # S of the time levels in use, alternating between two
+            # arrays, and its terms E1 * -D1 and E2 * D2, each kept while
+            # the bits of its coefficient do not change
+            scaled = np.empty((2, 3, n))
+            drift_term, diff_term = np.empty((2, 3, n))
+            term_keys = [None, None]
+            s_key, cur = None, 0
+
+            def form_s(d1: float, d2: float, key, out: np.ndarray) -> None:
+                if key[0] != term_keys[0]:
+                    np.multiply(b1, -d1, out=drift_term)
+                if key[1] != term_keys[1]:
+                    np.multiply(b2, d2, out=diff_term)
+                term_keys[:] = key
+                np.add(drift_term, diff_term, out=out)
+                np.multiply(out, c, out=out)
 
     def apply_a(d1: float, d2: float, g: np.ndarray) -> np.ndarray:
         return -d1 * _band_matvec(b1, g) + d2 * _band_matvec(b2, g)
@@ -384,13 +410,17 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
         else:
             if not constant:
                 d1c, d2c, key_c, d1n, d2n, key_n = coef
-                if key_c != a_key:
-                    _operator_band(b1, b2, d1c, d2c, a_band, a_work)
-                _identity_plus(0.5 * dt, a_band, rhs_band)
+                if key_c != s_key:
+                    form_s(d1c, d2c, key_c, scaled[cur])
+                rhs_band = scaled[cur]
                 if key_n != key_c:
-                    _operator_band(b1, b2, d1n, d2n, a_band, a_work)
-                a_key = key_n
-                _identity_plus(-0.5 * dt, a_band, lhs)
+                    cur ^= 1
+                    form_s(d1n, d2n, key_n, scaled[cur])
+                _left_band(scaled[cur], lhs)
+                # the right band takes S(t) itself, so S(t + dt) is kept
+                # for the next step only when it is another array
+                np.add(rhs_band[1], 1.0, out=rhs_band[1])
+                s_key = key_n if key_n != key_c else None
                 if not bands_bounded:
                     lhs_finite = bool(np.isfinite(lhs).all())
             rhs = _band_matvec(rhs_band, f, products[k % 2])

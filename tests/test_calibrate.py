@@ -376,9 +376,9 @@ class TestLossMatchesReference:
         passes = []
         original = calibrate_module.kl_divergence_rows
 
-        def counted(p, q, x):
+        def counted(p, q, x, **kwargs):
             passes.append(p.shape)
-            return original(p, q, x)
+            return original(p, q, x, **kwargs)
 
         monkeypatch.setattr(calibrate_module, "kl_divergence_rows", counted)
         problem = drift_problem(weights=SOME_ZERO)
@@ -485,6 +485,34 @@ class TestCalibrate:
         params = list(result.model.drift_poly) + list(result.model.diff_poly)
         assert params == solved[1].tolist() != solved[0].tolist()
         assert result.final_loss == loss(problem, params)
+
+    def test_search_begins_at_the_given_start(self, monkeypatch):
+        module = importlib.import_module("fprom.calibrate")
+        problem = diffusion_problem()
+        starts = []
+
+        def first_vertex(func, sim, maxfev):
+            starts.append(sim[0].tolist())
+            return sim[0], func(sim[0]), True
+
+        monkeypatch.setattr(module, "_nelder_mead", first_vertex)
+        calibrate(problem, optimizer="nelder_mead", budget=60, start=(0.9, 0.4))
+        calibrate(problem, optimizer="nelder_mead", budget=60)
+        (lo_mu, hi_mu), (lo_d, hi_d) = problem.bounds
+        assert starts == [[0.9, 0.4], [0.5 * (lo_mu + hi_mu), 0.5 * (lo_d + hi_d)]]
+
+    @pytest.mark.parametrize(
+        "optimizer, start, match",
+        (
+            ("nelder_mead", (0.9,), "start must be 2 parameters inside the bounds"),
+            ("nelder_mead", (0.9, 99.0), "start must be 2 parameters inside the bounds"),
+            ("random_multistart_nelder_mead", (0.9, 0.4), "draws its own starts"),
+        ),
+        ids=("short", "outside", "multistart"),
+    )
+    def test_refuses_a_start_it_cannot_use(self, optimizer, start, match):
+        with pytest.raises(InfeasibleConfigError, match=match):
+            calibrate(diffusion_problem(), optimizer=optimizer, budget=60, start=start)
 
     def test_result_respects_bounds(self):
         problem = diffusion_problem()

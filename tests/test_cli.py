@@ -14,7 +14,7 @@ from fprom.analytic import drift_diffusion_density, gaussian_density
 from fprom.density import read_density_csv, write_density_csv
 from fprom.sampling import TransformSpec
 from fprom._version import __version__
-from fprom.cli import _simulate_inputs, main
+from fprom.cli import COMMANDS, _simulate_inputs, build_parser, main
 from fprom.pipeline import ENV_OUTPUT_DIR, load_artifact, save_artifact
 
 
@@ -75,6 +75,22 @@ class TestVersionAndParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        (["--help"], [], ["--config"], ["--config", "c.json", "--bogus"], ["--seed", "x"]),
+        ids=("help", "missing_flags", "flag_without_value", "unknown_flag", "bad_value"),
+    )
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_command_parser_answers_as_the_full_one(self, command, args, capsys):
+        # main builds only the named command's subparser
+        outcomes = []
+        for parse in (build_parser().parse_args, main):
+            with pytest.raises(SystemExit) as exc:
+                parse([command, *args])
+            outcomes.append((exc.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (0 if args == ["--help"] else 2)
 
 
 class TestSimulate:
@@ -893,13 +909,16 @@ print(json.dumps([after_import, code, scipy_modules()]))
 """
 
 
-# runs the commands of the JSON list in sys.argv[1] one after another
+# runs the commands of the JSON list in sys.argv[1] one after another;
+# prints whether the module named by sys.argv[2] is loaded after the
+# import, then each command's exit code and whether it is loaded then
 _FRESH_SEQUENCE = """
 import json, sys
 import fprom.cli
-loaded = []
+module = sys.argv[2]
+loaded = [module in sys.modules]
 for argv in json.loads(sys.argv[1]):
-    loaded.append([fprom.cli.main(argv), "orjson" in sys.modules])
+    loaded.append([fprom.cli.main(argv), module in sys.modules])
 print(json.dumps(loaded))
 """
 
@@ -985,10 +1004,10 @@ class TestImportCost:
         assert imported == []
 
     def test_sidecar_modules_are_imported_where_they_run(self):
-        # numpy.random already loads hashlib (through secrets) and numpy
-        # loads zipfile, but fprom itself must not add them at import
-        # time; orjson, which writes the ensemble CSV, loads uuid and
-        # zoneinfo besides itself
+        # numpy loads zipfile, and numpy.random (which simulate loads)
+        # hashlib, through secrets, but fprom itself must not add them
+        # at import time; orjson, which writes the ensemble CSV, loads
+        # uuid and zoneinfo besides itself
         imported = []
         for path in sorted((SRC / "fprom").glob("*.py")):
             nodes = _import_time_nodes(ast.parse(path.read_text()).body)
@@ -1008,10 +1027,31 @@ class TestImportCost:
              "--output-dir", "out"],
             ["simulate", "--config", str(cli_workspace / "sim.json"), "--output", "ens.csv"],
         ]
-        loaded = _fresh_cli([json.dumps(commands)], tmp_path, _FRESH_SEQUENCE)
-        # exit code and whether orjson is loaded, after each command
-        assert loaded == [[0, False], [0, False], [0, False], [0, True]]
+        loaded = _fresh_cli([json.dumps(commands), "orjson"], tmp_path, _FRESH_SEQUENCE)
+        # whether orjson is loaded after the import, then each command's
+        # exit code and whether it is loaded after it
+        assert loaded == [False, [0, False], [0, False], [0, False], [0, True]]
         assert (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_numpy_random_is_imported_only_to_draw(self, cli_workspace, tmp_path):
+        # numpy.random loads secrets, hmac and hashlib; fprom imports it
+        # only where numbers are drawn, in simulate and the multistart
+        # search. scipy.linalg loads it too (through its array API copy
+        # of numpy), so each command that solves loads it at its first
+        # solve, but estimate and oracle never do
+        imported = []
+        for path in sorted((SRC / "fprom").glob("*.py")):
+            nodes = _import_time_nodes(ast.parse(path.read_text()).body)
+            imported += [(path.name, n) for n in _imported_names(nodes) if n == "numpy.random"]
+        assert imported == []
+        commands = [
+            ["estimate", "--config", str(cli_workspace / "run.json"), "--output-dir", "est"],
+            ["oracle", "--kind", "f1", "--time", "1.0", "--diffusion", "0.5", "--x-min",
+             "-5.0", "--x-max", "5.0", "--n-points", "65", "--output", "f1.csv"],
+            ["simulate", "--config", str(cli_workspace / "sim.json"), "--output", "ens.csv"],
+        ]
+        loaded = _fresh_cli([json.dumps(commands), "numpy.random"], tmp_path, _FRESH_SEQUENCE)
+        assert loaded == [False, [0, False], [0, False], [0, True]]
 
     def test_no_module_imports_scipy_optimize(self):
         imported = []

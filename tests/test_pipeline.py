@@ -33,6 +33,7 @@ from fprom.pipeline import (
     ENV_OUTPUT_DIR,
     ingest,
     load_artifact,
+    moment_regression,
     resolve_output_dir,
     save_artifact,
     split,
@@ -645,6 +646,42 @@ class TestRunTrain:
         assert int(items["n_evaluations"]) < 200
         assert abs(artifact.model.drift_poly[0] - 1.0) < 0.1
         assert abs(artifact.model.diff_poly[0] - 0.5) < 0.1
+
+    def test_search_starts_from_the_clipped_moment_estimate(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        config = ensemble_config(workspace, bounds=[[-2.0, 0.9], [1e-4, 2.0]])
+        estimate = moment_regression(config, split(ingest(config), config.train_end)[0])
+        assert estimate.drift_poly[0] > 0.9
+        starts = []
+        search = fprom.pipeline.calibrate
+
+        def recording(problem, **kwargs):
+            starts.append(kwargs["start"].tolist())
+            return search(problem, **kwargs)
+
+        monkeypatch.setattr(fprom.pipeline, "calibrate", recording)
+        _, report = run_train(config, output_dir=tmp_path / "out")
+        assert starts == [[0.9, estimate.diff_poly[0]]]
+        assert "start=moment_regression" in report.splitlines()
+
+    def test_a_training_set_moment_regression_refuses_starts_at_the_midpoint(
+        self, workspace, tmp_path
+    ):
+        # two training levels are too few for a degree-1 drift fit
+        config = densities_config(workspace, split={"train_end": 1.5}, drift_degree=1)
+        training, _ = split(ingest(config), config.train_end)
+        with pytest.raises(InfeasibleConfigError, match="fit window holds 2 points"):
+            moment_regression(config, training)
+        artifact, report = run_train(config, output_dir=tmp_path / "out")
+        assert "start=midpoint" in report.splitlines()
+        assert load_artifact(tmp_path / "out" / "artifact.json").model == artifact.model
+
+    def test_multistart_reports_no_start(self, workspace, tmp_path):
+        config = densities_config(workspace, optimizer="random_multistart_nelder_mead")
+        _, report = run_train(config, output_dir=tmp_path / "out")
+        assert "converged=" in report
+        assert not [line for line in report.splitlines() if line.startswith("start=")]
 
     def test_moment_regression_branch(self, workspace, tmp_path):
         config = ensemble_config(workspace, method="moment_regression")

@@ -954,6 +954,45 @@ class TestSolveMatchesReference:
         assert steps[2][5] != steps[3][2]
         assert assert_matches_reference(f0, model, config).mass_log.size == 5
 
+    def test_step_ends_and_starts_that_differ_in_bits(self):
+        # calibrate_tv's model from t0 = 1: on 7 of the 39 step joins
+        # (t0 + (k - 1) dt) + dt is not t0 + k dt, so the next step
+        # cannot take this step's left-band operator as its right one
+        grid = Grid(-6.0, 10.0, 129)
+        f0 = DensityField(
+            grid=grid, values=gaussian_density(grid, 0.5, 0.6, 0.0).values, time_stamp=1.0
+        )
+        model = CoefficientModel(drift_poly=(0.8, 0.6), diff_poly=(0.25,))
+        dt = 0.025
+        steps = list(_coefficient_steps(model, 1.0, dt, 40, (0.0, dt), keys=True))
+        assert sum(a[5] != b[2] for a, b in zip(steps, steps[1:])) == 7
+        config = SolverConfig(
+            integrator="crank_nicolson", dt=dt, record_times=(1.0 + 20 * dt, 1.0 + 40 * dt)
+        )
+        assert_matches_reference(f0, model, config)
+
+    @pytest.mark.parametrize(
+        "drift, diff",
+        (((0.4, 0.5, -0.2), (0.2,)), ((0.4,), (0.2, 0.1))),
+        ids=("varying_drift", "varying_diffusion"),
+    )
+    def test_one_coefficient_varies(self, drift, diff):
+        # the constant coefficient's operator term is formed once
+        f0, _, config = reference_case("crank_nicolson", "time_varying", False)
+        model = CoefficientModel(drift_poly=drift, diff_poly=diff)
+        assert not model.is_constant()
+        assert_matches_reference(f0, model, config)
+
+    def test_a_step_with_the_same_coefficients_at_both_ends(self):
+        # D1 = 0.5 t (t - 1) is 0 at t = 0 and 1: step 1 takes both
+        # bands from one operator, which step 2 must not reuse
+        f0, _, _ = reference_case("crank_nicolson", "time_varying", False)
+        model = CoefficientModel(drift_poly=(0.0, -0.5, 0.5), diff_poly=(0.2,))
+        config = SolverConfig(integrator="crank_nicolson", dt=1.0, record_times=(1.0, 3.0))
+        steps = list(_coefficient_steps(model, 0.0, 1.0, 3, (0.0, 1.0), keys=True))
+        assert steps[0][2] == steps[0][5] == steps[1][2]
+        assert not assert_matches_reference(f0, model, config).diverged
+
     def test_long_solve_spans_several_coefficient_chunks(self):
         grid = Grid(-5.0, 5.0, 65)
         f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
@@ -1020,6 +1059,20 @@ def diverging_cases():
             cn((1.0, 2.0, 3.0, 4.0)),
             "singular Crank-Nicolson system at step 2 (t=2.0)",
             1,
+        ),
+        # D1 = 1e300 t (t - 1) is 0 at t = 0 and 1, so step 1 shares one
+        # band between both sides, and 2e300 at t = 2, where the
+        # advection band of odd order 9 is singular; its entries are
+        # finite, but its product with the state (about 1e5 on a grid
+        # of width 8e-6) would overflow, so the check must read the
+        # right band, at t = 1
+        (
+            "singular_after_a_shared_band",
+            gaussian_density(Grid(0.0, 8e-6, 9), 4e-6, 1e-6, 0.0),
+            CoefficientModel(drift_poly=(0.0, -1e300, 1e300), diff_poly=(0.0,)),
+            cn((0.0, 1.0, 2.0, 3.0)),
+            "singular Crank-Nicolson system at step 2 (t=2.0)",
+            2,
         ),
         # D2 = -1 zeroes the whole diagonal of I - dt/2 A, of odd order 9
         (
