@@ -34,7 +34,7 @@ from .errors import (
     require_string,
 )
 from .grid import Grid
-from .langevin import SdeSpec, SimPlan, simulate, write_ensemble_csv, write_ensemble_sidecar
+from .langevin import SdeSpec, SimPlan, simulate, write_ensemble
 from .pipeline import (
     RunConfig,
     ingest,
@@ -97,7 +97,7 @@ def _cmd_simulate(args) -> int:
         resolve_output_dir(args.output_dir) / "ensemble.csv"
     )
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_ensemble_sidecar(ens, out, write_ensemble_csv(ens, out))
+    write_ensemble(ens, out)
     print(f"wrote {out} ({ens.n_realizations} trajectories, {ens.n_times} times)")
     return 0
 

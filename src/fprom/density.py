@@ -29,6 +29,7 @@ __all__ = [
     "tikhonov_smooth",
     "write_density_csv",
     "read_density_csv",
+    "read_csv_columns",
 ]
 
 # floor added to the second argument of KL so log stays finite
@@ -309,7 +310,7 @@ def _load_csv_table(path, dtype: np.dtype) -> np.ndarray | None:
     field names of ``dtype``, whose body lines all hold that many
     unquoted fields parsing as the field types, and whose float fields
     are finite. Any other file, including one without data rows,
-    returns None, and _read_csv_columns hands it to _read_csv_rows,
+    returns None, and read_csv_columns hands it to _read_csv_rows,
     which accepts or rejects it with a message naming the line.
     """
     try:
@@ -370,7 +371,7 @@ def _read_csv_rows(path, dtype: np.dtype) -> list[np.ndarray]:
     return arrays
 
 
-def _read_csv_columns(path, dtype: np.dtype) -> list[np.ndarray]:
+def read_csv_columns(path, dtype: np.dtype) -> list[np.ndarray]:
     """One array per field of ``dtype``: the array parse's columns when
     it takes the file, the row parser's otherwise."""
     table = _load_csv_table(path, dtype)
@@ -381,7 +382,7 @@ def _read_csv_columns(path, dtype: np.dtype) -> list[np.ndarray]:
 
 def read_density_csv(path, time_stamp: float = 0.0) -> DensityField:
     """Read the `x,f` format back; the x column must be uniform."""
-    x, f = _read_csv_columns(path, _DENSITY_DTYPE)
+    x, f = read_csv_columns(path, _DENSITY_DTYPE)
     if x.size < 8:
         raise InputDataError(f"{path}: fewer than 8 rows")
     steps = np.diff(x)

@@ -1,6 +1,7 @@
 """Coefficient estimation from ensemble time-series by moment regression.
 
-Polynomials are fitted to the ensemble mean and variance and
+Polynomials are fitted to the mean and variance of an ensemble or of a
+density list and
 differentiated (drift = d mean/dt, diffusion = half d variance/dt),
 which is valid when the coefficients depend on time only.
 """
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import MAX_DEGREE, CoefficientModel
+from .density import DensityField, moments
 from .errors import InfeasibleConfigError
 
 __all__ = [
@@ -88,8 +90,17 @@ class MomentSeries:
             object.__setattr__(self, name, arr)
 
 
-def moment_series(ens: TrajectoryEnsemble) -> MomentSeries:
-    """Per-time cross-realization mean and unbiased (ddof=1) variance."""
+def moment_series(ens: TrajectoryEnsemble | list[DensityField]) -> MomentSeries:
+    """Per-time mean and variance of an ensemble, across realizations
+    with the unbiased (ddof=1) variance, or of a density list, by
+    ``density.moments`` of each field at its time stamp."""
+    if not isinstance(ens, TrajectoryEnsemble):
+        stats = [moments(f) for f in ens]
+        return MomentSeries(
+            times=np.asarray([f.time_stamp for f in ens]),
+            mean=np.asarray([m.mean for m in stats]),
+            variance=np.asarray([m.variance for m in stats]),
+        )
     if ens.n_realizations < 2:
         raise ValueError("unbiased variance needs >= 2 realizations")
     return MomentSeries(

@@ -15,6 +15,10 @@ all trajectories together step by step, in place: h and g that do not
 depend on x are one float per step, applied as scalars, and the others
 are written into two buffers reused from step to step, always in the
 operation order (x + h dt) + (g sqrt(dt)) xi.
+
+write_ensemble writes the long-format CSV and an `.npz` sidecar keyed
+by the CSV's sha256; read_ensemble loads the sidecar while it matches
+the CSV and parses the CSV otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityField, _read_csv_columns, kde_estimate
+from .density import DensityField, kde_estimate, read_csv_columns
 from .errors import (
     InfeasibleConfigError,
     InputDataError,
@@ -42,8 +46,8 @@ __all__ = [
     "simulate",
     "ensemble_to_densities",
     "write_ensemble_csv",
-    "write_ensemble_sidecar",
-    "read_ensemble_sidecar",
+    "write_ensemble",
+    "read_ensemble",
 ]
 
 
@@ -156,6 +160,10 @@ class SimPlan:
         if self.stride < 1:
             raise InfeasibleConfigError("stride must be an integer >= 1")
         steps = self.horizon / self.dt
+        if not math.isfinite(steps):
+            raise InfeasibleConfigError(
+                f"horizon / dt must be finite, got horizon {self.horizon} and dt {self.dt}"
+            )
         n_steps = int(round(steps))
         if n_steps < 1 or abs(steps - n_steps) > 1e-9 * max(1.0, steps):
             raise InfeasibleConfigError(
@@ -340,7 +348,7 @@ def write_ensemble_csv(ens: TrajectoryEnsemble, path) -> str:
     """Long format `traj_id,t,x`, trajectory-major, each float as `repr`
     writes it: the shortest decimal that reads back to the same float.
     Returns the hex sha256 of the bytes written, fed as they are
-    written, for write_ensemble_sidecar.
+    written, for write_ensemble's sidecar.
 
     The x digits come from orjson's Ryu (Adams, PLDI 2018), one
     orjson.dumps call per block of _CSV_BLOCK samples. Ryu's digits are
@@ -385,7 +393,7 @@ def _read_ensemble_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     and none may repeat a time; rows may arrive in any order. Errors
     name the file and the line, or the trajectory.
     """
-    ids, t, x = _read_csv_columns(path, _ENSEMBLE_DTYPE)
+    ids, t, x = read_csv_columns(path, _ENSEMBLE_DTYPE)
     if ids.size == 0:
         raise InputDataError(f"{path}: no data rows")
     order = np.lexsort((t, ids))
@@ -425,38 +433,37 @@ def _sha256_hex(path) -> str:
     return digest.hexdigest()
 
 
-def write_ensemble_sidecar(ens: TrajectoryEnsemble, csv_path, sha256: str) -> None:
-    """Cache the arrays of an ensemble already written to csv_path in
-    `<csv_path>.npz`, keyed by sha256, the hex digest of the CSV bytes
-    that write_ensemble_csv returns. The CSV stays the system of record;
+def write_ensemble(ens: TrajectoryEnsemble, csv_path) -> None:
+    """Write ens to csv_path by write_ensemble_csv, and cache its arrays
+    in `<csv_path>.npz` under the hex sha256 of the CSV bytes, which
+    write_ensemble_csv returns. The CSV stays the system of record;
     deleting the sidecar is always safe."""
+    sha256 = write_ensemble_csv(ens, csv_path)
     with open(f"{csv_path}.npz", "wb") as fh:
         np.savez(fh, times=ens.times, samples=ens.samples, sha256=np.array(sha256))
 
 
-def read_ensemble_sidecar(csv_path) -> tuple[np.ndarray, np.ndarray] | None:
-    """(times, samples) from `<csv_path>.npz` when its digest matches
-    the CSV bytes and its arrays have the shapes a parse gives; None
-    when the sidecar is missing, unreadable, stale or malformed.
-    write_ensemble_csv's shortest round-trip decimals parse back bit for
-    bit, so a matching sidecar holds exactly what _read_ensemble_arrays
-    would return."""
+def read_ensemble(csv_path) -> tuple[np.ndarray, np.ndarray]:
+    """(times, samples) of the ensemble CSV at csv_path: the arrays of
+    `<csv_path>.npz` when its digest matches the CSV bytes and its
+    arrays have the shapes a parse gives, the parse by
+    _read_ensemble_arrays when the sidecar is missing, unreadable,
+    stale or malformed. write_ensemble_csv's shortest round-trip
+    decimals parse back bit for bit, so both give the same arrays."""
     import zipfile
 
     try:
         with open(f"{csv_path}.npz", "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            if str(npz["sha256"]) != _sha256_hex(csv_path):
-                return None
-            times, samples = npz["times"], npz["samples"]
+            if str(npz["sha256"]) == _sha256_hex(csv_path):
+                times, samples = npz["times"], npz["samples"]
+                if (
+                    times.dtype == samples.dtype == np.float64
+                    and times.ndim == 1
+                    and samples.ndim == 2
+                    and samples.shape[1] == times.size
+                    and samples.size
+                ):
+                    return times, samples
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
-        return None
-    if (
-        times.dtype != np.float64
-        or samples.dtype != np.float64
-        or times.ndim != 1
-        or samples.ndim != 2
-        or samples.shape[1] != times.size
-        or samples.size == 0
-    ):
-        return None
-    return times, samples
+        pass
+    return _read_ensemble_arrays(csv_path)

@@ -28,10 +28,7 @@ from .calibrate import DISTANCES, OPTIMIZERS, CalibrationProblem, calibrate, los
 from .coefficients import MAX_DEGREE, CoefficientModel
 from .density import (
     DensityField,
-    kde_estimate,
-    kl_divergence,
-    l1_distance,
-    moments,
+    kl_divergence_rows,
     read_density_csv,
     tikhonov_smooth,
     write_density_csv,
@@ -48,14 +45,9 @@ from .errors import (
     require_seed,
     require_string,
 )
-from .estimation import (
-    MomentSeries,
-    TrajectoryEnsemble,
-    moment_series,
-    regress_time_only_coefficients,
-)
+from .estimation import TrajectoryEnsemble, moment_series, regress_time_only_coefficients
 from .grid import Grid
-from .langevin import _read_ensemble_arrays, ensemble_to_densities, read_ensemble_sidecar
+from .langevin import ensemble_to_densities, read_ensemble
 from .sampling import TransformSpec, pushforward_density
 from .solver import SolverConfig, solve
 
@@ -400,14 +392,16 @@ def load_artifact(path) -> RomArtifact:
 
 
 def _read_manifest(path) -> list[tuple[float, str]]:
-    """Parse `time,path` lines; a literal time,path header is tolerated."""
+    """Parse `time,path` lines; a first line whose fields are `time` and
+    `path`, spaces around them allowed, is taken as a header."""
     entries: list[tuple[float, str]] = []
     base = Path(path).parent
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
-                if not line or (lineno == 1 and line == "time,path"):
+                header = [c.strip() for c in line.split(",")] == ["time", "path"]
+                if not line or (lineno == 1 and header):
                     continue
                 parts = line.split(",", 1)
                 if len(parts) != 2:
@@ -440,15 +434,12 @@ def ingest(config: RunConfig):
 
     Ensemble mode returns a TrajectoryEnsemble with the configured
     transform already applied (log transforms require positive raw
-    values, and the transformed time axis must come out uniform). The
-    CSV is parsed unless the sidecar `simulate` wrote next to it still
-    matches its bytes, in which case the cached arrays are loaded.
-    Density mode returns DensityFields in time order, each on the
-    configured grid.
+    values, and the transformed time axis must come out uniform), from
+    the arrays langevin.read_ensemble gives. Density mode returns
+    DensityFields in time order, each on the configured grid.
     """
     if config.input_mode == "ensemble":
-        cached = read_ensemble_sidecar(config.input_path)
-        times, samples = cached or _read_ensemble_arrays(config.input_path)
+        times, samples = read_ensemble(config.input_path)
         tf = config.transform
         times = tf.forward_t(times)
         samples = tf.forward_x(samples)
@@ -514,34 +505,19 @@ def split(dataset, train_end: float, truncate_start: float | None = None):
     return list(dataset[start : end + 1]), list(dataset[end + 1 :])
 
 
-def _training_densities(config: RunConfig, training) -> list[DensityField]:
-    """KDE per training level for ensembles; pass-through for lists."""
-    if isinstance(training, TrajectoryEnsemble):
-        return ensemble_to_densities(training, config.grid)
-    return training
-
-
-def _train_moment_series(training) -> MomentSeries:
-    if isinstance(training, TrajectoryEnsemble):
-        return moment_series(training)
-    stamps = []
-    means = []
-    variances = []
-    for field in training:
-        m = moments(field)
-        stamps.append(field.time_stamp)
-        means.append(m.mean)
-        variances.append(m.variance)
-    return MomentSeries(
-        times=np.asarray(stamps), mean=np.asarray(means), variance=np.asarray(variances)
-    )
+def _densities(side, grid: Grid) -> list[DensityField]:
+    """A split side as densities: the KDE of each ensemble level on
+    grid, or the density list itself."""
+    if isinstance(side, TrajectoryEnsemble):
+        return ensemble_to_densities(side, grid)
+    return list(side)
 
 
 def moment_regression(config: RunConfig, training) -> CoefficientModel:
     """Regress drift and diffusion polynomials on the training side's
     mean and variance over config.fit_window (default: the whole
     training span)."""
-    series = _train_moment_series(training)
+    series = moment_series(training)
     window = config.fit_window
     if window is None:
         window = (float(series.times[0]), float(series.times[-1]))
@@ -583,7 +559,7 @@ def run_train(config: RunConfig, output_dir=None):
     """
     dataset = ingest(config)
     training, _ = split(dataset, config.train_end, config.truncate_start)
-    train_fields = _training_densities(config, training)
+    train_fields = _densities(training, config.grid)
     if len(train_fields) < 2:
         raise InfeasibleConfigError(
             "training side needs at least two time levels: one initial "
@@ -732,13 +708,12 @@ def run_validate(
     testing is a TrajectoryEnsemble (KDE is applied per level on the
     artifact grid) or a list of DensityFields; fields on a different
     grid are re-gridded by linear interpolation plus renormalization,
-    which is logged. Returns rows (time, kl, l1); the final row is
-    echoed as the summary line of metrics.csv.
+    which is logged. Returns rows (time, kl, l1) of the values
+    kl_divergence and l1_distance give for (test, predicted), scored in
+    one pass over the solve's states; the final row is echoed as the
+    summary line of metrics.csv.
     """
-    if isinstance(testing, TrajectoryEnsemble):
-        fields = ensemble_to_densities(testing, artifact.grid)
-    else:
-        fields = list(testing)
+    fields = _densities(testing, artifact.grid)
     if not fields:
         raise InfeasibleConfigError("testing set is empty")
     prepared = []
@@ -758,15 +733,11 @@ def run_validate(
     )
     if trace.diverged:
         raise SolverDivergenceError(f"forward solve diverged: {trace.diagnostic}")
-    rows = []
-    for field, predicted in zip(prepared, trace.snapshots):
-        rows.append(
-            (
-                field.time_stamp,
-                kl_divergence(field, predicted),
-                l1_distance(field, predicted),
-            )
-        )
+    targets = np.array([f.values for f in prepared])
+    x = artifact.grid.nodes
+    kl_rows = kl_divergence_rows(targets, trace.states, x)
+    l1_rows = np.trapezoid(np.abs(targets - trace.states), x).tolist()
+    rows = [(t, max(kl, 0.0), l1) for t, kl, l1 in zip(times, kl_rows, l1_rows)]
 
     if output_dir is not None or os.environ.get(ENV_OUTPUT_DIR):
         out = resolve_output_dir(output_dir)

@@ -96,6 +96,8 @@ class SolverConfig:
             raise InfeasibleConfigError(f"unknown integrator {self.integrator!r}")
         if not self.dt > 0.0:
             raise InfeasibleConfigError("dt must be > 0")
+        if not math.isfinite(self.dt):
+            raise InfeasibleConfigError(f"dt must be finite, got {self.dt}")
         rt = tuple(float(t) for t in self.record_times)
         if any(b <= a for a, b in zip(rt, rt[1:])):
             raise InfeasibleConfigError("record_times must be strictly increasing")
@@ -194,13 +196,15 @@ def _coefficient_steps(
     for bit while memory stays bounded. Like Python float arithmetic,
     the recurrence overflows to inf without a warning.
     """
+    # the times grow with the step and the offsets are >= 0, so the
+    # last one is finite only if every one is
+    if n_steps and not math.isfinite(t0 + (n_steps - 1) * dt + max(offsets)):
+        raise ValueError("t must be finite")
     for lo in range(0, n_steps, _COEF_CHUNK):
         t = t0 + np.arange(lo, min(lo + _COEF_CHUNK, n_steps), dtype=float) * dt
         columns = []
         for o in offsets:
             tt = t + o if o else t
-            if not np.isfinite(tt).all():
-                raise ValueError("t must be finite")
             with np.errstate(all="ignore"):
                 d1, d2 = model.drift(tt), model.diffusion(tt)
             columns += (d1.tolist(), d2.tolist())
@@ -216,6 +220,10 @@ def _record_steps(t0: float, record_times: tuple[float, ...], dt: float) -> tupl
     steps = []
     for tau in record_times:
         off = tau - t0
+        if not math.isfinite(off / dt):
+            raise InfeasibleConfigError(
+                f"record time {tau} is not a finite number of dt={dt} steps past t0={t0}"
+            )
         if off < -_RECORD_TOL:
             raise InfeasibleConfigError(f"record time {tau} precedes initial time {t0}")
         k = int(round(off / dt))

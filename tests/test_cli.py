@@ -245,6 +245,21 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("horizon", [float("inf"), float("nan")])
+    def test_horizon_without_a_finite_step_count_exits_4(
+        self, cli_workspace, tmp_path, capsys, horizon
+    ):
+        raw = json.loads((cli_workspace / "sim.json").read_text())
+        raw["horizon"] = horizon  # written as the JSON extension Infinity or NaN
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "ens.csv"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: {path}: horizon / dt must be finite, got horizon {horizon} and dt 0.01\n"
+        )
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_writes_report(self, cli_workspace, tmp_path, capsys):
@@ -613,6 +628,24 @@ class TestPredictAndValidate:
         )
         assert code == 4
         assert "beyond" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "horizon, times, dt, message",
+        [
+            ("1.0", "0.75,1.0", "inf", "dt must be finite, got inf"),
+            ("inf", "inf", "0.05", "record time inf is not a finite number"),
+            ("inf", "1e308", "0.05", "record time 1e+308 is not a finite number"),
+            ("inf", "nan", "0.05", "record time nan is not a finite number"),
+        ],
+    )
+    def test_predict_without_a_finite_step_count_exits_4(
+        self, trained, tmp_path, capsys, horizon, times, dt, message
+    ):
+        args = ["predict", "--artifact", str(trained), "--horizon", horizon, "--times", times,
+                "--dt", dt, "--output-dir", str(tmp_path / "pred")]
+        assert main(args) == 4
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "pred").exists()
 
     def test_predict_boundary_flag_exits_2(self, trained, tmp_path, capsys):
         args = ["predict", "--artifact", str(trained), "--horizon", "1.0", "--times", "1.0",
@@ -1094,6 +1127,20 @@ class TestPublicApi:
         "solve",
         "tikhonov_smooth",
     }
+
+    def test_no_module_imports_another_modules_private_name(self):
+        imported = []
+        for path in sorted((SRC / "fprom").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "fprom"
+                ):
+                    imported += [
+                        (path.name, node.module, alias.name)
+                        for alias in node.names
+                        if alias.name.startswith("_") and not alias.name.startswith("__")
+                    ]
+        assert imported == []
 
     def test_all_holds_exactly_the_documented_names(self):
         import fprom

@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fprom import TrajectoryEnsemble, regress_time_only_coefficients
+from fprom import Grid, TrajectoryEnsemble, regress_time_only_coefficients
+from fprom.analytic import drift_diffusion_density
+from fprom.density import moments
 from fprom.estimation import MomentSeries, moment_series
 from fprom.errors import InfeasibleConfigError
 
@@ -77,6 +79,18 @@ class TestMomentSeries:
         s = moment_series(ens)
         assert np.array_equal(s.mean, [2.0, 4.0])
         assert np.allclose(s.variance, [4.0, 13.0], atol=1e-14)
+
+    def test_density_list_gives_the_per_field_moments_bitwise(self):
+        grid = Grid(-8.0, 8.0, 257)
+        fields = [drift_diffusion_density(grid, t, 0.3, 0.5) for t in (1.0, 1.5, 2.5)]
+        s = moment_series(fields)
+        stats = [moments(f) for f in fields]
+        for got, want in (
+            (s.times, [f.time_stamp for f in fields]),
+            (s.mean, [m.mean for m in stats]),
+            (s.variance, [m.variance for m in stats]),
+        ):
+            assert got.tobytes() == np.asarray(want).tobytes()
 
     def test_single_realization_rejected(self):
         ens = TrajectoryEnsemble(times=[0.0, 1.0], samples=np.ones((1, 2)))

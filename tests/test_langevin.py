@@ -95,6 +95,13 @@ class TestPlanValidation:
         with pytest.raises(InfeasibleConfigError, match="dt"):
             SimPlan(n_trajectories=1, dt=0.0, horizon=1.0)
 
+    @pytest.mark.parametrize(
+        "horizon, dt", [(math.inf, 0.01), (math.nan, 0.01), (1.0, 1e-320)]
+    )
+    def test_step_count_not_finite(self, horizon, dt):
+        with pytest.raises(InfeasibleConfigError, match="horizon / dt must be finite"):
+            SimPlan(n_trajectories=1, dt=dt, horizon=horizon)
+
     def test_n_steps(self):
         plan = SimPlan(n_trajectories=1, dt=0.1, horizon=2.0, stride=4)
         assert plan.n_steps == 20

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,15 +21,22 @@ from fprom import (
     run_train,
     run_validate,
     simulate,
+    solve,
 )
 from fprom.analytic import drift_diffusion_density, gaussian_density
-from fprom.density import l1_distance, read_density_csv, write_density_csv
+from fprom.density import (
+    kl_divergence,
+    kl_divergence_rows,
+    l1_distance,
+    read_density_csv,
+    write_density_csv,
+)
 from fprom.estimation import moment_series
 from fprom.sampling import TransformSpec
 import fprom.pipeline
 from fprom.cli import main
 from fprom.errors import InfeasibleConfigError, InputDataError
-from fprom.langevin import _read_ensemble_arrays, write_ensemble_csv
+from fprom.langevin import _read_ensemble_arrays, read_ensemble, write_ensemble_csv
 from fprom.pipeline import (
     ENV_OUTPUT_DIR,
     ingest,
@@ -461,6 +469,14 @@ class TestIngest:
         with pytest.raises(InputDataError, match="duplicate times"):
             ingest(config)
 
+    @pytest.mark.parametrize("header", ["time, path", " time ,path"])
+    def test_manifest_header_with_spaces(self, tmp_path, workspace, header):
+        manifest = tmp_path / "spaced.csv"
+        rows = [f"{t}, {workspace / f'dens_{i}.csv'}" for i, t in enumerate((1.0, 1.5))]
+        manifest.write_text("\n".join([header, *rows]) + "\n")
+        config = densities_config(workspace, input={"mode": "densities", "path": str(manifest)})
+        assert [f.time_stamp for f in ingest(config)] == [1.0, 1.5]
+
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "empty.csv"
         manifest.write_text("time,path\n")
@@ -887,6 +903,30 @@ class TestRunValidate:
         rows = run_validate(artifact, testing, SolverConfig(dt=0.05))
         assert all(kl < 0.05 for _, kl, _ in rows)
 
+    def test_rows_equal_the_per_pair_scores_bitwise(self):
+        # an initial mass 5e-4 above 1 stays in every predicted row, so a
+        # prediction renormalised as the test level scores a raw KL < 0
+        artifact = self.make_artifact()
+        f0 = artifact.initial_density
+        heavy = DensityField(grid=f0.grid, values=f0.values * (1 + 5e-4), time_stamp=1.0)
+        artifact = replace(artifact, initial_density=heavy)
+        solver = SolverConfig(dt=0.05)
+        times = (1.5, 2.0, 2.5)
+        predicted = solve(heavy, artifact.model, replace(solver, record_times=times)).snapshots
+        testing = [
+            DensityField.normalized(q.grid, q.values, q.time_stamp) for q in predicted[:2]
+        ] + [drift_diffusion_density(Grid(-6.0, 10.0, 1025), 2.5, 1.0, 0.5)]
+        prepared = testing[:2] + [fprom.pipeline._regrid(testing[2], artifact.grid)]
+        x = artifact.grid.nodes
+        assert kl_divergence_rows(testing[0].values[None], predicted[0].values[None], x)[0] < 0
+        expected = [
+            (p.time_stamp, kl_divergence(p, q), l1_distance(p, q))
+            for p, q in zip(prepared, predicted)
+        ]
+        rows = run_validate(artifact, testing, solver)
+        assert expected[0][1] == 0.0
+        assert np.array(rows).tobytes() == np.array(expected).tobytes()
+
     def test_empty_testing_rejected(self):
         artifact = self.make_artifact()
         with pytest.raises(InfeasibleConfigError, match="empty"):
@@ -982,7 +1022,7 @@ class TestEnsembleSidecar:
         def no_parse(path):
             raise AssertionError("the CSV was parsed")
 
-        monkeypatch.setattr(fprom.pipeline, "_read_ensemble_arrays", no_parse)
+        monkeypatch.setattr(fprom.langevin, "_read_ensemble_arrays", no_parse)
         _assert_bitwise(ingest(RunConfig.from_file(simulated / "run.json")), *expected)
 
     def test_edited_csv_is_parsed(self, simulated):
@@ -1034,6 +1074,10 @@ class TestEnsembleSidecar:
                 np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
         _assert_bitwise(ingest(RunConfig.from_file(simulated / "run.json")),
                         *_parsed(simulated))
+        csv_path = simulated / "ensemble.csv"
+        for got, parsed in zip(read_ensemble(csv_path), _read_ensemble_arrays(csv_path)):
+            assert got.dtype == parsed.dtype and got.shape == parsed.shape
+            assert got.tobytes() == parsed.tobytes()
 
     def test_ingest_never_writes_a_sidecar(self, simulated):
         (simulated / "ensemble.csv.npz").unlink()

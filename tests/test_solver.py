@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -53,6 +54,11 @@ class TestSolverConfig:
         with pytest.raises(InfeasibleConfigError, match="dt"):
             SolverConfig(integrator="crank_nicolson", dt=0.0, record_times=(1.0,))
 
+    def test_infinite_dt(self):
+        # 0 * inf is NaN, so every record time would pass as step 0
+        with pytest.raises(InfeasibleConfigError, match="dt must be finite"):
+            SolverConfig(dt=float("inf"), record_times=(1.0,))
+
     def test_defaults(self):
         config = SolverConfig(dt=0.1)
         assert config.integrator == "crank_nicolson"
@@ -80,6 +86,15 @@ class TestSolveValidation:
             integrator="crank_nicolson", dt=0.1, record_times=(0.15,)
         )
         with pytest.raises(InfeasibleConfigError, match="integer multiple"):
+            solve(f0, wiener_model(), config)
+
+    @pytest.mark.parametrize("tau", [float("inf"), 1e308, float("nan")])
+    def test_record_time_without_a_finite_step_count(self, tau):
+        # 1e308 / 0.05 overflows to inf
+        grid = Grid(-8.0, 8.0, 129)
+        f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
+        config = SolverConfig(dt=0.05, record_times=(tau,))
+        with pytest.raises(InfeasibleConfigError, match=re.escape(f"record time {tau} is not")):
             solve(f0, wiener_model(), config)
 
     def test_record_time_before_start(self):
