@@ -156,15 +156,22 @@ def _solver_settings(args, fallback: SolverConfig | None = None) -> SolverConfig
     )
 
 
+def _float_list(text: str) -> tuple[float, ...]:
+    """--times: comma-separated floats, refused as argparse refuses one."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _cmd_predict(args) -> int:
     artifact = load_artifact(args.artifact)
-    times = tuple(float(v) for v in args.times.split(","))
     solver = _solver_settings(args)
     out = resolve_output_dir(args.output_dir)
     densities, reconstructed = run_predict(
         artifact,
         horizon=args.horizon,
-        record_times=times,
+        record_times=args.times,
         solver=solver,
         output_dir=out,
     )
@@ -267,7 +274,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("predict", _cmd_predict, "propagate an artifact forward"):
         p.add_argument("--artifact", required=True, help="artifact.json path")
         p.add_argument("--horizon", type=float, required=True)
-        p.add_argument("--times", required=True, help="comma-separated record times")
+        p.add_argument(
+            "--times", type=_float_list, required=True, help="comma-separated record times"
+        )
         p.add_argument("--dt", type=float, required=True)
         p.add_argument("--integrator", choices=INTEGRATORS)
         # accepted and ignored: the reconstruction no longer samples, but

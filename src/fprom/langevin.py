@@ -11,10 +11,9 @@ and geometric Brownian motion (h = b x, g = d x) are sampled once per
 record interval: the first by its Euler-Maruyama increment over stride
 steps, which is exactly Gaussian, the second by the SDE's exact step, so
 it records the SDE's law, not Euler-Maruyama's. Every other run marches
-all trajectories together step by step, in place: h and g that do not
-depend on x are one float per step, applied as scalars, and the others
-are written into two buffers reused from step to step, always in the
-operation order (x + h dt) + (g sqrt(dt)) xi.
+all trajectories together step by step, x += h dt and then
+x += g sqrt(dt) xi; h and g that do not depend on x are one float per
+step.
 
 write_ensemble writes the long-format CSV and an `.npz` sidecar keyed
 by the CSV's sha256; read_ensemble loads the sidecar while it matches
@@ -51,29 +50,19 @@ __all__ = [
 ]
 
 
-def _linear_in_x(p, x, t, out):
-    """a + b x into out: p[1] * x first, then p[0] added."""
-    return np.add(np.multiply(x, p[1], out=out), p[0], out=out)
-
-
-# drift registry: kind -> (parameter names, h(params, x, t, out)); kinds
-# that do not depend on x return one float, the others write h into out
-# and return it
+# drift registry: kind -> (parameter names, h(params, x, t)); kinds
+# that do not depend on x return one float
 DRIFT_KINDS = {
-    "constant": (("value",), lambda p, x, t, out: p[0]),
-    "linear_in_t": (("a", "b"), lambda p, x, t, out: p[0] + p[1] * t),
-    "linear_in_x": (("a", "b"), _linear_in_x),
-    "ornstein_uhlenbeck": (
-        ("theta", "mean"),
-        lambda p, x, t, out: np.multiply(np.subtract(x, p[1], out=out), -p[0], out=out),
-    ),
+    "constant": (("value",), lambda p, x, t: p[0]),
+    "linear_in_t": (("a", "b"), lambda p, x, t: p[0] + p[1] * t),
+    "linear_in_x": (("a", "b"), lambda p, x, t: x * p[1] + p[0]),
+    "ornstein_uhlenbeck": (("theta", "mean"), lambda p, x, t: (x - p[1]) * -p[0]),
 }
 
-# noise registry: kind -> (parameter names, g(params, x, t, out)), with
-# the same float-or-out convention
+# noise registry: kind -> (parameter names, g(params, x, t))
 NOISE_KINDS = {
-    "constant": (("sigma",), lambda p, x, t, out: p[0]),
-    "linear_in_x": (("a", "b"), _linear_in_x),
+    "constant": (("sigma",), lambda p, x, t: p[0]),
+    "linear_in_x": (("a", "b"), lambda p, x, t: x * p[1] + p[0]),
 }
 
 X0_KINDS = ("point", "normal")
@@ -124,13 +113,13 @@ class SdeSpec:
                 raise InfeasibleConfigError(f"{label} parameters must be finite")
             object.__setattr__(self, f"{label}_params", vals)
 
-    def drift(self, x: np.ndarray, t: float, out: np.ndarray):
-        """h(x, t): a float for x-free kinds, else written into out."""
-        return DRIFT_KINDS[self.drift_kind][1](self.drift_params, x, t, out)
+    def drift(self, x: np.ndarray, t: float):
+        """h(x, t): a float for x-free kinds, else one per state."""
+        return DRIFT_KINDS[self.drift_kind][1](self.drift_params, x, t)
 
-    def noise(self, x: np.ndarray, t: float, out: np.ndarray):
-        """g(x, t): a float for x-free kinds, else written into out."""
-        return NOISE_KINDS[self.noise_kind][1](self.noise_params, x, t, out)
+    def noise(self, x: np.ndarray, t: float):
+        """g(x, t): a float for x-free kinds, else one per state."""
+        return NOISE_KINDS[self.noise_kind][1](self.noise_params, x, t)
 
 
 @dataclass(frozen=True)
@@ -212,8 +201,9 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
     once per step.
     Both interval ensembles depend on the stride, and on every path a
     trajectory's path depends on how many trajectories are simulated.
-    Besides the output the interval paths hold two arrays of
-    n_trajectories floats and the march four, however many steps.
+    Besides the output the interval paths hold two or three arrays of
+    n_trajectories floats and the march three to five, however many
+    steps.
 
     Raises SolverDivergenceError on non-finite state and
     InfeasibleConfigError if the noise amplitude evaluates negative.
@@ -226,7 +216,13 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
 
     n_steps = plan.n_steps
     m = plan.n_trajectories
-    out = np.empty((m, n_steps // plan.stride + 1))
+    try:
+        out = np.empty((m, n_steps // plan.stride + 1))
+    except (ValueError, MemoryError) as exc:
+        raise InfeasibleConfigError(
+            f"n_trajectories {m} by horizon {plan.horizon} / dt {plan.dt} / "
+            f"stride {plan.stride} + 1 record times cannot be allocated: {exc}"
+        ) from None
     times = np.arange(0, n_steps + 1, plan.stride) * plan.dt
     dt = plan.dt
     sqrt_dt = np.sqrt(dt)
@@ -238,7 +234,6 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
         x += mu0
     else:
         x = np.full(m, plan.x0_params[0])
-    xi = np.empty(m)
     out[:, 0] = x
     _require_finite(x, 0, dt)
     additive = spec.drift_kind in _X_FREE_DRIFTS and spec.noise_kind == "constant"
@@ -247,7 +242,10 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
         and spec.drift_params[0] == spec.noise_params[0] == 0.0
     )
     if plan.stride > 1 and (additive or geometric):
-        _require_nonnegative(spec.noise(x, 0.0, xi), x, 0.0)
+        _require_nonnegative(spec.noise(x, 0.0), x, 0.0)
+        # after the check, so that its g, an array for geometric Brownian
+        # motion, and the draw buffer are never alive at once
+        xi = np.empty(m)
         s = plan.stride * dt
         # g for additive noise, d for geometric Brownian motion
         scale = spec.noise_params[-1] * np.sqrt(s)
@@ -259,11 +257,11 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
             if additive:
                 left = range(k1 - plan.stride, k1)
                 try:
-                    x += math.fsum(spec.drift(x, k * dt, xi) * dt for k in left)
+                    x += math.fsum(spec.drift(x, k * dt) * dt for k in left)
                 except (OverflowError, ValueError):
                     # the sum leaves the float range; fsum raises where the
                     # plain sum gives the inf or nan refused below
-                    x += sum(spec.drift(x, k * dt, xi) * dt for k in left)
+                    x += sum(spec.drift(x, k * dt) * dt for k in left)
             gen.standard_normal(out=xi)
             xi *= scale
             if additive:
@@ -275,32 +273,16 @@ def simulate(spec: SdeSpec, plan: SimPlan) -> TrajectoryEnsemble:
             _require_finite(x, k1, dt)
             out[:, col] = x
         return TrajectoryEnsemble(times=times, samples=out)
-    h_buf = np.empty(m)
-    g_buf = np.empty(m)
-    col = 1
     for k in range(n_steps):
         t = k * dt
-        g = spec.noise(x, t, g_buf)
+        g = spec.noise(x, t)
         _require_nonnegative(g, x, t)
-        # (x + h dt) + (g sqrt(dt)) xi, the same operations in place
-        h = spec.drift(x, t, h_buf)
-        if isinstance(h, float):
-            x += h * dt
-        else:
-            h *= dt
-            x += h
-        gen.standard_normal(out=xi)
-        if isinstance(g, float):
-            xi *= g * sqrt_dt
-            x += xi
-        else:
-            g *= sqrt_dt
-            g *= xi
-            x += g
+        # two in-place adds: (x + h dt) + (g sqrt(dt)) xi
+        x += spec.drift(x, t) * dt
+        x += g * sqrt_dt * gen.standard_normal(m)
         _require_finite(x, k + 1, dt)
         if (k + 1) % plan.stride == 0:
-            out[:, col] = x
-            col += 1
+            out[:, (k + 1) // plan.stride] = x
     return TrajectoryEnsemble(times=times, samples=out)
 
 
@@ -316,20 +298,14 @@ def _require_finite(x: np.ndarray, step: int, dt: float) -> None:
 
 def _require_nonnegative(g, x: np.ndarray, t: float) -> None:
     """Refuse a noise amplitude g (a float or one per state x) that is
-    negative at time t, naming the first such state."""
-    if g < 0.0 if isinstance(g, float) else _any_negative(g):
+    negative at time t, naming the first such state; NaN is not
+    negative."""
+    if np.less(g, 0.0).any():
         g = np.broadcast_to(g, x.shape)
         bad = int(np.argmax(g < 0.0))
         raise InfeasibleConfigError(
             f"noise amplitude negative ({g[bad]}) at t={t}, x={x[bad]}"
         )
-
-
-def _any_negative(g: np.ndarray) -> bool:
-    """(g < 0.0).any() without the boolean temporary: fmin skips NaN,
-    so the least non-NaN amplitude decides, and an all-NaN g is not
-    negative."""
-    return bool(np.fmin.reduce(g) < 0.0)
 
 
 def ensemble_to_densities(ens: TrajectoryEnsemble, grid: Grid) -> list[DensityField]:

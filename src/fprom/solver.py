@@ -296,7 +296,13 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
     # read only: every step writes its new state into a fresh array
     f = f0.values
     states = np.empty((len(rec_steps), n))
-    mass_log = np.empty(n_total)
+    try:
+        mass_log = np.empty(n_total)
+    except (ValueError, MemoryError) as exc:
+        raise InfeasibleConfigError(
+            f"record time {t_end} is {n_total} steps of dt={dt} past t0={t0}, "
+            f"more than can be allocated: {exc}"
+        ) from None
     n_rec = 0
     work = np.empty(n - 1)
 

@@ -133,6 +133,19 @@ class TestSimulate:
             assert capsys.readouterr().err == f"error: {where}seed must be in [0, 2**63)\n"
         assert not out.exists()
 
+    def test_output_too_large_to_allocate_exits_4(self, cli_workspace, tmp_path, capsys):
+        # 1,000 trajectories by 1e12 + 1 record times: 7.1 PiB
+        raw = json.loads((cli_workspace / "sim.json").read_text())
+        raw.update(n_trajectories=1000, dt=0.001, horizon=1e12, stride=1000)
+        (tmp_path / "sim.json").write_text(json.dumps(raw))
+        out = tmp_path / "ens.csv"
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--output", str(out)]) == 4
+        assert capsys.readouterr().err.startswith(
+            "error: n_trajectories 1000 by horizon 1000000000000.0 / dt 0.001 / stride 1000 + 1 "
+            "record times cannot be allocated: Unable to allocate 7.11 PiB"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [("n_trajectories", 2.9), ("stride", 2.5), ("seed", True), ("seed", 1.7)],
@@ -646,6 +659,40 @@ class TestPredictAndValidate:
         assert main(args) == 4
         assert message in capsys.readouterr().err
         assert not (tmp_path / "pred").exists()
+
+    @pytest.mark.parametrize(
+        "horizon, steps, cause",
+        [
+            ("1e20", 2 * 10**21, "Maximum allowed dimension exceeded"),
+            ("5e13", 10**15, "Unable to allocate 7.11 PiB"),
+        ],
+    )
+    def test_predict_with_too_many_steps_to_allocate_exits_4(
+        self, trained, tmp_path, capsys, horizon, steps, cause
+    ):
+        args = ["predict", "--artifact", str(trained), "--horizon", horizon, "--times", horizon,
+                "--dt", "0.05", "--output-dir", str(tmp_path / "pred")]
+        assert main(args) == 4
+        assert capsys.readouterr().err.startswith(
+            f"error: record time {float(horizon)} is {steps} steps of dt=0.05 past t0=0.0, "
+            f"more than can be allocated: {cause}"
+        )
+        assert not (tmp_path / "pred").exists()
+
+    @pytest.mark.parametrize("times", ["abc", "1.5,,2.0"])
+    def test_predict_times_refused_as_dt_is(self, trained, capsys, times):
+        base = ["predict", "--artifact", str(trained), "--horizon", "2.0"]
+        errors = []
+        for flags in (["--times", "2.0", "--dt", "abc"], ["--times", times, "--dt", "0.05"]):
+            with pytest.raises(SystemExit) as exc:
+                main(base + flags)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        dt_error = "fprom predict: error: argument --dt: invalid float value: 'abc'\n"
+        assert errors[0].endswith(dt_error)
+        assert errors[1] == errors[0].replace(
+            dt_error, f"fprom predict: error: argument --times: invalid float value: {times!r}\n"
+        )
 
     def test_predict_boundary_flag_exits_2(self, trained, tmp_path, capsys):
         args = ["predict", "--artifact", str(trained), "--horizon", "1.0", "--times", "1.0",

@@ -24,9 +24,8 @@ from fprom.errors import (
     SolverDivergenceError,
 )
 from fprom.langevin import (
-    NOISE_KINDS,
-    _any_negative,
     _read_ensemble_arrays,
+    _require_nonnegative,
 )
 
 
@@ -245,6 +244,22 @@ class TestSimulate:
         )
         with pytest.raises(InfeasibleConfigError, match="negative"):
             simulate(spec, plan)
+
+    @pytest.mark.parametrize(
+        "n, horizon, dt, stride, cause",
+        [
+            (1, 1e20, 1.0, 1, "Maximum allowed dimension exceeded"),
+            (1000, 1e12, 0.001, 1000, "Unable to allocate 7.11 PiB"),
+        ],
+    )
+    def test_output_too_large_to_allocate_is_infeasible(self, n, horizon, dt, stride, cause):
+        plan = SimPlan(n_trajectories=n, dt=dt, horizon=horizon, stride=stride)
+        with pytest.raises(InfeasibleConfigError) as got:
+            simulate(constant_spec(), plan)
+        assert str(got.value).startswith(
+            f"n_trajectories {n} by horizon {horizon} / dt {dt} / stride {stride} + 1 "
+            f"record times cannot be allocated: {cause}"
+        )
 
     def test_explosion_raises_divergence_error(self):
         spec = SdeSpec(
@@ -614,15 +629,24 @@ _AMPLITUDE_STATES = np.array(
 
 class TestNegativeAmplitudeCheck:
     @pytest.mark.parametrize("params", [(0.1, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.0, 0.0)])
-    def test_matches_the_comparison_on_every_registry_amplitude(self, params):
+    def test_raises_exactly_when_an_amplitude_is_negative(self, params):
         # linear_in_x is the only x-dependent noise kind; b = 0 turns an
-        # infinite state into a NaN amplitude
-        g_of = NOISE_KINDS["linear_in_x"][1]
-        with np.errstate(invalid="ignore", over="ignore"):
-            g = g_of(params, _AMPLITUDE_STATES, 0.0, np.empty(_AMPLITUDE_STATES.size))
-        for lo in range(g.size):
-            for hi in range(lo + 1, g.size + 1):
-                assert _any_negative(g[lo:hi]) == bool((g[lo:hi] < 0.0).any())
+        # infinite state into a NaN amplitude, which is not negative
+        spec = SdeSpec("constant", (0.0,), "linear_in_x", params)
+        for lo in range(_AMPLITUDE_STATES.size):
+            for hi in range(lo + 1, _AMPLITUDE_STATES.size + 1):
+                x = _AMPLITUDE_STATES[lo:hi]
+                with np.errstate(invalid="ignore", over="ignore"):
+                    g = spec.noise(x, 0.0)
+                bad = next((i for i, v in enumerate(g.tolist()) if v < 0.0), None)
+                if bad is None:
+                    _require_nonnegative(g, x, 0.0)
+                    continue
+                with pytest.raises(InfeasibleConfigError) as got:
+                    _require_nonnegative(g, x, 0.0)
+                assert str(got.value) == (
+                    f"noise amplitude negative ({g[bad]}) at t=0.0, x={x[bad]}"
+                )
 
 
 def _peak_beside_the_output(spec, plan=None):
@@ -641,8 +665,9 @@ def _peak_beside_the_output(spec, plan=None):
 
 class TestSimulateMemory:
     def test_peak_is_the_output(self):
-        # the march holds four arrays of 2000 floats (64 KB) besides the
-        # output; an array proportional to the 2000 steps would not fit
+        # the march holds about three arrays of 2000 floats (48 KB)
+        # besides the output, five with x-dependent noise; an array
+        # proportional to the 2000 steps would not fit
         spec = SdeSpec("ornstein_uhlenbeck", (1.0, 0.5), "constant", (0.7,))
         assert _peak_beside_the_output(spec) < 2**20
 

@@ -97,6 +97,24 @@ class TestSolveValidation:
         with pytest.raises(InfeasibleConfigError, match=re.escape(f"record time {tau} is not")):
             solve(f0, wiener_model(), config)
 
+    @pytest.mark.parametrize(
+        "tau, steps, cause",
+        [
+            (1e20, 2 * 10**21, "Maximum allowed dimension exceeded"),
+            (5e13, 10**15, "Unable to allocate 7.11 PiB"),
+        ],
+    )
+    def test_record_time_too_many_steps_to_allocate(self, tau, steps, cause):
+        grid = Grid(-8.0, 8.0, 129)
+        f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
+        config = SolverConfig(dt=0.05, record_times=(tau,))
+        with pytest.raises(InfeasibleConfigError) as got:
+            solve(f0, wiener_model(), config)
+        assert str(got.value).startswith(
+            f"record time {tau} is {steps} steps of dt=0.05 past t0=0.0, "
+            f"more than can be allocated: {cause}"
+        )
+
     def test_record_time_before_start(self):
         grid = Grid(-8.0, 8.0, 129)
         f0 = gaussian_density(grid, 0.0, 1.0, 1.0)
