@@ -92,7 +92,10 @@ def _cmd_simulate(args) -> int:
     spec, plan = _simulate_inputs(load_json_object(args.config), args.config)
     if args.seed is not None:
         plan = dataclasses.replace(plan, seed=args.seed)
-    ens = simulate(spec, plan)
+    try:
+        ens = simulate(spec, plan)
+    except InfeasibleConfigError as exc:
+        raise InfeasibleConfigError(f"{args.config}: {exc}") from None
     out = Path(args.output) if args.output else (
         resolve_output_dir(args.output_dir) / "ensemble.csv"
     )

@@ -120,10 +120,9 @@ def _or_null(read):
 
 
 def _read_bounds(value, what: str) -> tuple[tuple[float, float], ...]:
-    try:
-        return tuple((float(a), float(b)) for a, b in value)
-    except (TypeError, ValueError) as exc:
-        raise InputDataError(f"{what} must be a list of [lower, upper] pairs") from exc
+    if not isinstance(value, list):
+        raise InputDataError(f"{what} must be a list of [lo, hi] pairs, got {value!r}")
+    return tuple(_read_pair(pair, f"{what}[{i}]") for i, pair in enumerate(value))
 
 
 def _read_pair(value, what: str) -> tuple[float, ...]:

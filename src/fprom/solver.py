@@ -14,8 +14,10 @@ ranges of D1 and D2 over the horizon from ``CoefficientModel``.
 
 Two integrators: classical explicit RK4, with hard diffusion and
 advection stability checks, applying A by a tridiagonal matrix-vector
-product; and Crank-Nicolson. D1 and D2 are evaluated once per solve
-for all step times. Crank-Nicolson's two bands, I -/+ S with
+product; and Crank-Nicolson. Each step takes D1 and D2 at the times it
+needs from ``CoefficientModel``, and a Crank-Nicolson step takes its
+start's from the step before when that step ended at the same time.
+Crank-Nicolson's two bands, I -/+ S with
 S = dt/2 A, come from one S per time level: the left band is I - S, and
 the next step's right band adds 1 to the same S's diagonal. S is
 formed again only when the bits of (D1, D2) change, and each of its
@@ -41,8 +43,8 @@ divergence flag and returns the partial trace instead of raising.
 
 from __future__ import annotations
 
-import itertools
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -68,9 +70,6 @@ RK4_IMAG_REACH = 2.0 * math.sqrt(2.0)
 MASS_TOL = 1e-10
 
 _RECORD_TOL = 1e-9
-
-# steps whose coefficients are evaluated in one array pass
-_COEF_CHUNK = 512
 
 # a bound on every Crank-Nicolson band entry below this, far from the
 # float overflow threshold, proves every band finite
@@ -182,37 +181,6 @@ def _magnitude_bound(poly: tuple[float, ...], t_abs: float) -> float:
     return acc
 
 
-def _coefficient_steps(
-    model: CoefficientModel, t0: float, dt: float, n_steps: int, offsets, keys: bool = False
-):
-    """For each step k = 1..n_steps, (D1, D2) at t + o for every offset o,
-    flattened, with t = t0 + (k - 1) * dt; with keys, each pair is
-    followed by its bit patterns as a tuple of two ints, which tell
-    equal values apart from -0.0 and +0.0.
-
-    The times are formed as the step loop would form them, and D1 and
-    D2 come from CoefficientModel's Horner recurrence applied to arrays
-    of _COEF_CHUNK steps, so every value equals ``model.eval``'s bit
-    for bit while memory stays bounded. Like Python float arithmetic,
-    the recurrence overflows to inf without a warning.
-    """
-    # the times grow with the step and the offsets are >= 0, so the
-    # last one is finite only if every one is
-    if n_steps and not math.isfinite(t0 + (n_steps - 1) * dt + max(offsets)):
-        raise ValueError("t must be finite")
-    for lo in range(0, n_steps, _COEF_CHUNK):
-        t = t0 + np.arange(lo, min(lo + _COEF_CHUNK, n_steps), dtype=float) * dt
-        columns = []
-        for o in offsets:
-            tt = t + o if o else t
-            with np.errstate(all="ignore"):
-                d1, d2 = model.drift(tt), model.diffusion(tt)
-            columns += (d1.tolist(), d2.tolist())
-            if keys:
-                columns.append(zip(d1.view(np.int64).tolist(), d2.view(np.int64).tolist()))
-        yield from zip(*columns)
-
-
 @lru_cache(maxsize=64)
 def _record_steps(t0: float, record_times: tuple[float, ...], dt: float) -> tuple[int, ...]:
     """The step of each record time; a loss loop asks for the same ones
@@ -231,6 +199,13 @@ def _record_steps(t0: float, record_times: tuple[float, ...], dt: float) -> tupl
             raise InfeasibleConfigError(
                 f"record time {tau} is not an integer multiple of dt={dt} "
                 f"past t0={t0}; time interpolation is not performed"
+            )
+        # the step times grow with the step, so the last one the step
+        # loop forms, t + dt at step k, is finite only if every one is
+        if k and not math.isfinite(t0 + (k - 1) * dt + dt):
+            raise InfeasibleConfigError(
+                f"record time {tau} is {k} steps of dt={dt} past t0={t0}, "
+                "and the step times overflow before it"
             )
         steps.append(k)
     return tuple(steps)
@@ -340,12 +315,6 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
     record(0)
     rk4 = config.integrator == "explicit_rk4"
     constant = not rk4 and model.is_constant()
-    if rk4:
-        coefficients = _coefficient_steps(model, t0, dt, n_total, (0.0, 0.5 * dt, dt))
-    elif constant:
-        coefficients = itertools.repeat(None)
-    else:
-        coefficients = _coefficient_steps(model, t0, dt, n_total, (0.0, dt), keys=True)
 
     lhs_finite, info = True, 0
     if not rk4:
@@ -386,6 +355,13 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
             drift_term, diff_term = np.empty((2, 3, n))
             term_keys = [None, None]
             s_key, cur = None, 0
+            # the bits of a float, which tell -0.0 from +0.0
+            pack = struct.Struct("<d").pack
+
+            def level(t: float) -> tuple:
+                """D1 and D2 at t, and their bits as the key of S."""
+                d1, d2 = model.drift(t), model.diffusion(t)
+                return d1, d2, (pack(d1), pack(d2))
 
             def form_s(d1: float, d2: float, key, out: np.ndarray) -> None:
                 if key[0] != term_keys[0]:
@@ -395,6 +371,11 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
                 term_keys[:] = key
                 np.add(drift_term, diff_term, out=out)
                 np.multiply(out, c, out=out)
+
+            # where the step before ended: a step that starts there
+            # takes that end's level, as a step time is never -0.0 and
+            # equal times therefore have equal bits
+            t_next = None
 
     def apply_a(d1: float, d2: float, g: np.ndarray) -> np.ndarray:
         return -d1 * _band_matvec(b1, g) + d2 * _band_matvec(b2, g)
@@ -413,17 +394,21 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
             return diverged("mass not conserved", k, k)
         return None
 
-    for k, coef in zip(range(1, n_total + 1), coefficients):
+    for k in range(1, n_total + 1):
+        t = t0 + (k - 1) * dt
         if rk4:
-            d1c, d2c, d1h, d2h, d1n, d2n = coef
-            k1 = apply_a(d1c, d2c, f)
+            t_mid, t_new = t + 0.5 * dt, t + dt
+            d1h, d2h = model.drift(t_mid), model.diffusion(t_mid)
+            k1 = apply_a(model.drift(t), model.diffusion(t), f)
             k2 = apply_a(d1h, d2h, f + 0.5 * dt * k1)
             k3 = apply_a(d1h, d2h, f + 0.5 * dt * k2)
-            k4 = apply_a(d1n, d2n, f + dt * k3)
+            k4 = apply_a(model.drift(t_new), model.diffusion(t_new), f + dt * k3)
             f_new = f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
             if not constant:
-                d1c, d2c, key_c, d1n, d2n, key_n = coef
+                d1c, d2c, key_c = (d1n, d2n, key_n) if t == t_next else level(t)
+                t_next = t + dt
+                d1n, d2n, key_n = level(t_next)
                 if key_c != s_key:
                     form_s(d1c, d2c, key_c, scaled[cur])
                 rhs_band = scaled[cur]

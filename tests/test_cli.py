@@ -141,8 +141,21 @@ class TestSimulate:
         out = tmp_path / "ens.csv"
         assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--output", str(out)]) == 4
         assert capsys.readouterr().err.startswith(
-            "error: n_trajectories 1000 by horizon 1000000000000.0 / dt 0.001 / stride 1000 + 1 "
-            "record times cannot be allocated: Unable to allocate 7.11 PiB"
+            f"error: {tmp_path / 'sim.json'}: n_trajectories 1000 by horizon 1000000000000.0 / "
+            "dt 0.001 / stride 1000 + 1 record times cannot be allocated: Unable to allocate 7.11 PiB"
+        )
+        assert not out.exists()
+
+    def test_negative_noise_amplitude_exits_4(self, cli_workspace, tmp_path, capsys):
+        # simulate itself finds the amplitude negative, after the config is read
+        raw = json.loads((cli_workspace / "sim.json").read_text())
+        raw["noise"] = {"kind": "constant", "params": [-0.7]}
+        raw["x0"] = {"kind": "point", "params": [0.5]}
+        (tmp_path / "sim.json").write_text(json.dumps(raw))
+        out = tmp_path / "ens.csv"
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--output", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'sim.json'}: noise amplitude negative (-0.7) at t=0.0, x=0.5\n"
         )
         assert not out.exists()
 
@@ -561,6 +574,32 @@ class TestTrainAndCalibrate:
         out = tmp_path / "out"
         assert main(["train", "--config", "bad.json", "--output-dir", str(out)]) == code
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            # strings and object keys were once unpacked digit by digit,
+            # ["12", "34"] into ((1.0, 2.0), (3.0, 4.0))
+            (["12", "34"], "bounds[0] must be a [lo, hi] pair"),
+            (
+                {"12": [0.0, 1.0], "34": [0.0, 1.0]},
+                "bounds must be a list of [lo, hi] pairs, got {'12': [0.0, 1.0], '34': [0.0, 1.0]}",
+            ),
+            ("1234", "bounds must be a list of [lo, hi] pairs, got '1234'"),
+            ([[-1.0, 1.0], [0.5]], "bounds[1] must be a [lo, hi] pair"),
+            ([[-1.0, "x"]], "bounds[0][1] must be a number, got 'x'"),
+        ],
+        ids=["strings", "object", "string", "one_element", "non_numeric"],
+    )
+    def test_malformed_bounds_exit_2(self, cli_workspace, tmp_path, capsys, bounds, message):
+        raw = json.loads((cli_workspace / "run.json").read_text())
+        raw["input"]["path"] = str(cli_workspace / "ensemble.csv")
+        raw["bounds"] = bounds
+        (tmp_path / "bad.json").write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(tmp_path / "bad.json"), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'bad.json'}: {message}\n"
         assert not out.exists()
 
     def test_accuracy_order_is_an_unknown_solver_key(self, cli_workspace, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,13 +15,11 @@ from fprom.density import l1_distance, moments
 from fprom.errors import InfeasibleConfigError
 from fprom.grid import flux_bands
 from fprom.solver import (
-    _COEF_CHUNK,
     MASS_TOL,
     RK4_IMAG_REACH,
     STABILITY_SAFETY,
     SolutionTrace,
     _band_matvec,
-    _coefficient_steps,
     _record_steps,
 )
 
@@ -113,6 +112,25 @@ class TestSolveValidation:
         assert str(got.value).startswith(
             f"record time {tau} is {steps} steps of dt=0.05 past t0=0.0, "
             f"more than can be allocated: {cause}"
+        )
+
+    @pytest.mark.parametrize(
+        "model",
+        [wiener_model(), CoefficientModel(drift_poly=(0.0, 1e-300), diff_poly=(0.5,))],
+        ids=("constant", "time_varying"),
+    )
+    def test_step_times_that_overflow(self, model):
+        # two steps reach the largest float, but the end of step 2,
+        # (t0 + dt) + dt, rounds past it to inf
+        tau, t0 = sys.float_info.max, 1e308
+        dt = (tau - t0) / 2 * (1 + 1e-10)
+        f0 = gaussian_density(Grid(-8.0, 8.0, 129), 0.0, 1.0, t0)
+        config = SolverConfig(dt=dt, record_times=(tau,))
+        with pytest.raises(InfeasibleConfigError) as got:
+            solve(f0, model, config)
+        assert str(got.value) == (
+            f"record time {tau} is 2 steps of dt={dt} past t0={t0}, "
+            "and the step times overflow before it"
         )
 
     def test_record_time_before_start(self):
@@ -903,6 +921,11 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
+def coefficient_bits(model, t):
+    """The bits of D1 and D2 at t, which tell -0.0 from +0.0."""
+    return bits([model.drift(t), model.diffusion(t)])
+
+
 def assert_matches_reference(f0, model, config):
     """solve and reference_solve agree bit for bit; returns the trace."""
     with np.errstate(all="ignore"):
@@ -981,10 +1004,11 @@ class TestSolveMatchesReference:
         config = SolverConfig(
             integrator="crank_nicolson", dt=0.1, record_times=(f0.time_stamp + 0.5,)
         )
-        steps = list(_coefficient_steps(model, f0.time_stamp, 0.1, 5, (0.0, 0.1), keys=True))
-        end_of_3, start_of_4 = steps[2][3:5], steps[3][0:2]
-        assert end_of_3 == start_of_4 == (0.0, 0.0)
-        assert steps[2][5] != steps[3][2]
+        t0, dt = f0.time_stamp, 0.1
+        end_of_3, start_of_4 = (t0 + 2 * dt) + dt, t0 + 3 * dt
+        for t in (end_of_3, start_of_4):
+            assert (model.drift(t), model.diffusion(t)) == (0.0, 0.0)
+        assert coefficient_bits(model, end_of_3) != coefficient_bits(model, start_of_4)
         assert assert_matches_reference(f0, model, config).mass_log.size == 5
 
     def test_step_ends_and_starts_that_differ_in_bits(self):
@@ -997,8 +1021,11 @@ class TestSolveMatchesReference:
         )
         model = CoefficientModel(drift_poly=(0.8, 0.6), diff_poly=(0.25,))
         dt = 0.025
-        steps = list(_coefficient_steps(model, 1.0, dt, 40, (0.0, dt), keys=True))
-        assert sum(a[5] != b[2] for a, b in zip(steps, steps[1:])) == 7
+        joins = [((1.0 + (k - 1) * dt) + dt, 1.0 + k * dt) for k in range(1, 40)]
+        assert sum(
+            coefficient_bits(model, end) != coefficient_bits(model, start)
+            for end, start in joins
+        ) == 7
         config = SolverConfig(
             integrator="crank_nicolson", dt=dt, record_times=(1.0 + 20 * dt, 1.0 + 40 * dt)
         )
@@ -1022,8 +1049,8 @@ class TestSolveMatchesReference:
         f0, _, _ = reference_case("crank_nicolson", "time_varying", False)
         model = CoefficientModel(drift_poly=(0.0, -0.5, 0.5), diff_poly=(0.2,))
         config = SolverConfig(integrator="crank_nicolson", dt=1.0, record_times=(1.0, 3.0))
-        steps = list(_coefficient_steps(model, 0.0, 1.0, 3, (0.0, 1.0), keys=True))
-        assert steps[0][2] == steps[0][5] == steps[1][2]
+        # step 1 ends and step 2 starts at 1.0
+        assert coefficient_bits(model, 0.0) == coefficient_bits(model, 1.0)
         assert not assert_matches_reference(f0, model, config).diverged
 
     def test_long_solve_spans_several_coefficient_chunks(self):
@@ -1034,7 +1061,7 @@ class TestSolveMatchesReference:
         config = SolverConfig(
             integrator="crank_nicolson", dt=dt, record_times=(1.1, 1.3)
         )
-        assert round(1.3 / dt) > 2 * _COEF_CHUNK
+        assert round(1.3 / dt) > 1000
         assert_matches_reference(f0, model, config)
 
 
