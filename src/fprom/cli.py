@@ -45,7 +45,6 @@ from .pipeline import (
     run_predict,
     run_train,
     run_validate,
-    split,
 )
 from .solver import INTEGRATORS, SolverConfig
 
@@ -111,7 +110,7 @@ def _cmd_estimate(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     if config.input_mode != "ensemble":
         raise InfeasibleConfigError("estimate requires ensemble input")
-    training, _ = split(ingest(config), config.train_end, config.truncate_start)
+    training = ingest(config, "training")
     model = moment_regression(config, training)
     lines = [f"{k}={v}" for k, v in config.report_items()]
     lines.append(f"n_training_times={training.times.size}")
@@ -190,10 +189,14 @@ def _cmd_predict(args) -> int:
 def _cmd_validate(args) -> int:
     artifact = load_artifact(args.artifact)
     config = RunConfig.from_file(args.config)
-    _, testing = split(ingest(config), config.train_end, config.truncate_start)
+    testing = ingest(config, "testing")
     solver = _solver_settings(args, fallback=config.solver)
     out = resolve_output_dir(args.output_dir, config.output_dir)
-    rows = run_validate(artifact, testing, solver, output_dir=out)
+    try:
+        rows = run_validate(artifact, testing, solver, output_dir=out)
+    except InputDataError as exc:
+        # a testing density run_validate refuses came from the configured input
+        raise InputDataError(f"{config.input_path}: {exc}") from None
     t, kl, l1 = rows[-1]
     print(f"metrics written to {out / 'metrics.csv'}")
     print(f"final t={t!r} kl={kl!r} l1={l1!r}")

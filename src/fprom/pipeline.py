@@ -27,6 +27,7 @@ from ._version import __version__
 from .calibrate import DISTANCES, OPTIMIZERS, CalibrationProblem, calibrate, loss
 from .coefficients import MAX_DEGREE, CoefficientModel
 from .density import (
+    KL_FLOOR,
     DensityField,
     kl_divergence_rows,
     read_density_csv,
@@ -428,27 +429,43 @@ def _read_manifest(path) -> list[tuple[float, str]]:
     return entries
 
 
-def ingest(config: RunConfig):
-    """Load and validate the configured dataset.
+def ingest(config: RunConfig, side: str | None = None):
+    """Load and validate the configured dataset, or one side of its split.
 
     Ensemble mode returns a TrajectoryEnsemble with the configured
     transform already applied (log transforms require positive raw
     values, and the transformed time axis must come out uniform), from
     the arrays langevin.read_ensemble gives. Density mode returns
     DensityFields in time order, each on the configured grid.
+
+    side None gives the whole dataset; "training" or "testing" gives
+    that side of split at config.train_end and config.truncate_start.
+    In density mode the manifest's times are split before any density
+    file is read, so a split refusal comes before any file error and
+    only that side's files are read at all.
     """
+    pick = None if side is None else ("training", "testing").index(side)
     if config.input_mode == "ensemble":
         times, samples = read_ensemble(config.input_path)
         tf = config.transform
         times = tf.forward_t(times)
         samples = tf.forward_x(samples)
         try:
-            return TrajectoryEnsemble(times=times, samples=samples)
+            ens = TrajectoryEnsemble(times=times, samples=samples)
         except ValueError as exc:
             raise InputDataError(f"{config.input_path}: {exc}") from exc
+        if pick is None:
+            return ens
+        return split(ens, config.train_end, config.truncate_start)[pick]
 
+    entries = _read_manifest(config.input_path)
+    if pick is not None:
+        start, end = _split_levels(
+            np.array([t for t, _ in entries]), config.train_end, config.truncate_start
+        )
+        entries = (entries[start : end + 1], entries[end + 1 :])[pick]
     fields = []
-    for t, file_path in _read_manifest(config.input_path):
+    for t, file_path in entries:
         field = read_density_csv(file_path, time_stamp=t)
         if field.grid != config.grid:
             raise InfeasibleConfigError(
@@ -468,18 +485,11 @@ def _level_index(times: np.ndarray, value: float, label: str) -> int:
     return int(hits[0])
 
 
-def split(dataset, train_end: float, truncate_start: float | None = None):
-    """Partition by time: training takes [truncate_start or t0,
-    train_end], testing takes everything after. Both sides must be
-    non-empty (ensembles additionally need two levels per side)."""
-    if isinstance(dataset, TrajectoryEnsemble):
-        times = dataset.times
-    else:
-        times = np.asarray([f.time_stamp for f in dataset], dtype=float)
-        if times.size == 0:
-            raise InfeasibleConfigError("cannot split an empty density list")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise InfeasibleConfigError("density list must be in time order")
+def _split_levels(
+    times: np.ndarray, train_end: float, truncate_start: float | None
+) -> tuple[int, int]:
+    """(start, end): training takes levels start..end of the increasing
+    times, testing every level after end, and neither side is empty."""
     end = _level_index(times, float(train_end), "split.train_end")
     start = 0
     if truncate_start is not None:
@@ -490,6 +500,24 @@ def split(dataset, train_end: float, truncate_start: float | None = None):
         raise InfeasibleConfigError(
             f"train_end {train_end} leaves an empty testing side"
         )
+    return start, end
+
+
+def split(dataset, train_end: float, truncate_start: float | None = None):
+    """Partition by time into (training, testing): training takes
+    [truncate_start or t0, train_end], testing takes everything after.
+    Both sides must be non-empty (ensembles additionally need two
+    levels per side). ingest(config, side) splits a manifest's times by
+    the same levels and refusals before it reads any density file."""
+    if isinstance(dataset, TrajectoryEnsemble):
+        times = dataset.times
+    else:
+        times = np.asarray([f.time_stamp for f in dataset], dtype=float)
+        if times.size == 0:
+            raise InfeasibleConfigError("cannot split an empty density list")
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise InfeasibleConfigError("density list must be in time order")
+    start, end = _split_levels(times, train_end, truncate_start)
     if isinstance(dataset, TrajectoryEnsemble):
         if end + 1 - start < 2 or times.size - (end + 1) < 2:
             raise InfeasibleConfigError(
@@ -548,6 +576,10 @@ def _search_start(config: RunConfig, training, bounds) -> np.ndarray | None:
 def run_train(config: RunConfig, output_dir=None):
     """Calibrate on the training side and persist the result.
 
+    Only the training side is ingested: in density mode the testing
+    side's files are never read, so a missing or malformed one does
+    not stop training.
+
     Loss minimization with "nelder_mead" starts from the moment
     regression's coefficients, clipped to the bounds, and from the
     middle of the bounds when moment regression refuses the training
@@ -556,8 +588,7 @@ def run_train(config: RunConfig, output_dir=None):
     directory is resolved, artifact.json and run_report.txt are written
     there.
     """
-    dataset = ingest(config)
-    training, _ = split(dataset, config.train_end, config.truncate_start)
+    training = ingest(config, "training")
     train_fields = _densities(training, config.grid)
     if len(train_fields) < 2:
         raise InfeasibleConfigError(
@@ -707,7 +738,9 @@ def run_validate(
     testing is a TrajectoryEnsemble (KDE is applied per level on the
     artifact grid) or a list of DensityFields; fields on a different
     grid are re-gridded by linear interpolation plus renormalization,
-    which is logged. Returns rows (time, kl, l1) of the values
+    which is logged. A field whose mass is then off 1 by more than
+    1e-3 is refused with InputDataError naming its time, before the
+    solve. Returns rows (time, kl, l1) of the values
     kl_divergence and l1_distance give for (test, predicted), scored in
     one pass over the solve's states; the final row is echoed as the
     summary line of metrics.csv.
@@ -727,14 +760,17 @@ def run_validate(
     times = [f.time_stamp for f in prepared]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise InfeasibleConfigError("testing densities must be in time order")
+    targets = np.array([f.values for f in prepared])
+    x = artifact.grid.nodes
+    for t, mass in zip(times, np.trapezoid(targets, x).tolist()):
+        if abs(mass - 1.0) > 1e-3:
+            raise InputDataError(f"testing density at t={t!r} not normalized: mass {mass!r}")
     trace = solve(
         artifact.initial_density, artifact.model, replace(solver, record_times=times)
     )
     if trace.diverged:
         raise SolverDivergenceError(f"forward solve diverged: {trace.diagnostic}")
-    targets = np.array([f.values for f in prepared])
-    x = artifact.grid.nodes
-    kl_rows = kl_divergence_rows(targets, trace.states, x)
+    kl_rows = kl_divergence_rows(targets, trace.states, x, support=targets > KL_FLOOR)
     l1_rows = np.trapezoid(np.abs(targets - trace.states), x).tolist()
     rows = [(t, max(kl, 0.0), l1) for t, kl, l1 in zip(times, kl_rows, l1_rows)]
 

@@ -15,6 +15,7 @@ from fprom.density import read_density_csv, write_density_csv
 from fprom.sampling import TransformSpec
 from fprom._version import __version__
 from fprom.cli import COMMANDS, _simulate_inputs, build_parser, main
+import fprom.pipeline
 from fprom.pipeline import ENV_OUTPUT_DIR, load_artifact, save_artifact
 
 
@@ -846,6 +847,127 @@ class TestPredictAndValidate:
         stdout = capsys.readouterr().out
         assert "metrics written to" in stdout
         assert "final t=" in stdout
+
+
+TV_TIMES = tuple(round(0.1 * k, 10) for k in range(21))
+
+
+def _write_manifest(path, names) -> Path:
+    path.write_text("time,path\n" + "".join(f"{t!r},{n}\n" for t, n in zip(TV_TIMES, names)))
+    return path
+
+
+def _tv_config(root, manifest, **split) -> Path:
+    """A calibrate_tv-shaped run config: 21 densities, training up to t = 1."""
+    path = root / f"run_{manifest.stem}.json"
+    path.write_text(json.dumps({
+        "input": {"mode": "densities", "path": str(manifest)},
+        "grid": {"x_min": -6.0, "x_max": 10.0, "n_points": 129},
+        "split": split or {"train_end": 1.0},
+        "solver": {"dt": 0.05},
+        "drift_degree": 1,
+        "optimizer": "nelder_mead",
+        "budget": 50,
+        "bounds": [[-1.0, 2.0], [-1.0, 2.0], [0.01, 1.0]],
+    }))
+    return path
+
+
+@pytest.fixture(scope="module")
+def tv_workspace(tmp_path_factory):
+    """The densities of drift 0.8 + 0.6 t and diffusion 0.25 at 21 times,
+    their manifest and run config, and the artifact calibrate makes."""
+    root = tmp_path_factory.mktemp("tv_inputs")
+    grid = Grid(-6.0, 10.0, 129)
+    for k, t in enumerate(TV_TIMES):
+        density = gaussian_density(grid, 0.8 * t + 0.3 * t * t, 0.25 + 0.5 * t, t)
+        write_density_csv(density, root / f"density_{k:02d}.csv")
+    names = [f"density_{k:02d}.csv" for k in range(21)]
+    run = _tv_config(root, _write_manifest(root / "densities.csv", names))
+    assert main(["calibrate", "--config", str(run), "--output-dir", str(root / "out")]) == 0
+    return root
+
+
+class TestDensitySides:
+    """In density mode calibrate reads only the training side's files and
+    validate only the testing side's, after the manifest's times are split."""
+
+    def test_each_command_reads_only_its_side(self, tv_workspace, monkeypatch, tmp_path):
+        read_times = []
+        real = fprom.pipeline.read_density_csv
+
+        def counting(path, time_stamp=0.0):
+            read_times.append(time_stamp)
+            return real(path, time_stamp)
+
+        monkeypatch.setattr(fprom.pipeline, "read_density_csv", counting)
+        run = str(tv_workspace / "run_densities.json")
+        assert main(["calibrate", "--config", run, "--output-dir", str(tmp_path)]) == 0
+        assert read_times == list(TV_TIMES[:11])
+        read_times.clear()
+        artifact = str(tmp_path / "artifact.json")
+        assert main(["validate", "--artifact", artifact, "--config", run,
+                     "--output-dir", str(tmp_path)]) == 0
+        assert read_times == list(TV_TIMES[11:])
+
+    @pytest.mark.parametrize(
+        "split, message",
+        [
+            ({"train_end": 1.05}, "split.train_end 1.05 is not on the time axis"),
+            ({"train_end": 2.0}, "train_end 2.0 leaves an empty testing side"),
+            ({"train_end": 1.0, "truncate_start": 0.55},
+             "split.truncate_start 0.55 is not on the time axis"),
+            ({"train_end": 1.0, "truncate_start": 1.5},
+             "{config}: split.truncate_start must precede split.train_end"),
+        ],
+        ids=["train_end_off_axis", "empty_testing_side", "truncate_start_off_axis",
+             "truncate_start_after_train_end"],
+    )
+    @pytest.mark.parametrize("command", ["calibrate", "validate"])
+    def test_split_refusals_come_before_any_file(
+        self, tv_workspace, tmp_path, capsys, split, message, command
+    ):
+        absent = _write_manifest(tmp_path / "absent.csv", [f"no_{k}.csv" for k in range(21)])
+        config = _tv_config(tmp_path, absent, **split)
+        args = [command, "--config", str(config), "--output-dir", str(tmp_path / "out")]
+        if command == "validate":
+            args += ["--artifact", str(tv_workspace / "out" / "artifact.json")]
+        assert main(args) == 4
+        assert capsys.readouterr().err == f"error: {message.format(config=config)}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_a_broken_testing_file_fails_only_validate(self, tv_workspace, tmp_path, capsys):
+        names = [str(tv_workspace / f"density_{k:02d}.csv") for k in range(21)]
+        broken = tmp_path / "broken.csv"
+        broken.write_text("x,f\n0,1\n")
+        names[15] = str(broken)
+        run = str(_tv_config(tmp_path, _write_manifest(tmp_path / "densities.csv", names)))
+        assert main(["calibrate", "--config", run, "--output-dir", str(tmp_path)]) == 0
+        assert main(["validate", "--artifact", str(tmp_path / "artifact.json"),
+                     "--config", run, "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {broken}: fewer than 8 rows\n"
+        names[5], names[15] = str(broken), str(tv_workspace / "density_15.csv")
+        run = str(_tv_config(tmp_path, _write_manifest(tmp_path / "early.csv", names)))
+        assert main(["calibrate", "--config", run, "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {broken}: fewer than 8 rows\n"
+
+    def test_validate_names_an_unnormalized_testing_density(
+        self, tv_workspace, tmp_path, capsys
+    ):
+        names = [str(tv_workspace / f"density_{k:02d}.csv") for k in range(21)]
+        source = read_density_csv(names[15], time_stamp=1.5)
+        light = dataclasses.replace(source, values=source.values * 0.95)
+        write_density_csv(light, tmp_path / "light.csv")
+        names[15] = str(tmp_path / "light.csv")
+        manifest = _write_manifest(tmp_path / "densities.csv", names)
+        mass = read_density_csv(names[15], time_stamp=1.5).mass
+        assert main(["validate", "--artifact", str(tv_workspace / "out" / "artifact.json"),
+                     "--config", str(_tv_config(tmp_path, manifest)),
+                     "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: testing density at t=1.5 not normalized: mass {mass!r}\n"
+        )
+        assert not (tmp_path / "metrics.csv").exists()
 
 
 class TestOracle:

@@ -575,6 +575,64 @@ class TestIngest:
             ingest(config)
 
 
+class TestIngestSides:
+    @pytest.mark.parametrize(
+        "make_config, split_keys",
+        [
+            (ensemble_config, {"train_end": 0.5}),
+            (ensemble_config, {"train_end": 0.5, "truncate_start": 0.25}),
+            (densities_config, {"train_end": 2.0}),
+            (densities_config, {"train_end": 2.0, "truncate_start": 1.5}),
+        ],
+    )
+    def test_each_side_is_that_side_of_the_whole_split(
+        self, workspace, make_config, split_keys
+    ):
+        config = make_config(workspace, split=split_keys)
+        whole = split(ingest(config), config.train_end, config.truncate_start)
+        for side, want in zip(("training", "testing"), whole, strict=True):
+            got = ingest(config, side)
+            if isinstance(want, TrajectoryEnsemble):
+                assert np.array_equal(got.times, want.times)
+                assert np.array_equal(got.samples, want.samples)
+            else:
+                assert [f.time_stamp for f in got] == [f.time_stamp for f in want]
+                assert all(
+                    np.array_equal(g.values, w.values) for g, w in zip(got, want, strict=True)
+                )
+
+    @pytest.mark.parametrize(
+        "split_keys, message",
+        [
+            ({"train_end": 1.75}, "split.train_end 1.75 is not on the time axis"),
+            ({"train_end": 2.5}, "train_end 2.5 leaves an empty testing side"),
+            (
+                {"train_end": 2.0, "truncate_start": 1.25},
+                "split.truncate_start 1.25 is not on the time axis",
+            ),
+        ],
+    )
+    def test_manifest_times_are_split_before_any_file_is_read(
+        self, tmp_path, workspace, monkeypatch, split_keys, message
+    ):
+        manifest = tmp_path / "absent.csv"
+        manifest.write_text("".join(f"{t},no_such_{t}.csv\n" for t in (1.0, 1.5, 2.0, 2.5)))
+        config = densities_config(
+            workspace, input={"mode": "densities", "path": str(manifest)}, split=split_keys
+        )
+        fields = [gaussian_density(config.grid, 0.0, 1.0, t) for t in (1.0, 1.5, 2.0, 2.5)]
+        with pytest.raises(InfeasibleConfigError) as info:
+            split(fields, config.train_end, config.truncate_start)
+        assert str(info.value) == message
+        opened = []
+        monkeypatch.setattr(fprom.pipeline, "read_density_csv", opened.append)
+        for side in ("training", "testing"):
+            with pytest.raises(InfeasibleConfigError) as info:
+                ingest(config, side)
+            assert str(info.value) == message
+        assert opened == []
+
+
 class TestSplit:
     def test_ensemble_split_counts(self):
         times = np.arange(11.0)
@@ -939,6 +997,17 @@ class TestRunValidate:
         ]
         with pytest.raises(InfeasibleConfigError, match="time order"):
             run_validate(artifact, testing, SolverConfig(dt=0.05))
+
+    def test_unnormalized_testing_density_is_named_by_its_time(self, tmp_path):
+        artifact = self.make_artifact()
+        good, bad = (drift_diffusion_density(artifact.grid, t, 1.0, 0.5) for t in (1.5, 2.0))
+        light = DensityField(grid=bad.grid, values=bad.values * 0.95, time_stamp=2.0)
+        with pytest.raises(InputDataError) as info:
+            run_validate(artifact, [good, light], SolverConfig(dt=0.05), output_dir=tmp_path)
+        assert str(info.value) == (
+            f"testing density at t=2.0 not normalized: mass {light.mass!r}"
+        )
+        assert not (tmp_path / "metrics.csv").exists()
 
 
 _SIDECAR_CASES = {

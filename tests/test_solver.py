@@ -1011,6 +1011,48 @@ class TestSolveMatchesReference:
         assert coefficient_bits(model, end_of_3) != coefficient_bits(model, start_of_4)
         assert assert_matches_reference(f0, model, config).mass_log.size == 5
 
+    def test_signed_zero_coefficients_reach_the_left_bands(self, monkeypatch):
+        # a signed zero in S only signs zero band entries, and the states
+        # are recorded through np.maximum(f, 0.0), which turns -0.0 into
+        # +0.0, so the case above cannot see it; each left band handed to
+        # ?gtsv must hold the bits of I + (-dt/2) A(t + dt) formed afresh
+        import scipy.linalg
+
+        grid = Grid(-5.0, 5.0, 65)
+        f0 = DensityField(
+            grid=grid, values=gaussian_density(grid, 0.0, 1.0, 0.0).values, time_stamp=-3 * 0.1
+        )
+        model = CoefficientModel(drift_poly=(-0.0, 5e-324), diff_poly=(-0.0, 5e-324))
+        dt = 0.1
+        config = SolverConfig(
+            integrator="crank_nicolson", dt=dt, record_times=(f0.time_stamp + 5 * dt,)
+        )
+        seen = []
+        real = scipy.linalg.get_lapack_funcs
+
+        def spying(names, *args, **kwargs):
+            funcs = real(names, *args, **kwargs)
+            if names != ("gtsv",):
+                return funcs
+
+            def gtsv(dl, d, du, *rest):
+                seen.append(bits(dl) + bits(d) + bits(du))
+                return funcs[0](dl, d, du, *rest)
+
+            return (gtsv,)
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", spying)
+        assert not solve(f0, model, config).diverged
+        b1, b2 = flux_bands(grid)
+        expected = []
+        for k in range(1, 6):
+            t_end = (f0.time_stamp + (k - 1) * dt) + dt
+            lhs = (-0.5 * dt) * (b1 * -model.drift(t_end) + b2 * model.diffusion(t_end))
+            lhs[1] += 1.0
+            expected.append(bits(lhs[2, :-1]) + bits(lhs[1]) + bits(lhs[0, 1:]))
+        assert len({band[: 8 * 64] for band in expected}) == 2
+        assert seen == expected
+
     def test_step_ends_and_starts_that_differ_in_bits(self):
         # calibrate_tv's model from t0 = 1: on 7 of the 39 step joins
         # (t0 + (k - 1) dt) + dt is not t0 + k dt, so the next step
