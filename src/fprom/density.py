@@ -7,7 +7,6 @@ smoothing, and the two-column CSV interchange format.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -341,6 +340,10 @@ def _read_csv_rows(path, dtype: np.dtype) -> list[np.ndarray]:
     float fields by ``float`` and must be finite. Blank rows are
     skipped; errors name the file and line.
     """
+    # csv is imported here, by the one parser that needs it, to keep
+    # it out of start-up
+    import csv
+
     names = list(dtype.names)
     readers = [float if dtype[name].kind == "f" else int for name in names]
     columns: list[list] = [[] for _ in names]

@@ -15,7 +15,6 @@ config + inputs + seed reproduce byte-identical files.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -79,8 +78,6 @@ _DEFAULT_DRIFT_BOUND = (-2.0, 2.0)
 _DEFAULT_DIFF_BOUND = (1e-5, 2.0)
 
 _TIME_TOL = 1e-9
-
-logger = logging.getLogger("fprom.pipeline")
 
 
 def _fmt(value) -> str:
@@ -423,9 +420,11 @@ def _read_manifest(path) -> list[tuple[float, str]]:
     if not entries:
         raise InputDataError(f"{path}: empty manifest")
     entries.sort(key=lambda item: item[0])
-    times = [t for t, _ in entries]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise InputDataError(f"{path}: duplicate times in manifest")
+    pair = _first_unordered_pair([t for t, _ in entries])
+    if pair:
+        raise InputDataError(
+            f"{path}: duplicate times in manifest: {pair[0]!r} and {pair[1]!r}"
+        )
     return entries
 
 
@@ -477,9 +476,21 @@ def ingest(config: RunConfig, side: str | None = None):
     return fields
 
 
+def _level_tol(times) -> float:
+    """Two times of one axis this close name one level: 1e-9 of the
+    axis's largest magnitude, and at least 1e-9."""
+    return _TIME_TOL * max(1.0, float(np.max(np.abs(times))))
+
+
+def _first_unordered_pair(times) -> tuple[float, float] | None:
+    """The first adjacent pair whose later time does not exceed the
+    earlier by more than _level_tol, or None."""
+    tol = _level_tol(times)
+    return next(((a, b) for a, b in zip(times, times[1:]) if b - a <= tol), None)
+
+
 def _level_index(times: np.ndarray, value: float, label: str) -> int:
-    span = max(1.0, float(np.max(np.abs(times))))
-    hits = np.nonzero(np.abs(times - value) <= _TIME_TOL * span)[0]
+    hits = np.nonzero(np.abs(times - value) <= _level_tol(times))[0]
     if hits.size == 0:
         raise InfeasibleConfigError(f"{label} {value} is not on the time axis")
     return int(hits[0])
@@ -515,8 +526,12 @@ def split(dataset, train_end: float, truncate_start: float | None = None):
         times = np.asarray([f.time_stamp for f in dataset], dtype=float)
         if times.size == 0:
             raise InfeasibleConfigError("cannot split an empty density list")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise InfeasibleConfigError("density list must be in time order")
+        pair = _first_unordered_pair(times.tolist())
+        if pair:
+            raise InfeasibleConfigError(
+                "density list must be in time order, one density per time level: "
+                f"{pair[0]!r} is followed by {pair[1]!r}"
+            )
     start, end = _split_levels(times, train_end, truncate_start)
     if isinstance(dataset, TrajectoryEnsemble):
         if end + 1 - start < 2 or times.size - (end + 1) < 2:
@@ -751,7 +766,11 @@ def run_validate(
     prepared = []
     for field in fields:
         if field.grid != artifact.grid:
-            logger.info(
+            # logging costs a fresh process several milliseconds to
+            # import, so only a run that re-grids loads it
+            import logging
+
+            logging.getLogger("fprom.pipeline").info(
                 "re-gridding test density at t=%r onto the artifact grid",
                 field.time_stamp,
             )

@@ -17,13 +17,14 @@ advection stability checks, applying A by a tridiagonal matrix-vector
 product; and Crank-Nicolson. Each step takes D1 and D2 at the times it
 needs from ``CoefficientModel``, and a Crank-Nicolson step takes its
 start's from the step before when that step ended at the same time.
-Crank-Nicolson's two bands, I -/+ S with
-S = dt/2 A, come from one S per time level: the left band is I - S, and
-the next step's right band adds 1 to the same S's diagonal. S is
-formed again only when the bits of (D1, D2) change, and each of its
-terms, E1 * -D1 and E2 * D2, only when its own coefficient's do, so
-with time-varying coefficients the next step's right band usually
-comes from this step's left one. With constant coefficients the left
+On a uniform grid each LAPACK vector of E1 and E2 (sub-, main and
+super-diagonal) holds one value between its wall ends, so
+S = dt/2 A(t) is seven scalars per time level: three interior values
+and four wall entries. They are formed in Python by the operations the
+whole-array expression applies to each entry, and written into the
+bands I -/+ S by three fills and four wall entries each, so the bands
+hold the bits of the whole-array forms; their finiteness check reads
+the seven scalars and is exact. With constant coefficients the left
 band is factored once by LAPACK ``?gttrf`` and each step solves with
 ``?gttrs``; with time-varying ones ``?gtsv`` solves each left band in
 place. Both give ``?gtsv``'s solution bit for
@@ -44,7 +45,6 @@ divergence flag and returns the partial trace instead of raising.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -70,10 +70,6 @@ RK4_IMAG_REACH = 2.0 * math.sqrt(2.0)
 MASS_TOL = 1e-10
 
 _RECORD_TOL = 1e-9
-
-# a bound on every Crank-Nicolson band entry below this, far from the
-# float overflow threshold, proves every band finite
-_BAND_LIMIT = 1e300
 
 
 @dataclass(frozen=True)
@@ -151,34 +147,45 @@ def _band_matvec(ab: np.ndarray, g: np.ndarray, rows=None) -> np.ndarray:
     return y
 
 
-def _left_band(s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Band of I - S into out: -S, with 1 - S on the diagonal. For
-    S = c * A these are the bits of I + (-c) * A, because rounding is
-    symmetric in sign (NaN signs aside)."""
-    np.negative(s, out=out)
-    np.subtract(1.0, s[1], out=out[1])
-    return out
+def _write_bands(left, s_left, right, s_right) -> None:
+    """Write I - S into the left band's LAPACK vectors (dl, d, du) and
+    I + S into the right band's, each S given by its seven values in
+    ``_grid_constants``' slot order. -s, 1.0 - s and s + 1.0 are what
+    the whole-array forms compute for each entry, so the bands get
+    their bits."""
+    dl, d, du = left
+    lo, m, u, lo1, m0, m1, u0 = s_left
+    dl.fill(-lo)
+    d.fill(1.0 - m)
+    du.fill(-u)
+    dl[-1], d[0], d[-1], du[0] = -lo1, 1.0 - m0, 1.0 - m1, -u0
+    dl, d, du = right
+    lo, m, u, lo1, m0, m1, u0 = s_right
+    dl.fill(lo)
+    d.fill(m + 1.0)
+    du.fill(u)
+    dl[-1], d[0], d[-1], du[0] = lo1, m0 + 1.0, m1 + 1.0, u0
 
 
 @lru_cache(maxsize=32)
-def _grid_constants(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+def _grid_constants(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """What every solve on grid reads and no coefficient changes:
-    ``flux_bands(grid)``, the read-only node spacings and the largest
-    magnitude in each band."""
+    ``flux_bands(grid)``, the read-only node spacings and the (E1, E2)
+    pair at each of the seven band slots. The slots are the interiors
+    of the sub-, main and super-diagonal, then the wall entries
+    (n - 1, n - 2), (0, 0), (n - 1, n - 1) and (0, 1); a band whose
+    interior is not one value, bit for bit, is refused."""
     b1, b2 = flux_bands(grid)
+    n = grid.n_points
+    for name, b in (("E1", b1), ("E2", b2)):
+        for interior in (b[2, :-2], b[1, 1:-1], b[0, 2:]):
+            # compared as bytes, so that -0.0 and 0.0 differ
+            if interior.tobytes() != interior[:1].tobytes() * interior.size:
+                raise ValueError(f"{name} on {grid} has a band interior of several values")
+    slots = ((2, 0), (1, 1), (0, 2), (2, n - 2), (1, 0), (1, n - 1), (0, 1))
     dx = np.diff(grid.nodes)
     dx.flags.writeable = False
-    return b1, b2, dx, max(b1.max(), -b1.min()), max(b2.max(), -b2.min())
-
-
-def _magnitude_bound(poly: tuple[float, ...], t_abs: float) -> float:
-    """A bound on |p(t)| for |t| <= t_abs, and on every partial value of
-    its Horner recurrence: the polynomial of |a_i| at max(t_abs, 1)."""
-    s = max(t_abs, 1.0)
-    acc = 0.0
-    for c in reversed(poly):
-        acc = acc * s + abs(c)
-    return acc
+    return b1, b2, dx, tuple((float(b1[i]), float(b2[i])) for i in slots)
 
 
 @lru_cache(maxsize=64)
@@ -225,15 +232,15 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
     or right-hand side, a singular system, a non-finite state, then a
     trapezoidal mass more than MASS_TOL * m0 away from f0's mass m0.
 
-    A step passes them all at once when its left band is known to be
-    finite, the solve reports no singular pivot and its mass is within
-    tolerance: a finite mass implies a finite state, and a non-finite
-    right-hand side makes the LAPACK solution non-finite. Each left
-    band is checked for finiteness unless a bound on |D1| and |D2|
-    over the horizon keeps every band entry far from overflow. A step
-    that does not pass at once runs the checks in the order above, so
-    the diagnostic, the mass log and the recorded rows are those of
-    running every check on every step.
+    A step passes them all at once when its left band is finite, the
+    solve reports no singular pivot and its mass is within tolerance:
+    a finite mass implies a finite state, and a non-finite right-hand
+    side makes the LAPACK solution non-finite. A Crank-Nicolson band is
+    formed from the seven scalars of S = dt/2 A at its time level, and
+    the left band is finite exactly when they are, so the check reads
+    them alone. A step that does not pass at once runs the checks in
+    the order above, so the diagnostic, the mass log and the recorded
+    rows are those of running every check on every step.
     """
     if not config.record_times:
         raise InfeasibleConfigError("record_times must be nonempty")
@@ -263,7 +270,7 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
                     f"{STABILITY_SAFETY}*{label} = {STABILITY_SAFETY * scale / dmax:.6e}"
                 )
 
-    b1, b2, dx, b1_max, b2_max = _grid_constants(grid)
+    b1, b2, dx, slots = _grid_constants(grid)
     dt = config.dt
     n = grid.n_points
     n_total = max(rec_steps)
@@ -325,57 +332,35 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
         from scipy.linalg import get_lapack_funcs
 
         c = 0.5 * dt
-        lhs = np.empty((3, n))
+        # the entries outside the LAPACK vectors, which _band_matvec
+        # multiplies but never sums, stay 0
+        lhs, rhs_band = np.zeros((2, 3, n))
         products = [_product_rows(p) for p in np.empty((2, 3, n))]
-        lhs_dl, lhs_d, lhs_du = lhs[2, :-1], lhs[1], lhs[0, 1:]
+        left = lhs[2, :-1], lhs[1], lhs[0, 1:]
+        right = rhs_band[2, :-1], rhs_band[1], rhs_band[0, 1:]
+
+        def level(t: float) -> list[float]:
+            """S at t in its seven slots, each formed as the whole-array
+            expression (E1 * -D1 + E2 * D2) * (dt/2) forms its entries."""
+            neg_d1, d2 = -model.drift(t), model.diffusion(t)
+            return [(e1 * neg_d1 + e2 * d2) * c for e1, e2 in slots]
+
         if constant:
-            rhs_band = (b1 * -model.drift(0.0) + b2 * model.diffusion(0.0)) * c
-            _left_band(rhs_band, lhs)
-            np.add(rhs_band[1], 1.0, out=rhs_band[1])
-            lhs_finite = bool(np.isfinite(lhs).all())
+            s_0 = level(0.0)
+            _write_bands(left, s_0, right, s_0)
+            lhs_finite = all(map(math.isfinite, s_0))
             # ?gttrf/?gttrs do ?gtsv's elimination, pivots and back
             # substitution in the same order, so each step's solution is
             # ?gtsv's bit for bit; a singular or non-finite band fails
             # step 1 after its solve
             gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.float64)
-            *factors, info = gttrf(lhs_dl, lhs_d, lhs_du, 1, 1, 1)
+            *factors, info = gttrf(*left, 1, 1, 1)
         else:
             (gtsv,) = get_lapack_funcs(("gtsv",), dtype=np.float64)
-            # |D1| and |D2| at every step time are at most their
-            # polynomials of |a_i| at t_abs, so this bounds every band
-            # entry; far below overflow, no band can be non-finite
-            t_abs = abs(t0) + (n_total + 1) * dt
-            drift_bound = _magnitude_bound(model.drift_poly, t_abs)
-            diff_bound = _magnitude_bound(model.diff_poly, t_abs)
-            bands_bounded = (b1_max * drift_bound + b2_max * diff_bound) * c + 1.0 < _BAND_LIMIT
-            # S of the time levels in use, alternating between two
-            # arrays, and its terms E1 * -D1 and E2 * D2, each kept while
-            # the bits of its coefficient do not change
-            scaled = np.empty((2, 3, n))
-            drift_term, diff_term = np.empty((2, 3, n))
-            term_keys = [None, None]
-            s_key, cur = None, 0
-            # the bits of a float, which tell -0.0 from +0.0
-            pack = struct.Struct("<d").pack
-
-            def level(t: float) -> tuple:
-                """D1 and D2 at t, and their bits as the key of S."""
-                d1, d2 = model.drift(t), model.diffusion(t)
-                return d1, d2, (pack(d1), pack(d2))
-
-            def form_s(d1: float, d2: float, key, out: np.ndarray) -> None:
-                if key[0] != term_keys[0]:
-                    np.multiply(b1, -d1, out=drift_term)
-                if key[1] != term_keys[1]:
-                    np.multiply(b2, d2, out=diff_term)
-                term_keys[:] = key
-                np.add(drift_term, diff_term, out=out)
-                np.multiply(out, c, out=out)
-
             # where the step before ended: a step that starts there
             # takes that end's level, as a step time is never -0.0 and
             # equal times therefore have equal bits
-            t_next = None
+            t_next = s_next = None
 
     def apply_a(d1: float, d2: float, g: np.ndarray) -> np.ndarray:
         return -d1 * _band_matvec(b1, g) + d2 * _band_matvec(b2, g)
@@ -406,28 +391,17 @@ def solve(f0: DensityField, model: CoefficientModel, config: SolverConfig) -> So
             f_new = f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
             if not constant:
-                d1c, d2c, key_c = (d1n, d2n, key_n) if t == t_next else level(t)
+                s_start = s_next if t == t_next else level(t)
                 t_next = t + dt
-                d1n, d2n, key_n = level(t_next)
-                if key_c != s_key:
-                    form_s(d1c, d2c, key_c, scaled[cur])
-                rhs_band = scaled[cur]
-                if key_n != key_c:
-                    cur ^= 1
-                    form_s(d1n, d2n, key_n, scaled[cur])
-                _left_band(scaled[cur], lhs)
-                # the right band takes S(t) itself, so S(t + dt) is kept
-                # for the next step only when it is another array
-                np.add(rhs_band[1], 1.0, out=rhs_band[1])
-                s_key = key_n if key_n != key_c else None
-                if not bands_bounded:
-                    lhs_finite = bool(np.isfinite(lhs).all())
+                s_next = level(t_next)
+                _write_bands(left, s_next, right, s_start)
+                lhs_finite = all(map(math.isfinite, s_next))
             rhs = _band_matvec(rhs_band, f, products[k % 2])
             if constant:
                 f_new, _ = gttrs(*factors, rhs, "N", 1)
             else:
                 # the left band and rhs are overwritten in place
-                *_, f_new, info = gtsv(lhs_dl, lhs_d, lhs_du, rhs, 1, 1, 1, 1)
+                *_, f_new, info = gtsv(*left, rhs, 1, 1, 1, 1)
 
         # a finite mass implies a finite state, and a non-finite
         # right-hand side gives LAPACK a non-finite solution

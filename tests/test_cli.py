@@ -969,6 +969,19 @@ class TestDensitySides:
         )
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_train_refuses_near_duplicate_manifest_times(self, tv_workspace, tmp_path, capsys):
+        manifest = tmp_path / "near.csv"
+        rows = [(1.0, 10), (1.000000000001, 11), (2.0, 20)]
+        manifest.write_text("".join(
+            f"{t!r},{tv_workspace / f'density_{k:02d}.csv'}\n" for t, k in rows
+        ))
+        config = _tv_config(tmp_path, manifest, train_end=1.000000000001)
+        assert main(["train", "--config", str(config), "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: duplicate times in manifest: 1.0 and 1.000000000001\n"
+        )
+        assert not (tmp_path / "artifact.json").exists()
+
 
 class TestOracle:
     def test_f3_matches_direct_evaluation(self, tmp_path):
@@ -1293,6 +1306,15 @@ class TestImportCost:
         ]
         loaded = _fresh_cli([json.dumps(commands), "numpy.random"], tmp_path, _FRESH_SEQUENCE)
         assert loaded == [False, [0, False], [0, False], [0, True]]
+
+    def test_import_loads_neither_logging_nor_csv(self, tmp_path):
+        # logging costs a fresh process about 8 ms and csv a few; only
+        # re-gridding in validate and the fallback CSV parser use them
+        script = (
+            "import json, sys\nimport fprom.cli\n"
+            "print(json.dumps([m for m in sys.argv[1:] if m in sys.modules]))\n"
+        )
+        assert _fresh_cli(["logging", "csv"], tmp_path, script) == []
 
     def test_no_module_imports_scipy_optimize(self):
         imported = []

@@ -469,6 +469,35 @@ class TestIngest:
         with pytest.raises(InputDataError, match="duplicate times"):
             ingest(config)
 
+    def test_manifest_near_duplicate_times(self, tmp_path, workspace):
+        # 1e-12 apart, inside the 1e-9 x max(1, max|t|) within which
+        # split.train_end names a level, so both name one level
+        manifest = tmp_path / "near.csv"
+        src = workspace / "dens_0.csv"
+        manifest.write_text(f"1.0,{src}\n1.000000000001,{src}\n2.0,{src}\n")
+        config = densities_config(
+            workspace,
+            input={"mode": "densities", "path": str(manifest)},
+            split={"train_end": 1.000000000001},
+        )
+        with pytest.raises(InputDataError) as info:
+            ingest(config, "training")
+        assert str(info.value) == (
+            f"{manifest}: duplicate times in manifest: 1.0 and 1.000000000001"
+        )
+
+    def test_manifest_times_a_level_apart_are_kept(self, tmp_path, workspace):
+        manifest = tmp_path / "close.csv"
+        src = workspace / "dens_0.csv"
+        manifest.write_text(f"1.0,{src}\n1.00000001,{src}\n2.0,{src}\n")
+        config = densities_config(
+            workspace,
+            input={"mode": "densities", "path": str(manifest)},
+            split={"train_end": 1.00000001},
+        )
+        assert [f.time_stamp for f in ingest(config, "training")] == [1.0, 1.00000001]
+        assert [f.time_stamp for f in ingest(config, "testing")] == [2.0]
+
     @pytest.mark.parametrize("header", ["time, path", " time ,path"])
     def test_manifest_header_with_spaces(self, tmp_path, workspace, header):
         manifest = tmp_path / "spaced.csv"
@@ -674,11 +703,21 @@ class TestSplit:
         assert [f.time_stamp for f in train] == [1.0, 2.0]
         assert [f.time_stamp for f in test] == [3.0]
 
-    def test_density_list_must_be_ordered(self):
+    @pytest.mark.parametrize(
+        "times, train_end, pair",
+        [((2.0, 1.0), 1.0, "2.0 is followed by 1.0"),
+         # 1e-12 apart, which split.train_end cannot tell apart
+         ((1.0, 1.000000000001, 2.0), 1.000000000001, "1.0 is followed by 1.000000000001")],
+        ids=["descending", "one_level"],
+    )
+    def test_density_list_must_be_ordered(self, times, train_end, pair):
         grid = Grid(-6.0, 6.0, 129)
-        fields = [gaussian_density(grid, 0.0, 1.0, t) for t in (2.0, 1.0)]
-        with pytest.raises(InfeasibleConfigError, match="time order"):
-            split(fields, train_end=1.0)
+        fields = [gaussian_density(grid, 0.0, 1.0, t) for t in times]
+        with pytest.raises(InfeasibleConfigError) as info:
+            split(fields, train_end=train_end)
+        assert str(info.value) == (
+            f"density list must be in time order, one density per time level: {pair}"
+        )
 
 
 class TestRunTrain:

@@ -20,6 +20,7 @@ from fprom.solver import (
     STABILITY_SAFETY,
     SolutionTrace,
     _band_matvec,
+    _grid_constants,
     _record_steps,
 )
 
@@ -635,6 +636,60 @@ class TestFluxFormOperator:
         assert again[0] is bands[0] and again[1] is bands[1]
 
 
+def band_from_slots(values, n):
+    """The LAPACK vectors (dl, d, du) of a band given its seven slot
+    values, in _grid_constants' order."""
+    lo, m, u, lo1, m0, m1, u0 = values
+    dl, d, du = np.full(n - 1, lo), np.full(n, m), np.full(n - 1, u)
+    dl[-1], d[0], d[-1], du[0] = lo1, m0, m1, u0
+    return dl, d, du
+
+
+# a spacing whose square underflows, so that E2 holds inf
+TINY_GRID = Grid(0.0, 1e-159, 9)
+
+
+class TestSevenScalarBands:
+    """A band of a uniform grid is seven values: the interior of each
+    LAPACK vector and the four wall entries."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid(-5.0, 5.0, n) for n in (8, 9, 65, 513, 2049)] + [TINY_GRID],
+        ids=["n8", "n9", "n65", "n513", "n2049", "tiny"],
+    )
+    def test_slots_rebuild_each_band_bit_for_bit(self, grid):
+        b1, b2, _, slots = _grid_constants(grid)
+        assert b1 is flux_bands(grid)[0] and b2 is flux_bands(grid)[1]
+        for which, band in enumerate((b1, b2)):
+            dl, d, du = band_from_slots([pair[which] for pair in slots], grid.n_points)
+            assert bits(dl) == bits(band[2, :-1])
+            assert bits(d) == bits(band[1])
+            assert bits(du) == bits(band[0, 1:])
+        if grid is TINY_GRID:
+            assert np.isinf(b2).any() and np.isfinite(b1).all()
+
+    @pytest.mark.parametrize("row", (0, 1, 2), ids=("super", "main", "sub"))
+    @pytest.mark.parametrize("which", (0, 1), ids=("E1", "E2"))
+    def test_a_band_interior_of_several_values_is_refused(self, monkeypatch, row, which):
+        import fprom.solver
+
+        def broken(grid):
+            bands = [b.copy() for b in flux_bands(grid)]
+            bands[which][row, grid.n_points // 2] += 1.0
+            return tuple(bands)
+
+        monkeypatch.setattr(fprom.solver, "flux_bands", broken)
+        grid = Grid(-5.0, 5.0, 33)
+        _grid_constants.cache_clear()
+        with pytest.raises(ValueError, match="band interior of several values"):
+            _grid_constants(grid)
+        f0 = gaussian_density(grid, 0.0, 1.0, 0.0)
+        config = SolverConfig(integrator="crank_nicolson", dt=0.1, record_times=(0.1,))
+        with pytest.raises(ValueError, match="band interior of several values"):
+            solve(f0, wiener_model(), config)
+
+
 class TestBandedOperatorMatchesDense:
     @pytest.mark.parametrize(
         "integrator, time_varying",
@@ -1011,18 +1066,28 @@ class TestSolveMatchesReference:
         assert coefficient_bits(model, end_of_3) != coefficient_bits(model, start_of_4)
         assert assert_matches_reference(f0, model, config).mass_log.size == 5
 
-    def test_signed_zero_coefficients_reach_the_left_bands(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "drift, diff, lapack",
+        (((-0.0, 5e-324), (-0.0, 5e-324), "gtsv"), ((-0.0,), (-0.0,), "gttrf")),
+        ids=("time_varying", "constant"),
+    )
+    def test_signed_zero_coefficients_reach_the_left_bands(
+        self, monkeypatch, drift, diff, lapack
+    ):
         # a signed zero in S only signs zero band entries, and the states
         # are recorded through np.maximum(f, 0.0), which turns -0.0 into
         # +0.0, so the case above cannot see it; each left band handed to
-        # ?gtsv must hold the bits of I + (-dt/2) A(t + dt) formed afresh
+        # ?gtsv must hold the bits of I + (-dt/2) A(t + dt) formed from
+        # whole arrays, and the one handed to ?gttrf those of
+        # I + (-dt/2) A(0), where the coefficients read +0.0 and -D1
+        # signs E1's zero products
         import scipy.linalg
 
         grid = Grid(-5.0, 5.0, 65)
         f0 = DensityField(
             grid=grid, values=gaussian_density(grid, 0.0, 1.0, 0.0).values, time_stamp=-3 * 0.1
         )
-        model = CoefficientModel(drift_poly=(-0.0, 5e-324), diff_poly=(-0.0, 5e-324))
+        model = CoefficientModel(drift_poly=drift, diff_poly=diff)
         dt = 0.1
         config = SolverConfig(
             integrator="crank_nicolson", dt=dt, record_times=(f0.time_stamp + 5 * dt,)
@@ -1032,25 +1097,32 @@ class TestSolveMatchesReference:
 
         def spying(names, *args, **kwargs):
             funcs = real(names, *args, **kwargs)
-            if names != ("gtsv",):
+            if lapack not in names:
                 return funcs
+            i = names.index(lapack)
 
-            def gtsv(dl, d, du, *rest):
+            def spy(dl, d, du, *rest):
                 seen.append(bits(dl) + bits(d) + bits(du))
-                return funcs[0](dl, d, du, *rest)
+                return funcs[i](dl, d, du, *rest)
 
-            return (gtsv,)
+            return (*funcs[:i], spy, *funcs[i + 1 :])
 
         monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", spying)
         assert not solve(f0, model, config).diverged
         b1, b2 = flux_bands(grid)
+        if lapack == "gtsv":
+            times = [(f0.time_stamp + (k - 1) * dt) + dt for k in range(1, 6)]
+        else:
+            times = [0.0]
         expected = []
-        for k in range(1, 6):
-            t_end = (f0.time_stamp + (k - 1) * dt) + dt
-            lhs = (-0.5 * dt) * (b1 * -model.drift(t_end) + b2 * model.diffusion(t_end))
+        for t in times:
+            lhs = (-0.5 * dt) * (b1 * -model.drift(t) + b2 * model.diffusion(t))
             lhs[1] += 1.0
             expected.append(bits(lhs[2, :-1]) + bits(lhs[1]) + bits(lhs[0, 1:]))
-        assert len({band[: 8 * 64] for band in expected}) == 2
+        if lapack == "gtsv":
+            assert len({band[: 8 * 64] for band in expected}) == 2
+        else:
+            assert bits(lhs[0, 1:]) == bits(np.full(64, -0.0))
         assert seen == expected
 
     def test_step_ends_and_starts_that_differ_in_bits(self):
